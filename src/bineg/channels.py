@@ -109,7 +109,9 @@ class ChoiMatrix:
 
 
 def _trace_out(j, dim_in, dim_out):
-    return np.einsum("iojo->ij", j.reshape(dim_in, dim_out, dim_in, dim_out))
+    """Partial trace over the output factor, batched over leading axes."""
+    split = j.shape[:-2] + (dim_in, dim_out, dim_in, dim_out)
+    return np.einsum("...iojo->...ij", j.reshape(split))
 
 
 def apply(ch, rho):
@@ -243,7 +245,7 @@ def is_ppt_channel(choi, tol=1e-10):
 def _proj_psd(j):
     w, v = np.linalg.eigh((j + dagger(j)) / 2.0)
     w = np.clip(w, 0.0, None)
-    return (v * w) @ dagger(v)
+    return (v * w[..., None, :]) @ dagger(v)
 
 
 def _proj_ppt(j):
@@ -256,15 +258,74 @@ def _proj_tp(j, dim_in=4, dim_out=4):
     return j - kron(delta, np.eye(dim_out)) / dim_out
 
 
+_PROJECTIONS = (_proj_psd, _proj_ppt, _proj_tp)
+
+
 def _cone_defects(j):
-    low = float(np.linalg.eigvalsh((j + dagger(j)) / 2.0)[0])
+    """Per-matrix distances below zero of the lowest eigenvalue of ``j`` and
+    of its PPT transpose."""
+    low = np.linalg.eigvalsh((j + dagger(j)) / 2.0)[..., 0]
     g = transpose_factors(j, _PPT_DIMS, _PPT_FACTORS)
-    low_g = float(np.linalg.eigvalsh((g + dagger(g)) / 2.0)[0])
-    return max(0.0, -low), max(0.0, -low_g)
+    low_g = np.linalg.eigvalsh((g + dagger(g)) / 2.0)[..., 0]
+    return np.maximum(0.0, -low), np.maximum(0.0, -low_g)
+
+
+def _dykstra_step(state):
+    # state is [iterate, one correction per projection], updated in place
+    for i, proj in enumerate(_PROJECTIONS, start=1):
+        shifted = state[0] + state[i]
+        state[0] = proj(shifted)
+        state[i] = shifted - state[0]
+
+
+def _dykstra_done(tol):
+    def done(j):
+        d_psd, d_ppt = _cone_defects(j)
+        d_tp = np.abs(_trace_out(j, 4, 4) - np.eye(4)).max(axis=(-2, -1))
+        return (d_psd <= tol) & (d_ppt <= tol) & (d_tp <= tol)
+
+    return done
+
+
+def _polish_step(state):
+    state[0] = _proj_tp(_proj_ppt(_proj_psd(state[0])))
+
+
+def _polish_done(j):
+    d_psd, d_ppt = _cone_defects(j)
+    return (d_psd <= 1e-12) & (d_ppt <= 1e-12)
+
+
+def _iterate_each(state, step, done, budget, failure):
+    """Advance a stack of iterates until each one passes its own stopping test.
+
+    ``state`` is a list of arrays sharing the leading item axis, the
+    iterates first; ``step`` advances it in place, so that each array is
+    freed as soon as its successor exists, and ``done`` maps the iterates
+    to a boolean mask.  An item leaves the stack in the round its
+    test first passes, so it gets exactly the operations, eigensolves
+    included, of a run on that item alone.  Returns the final iterates in
+    input order; raises :class:`NoConvergence` with ``failure`` when an
+    item is still running after ``budget`` rounds.
+    """
+    out = np.empty_like(state[0])
+    active = np.arange(len(out))
+    rounds = 0
+    while active.size:
+        if rounds >= budget:
+            raise NoConvergence(failure)
+        rounds += 1
+        step(state)
+        finished = done(state[0])
+        out[active[finished]] = state[0][finished]
+        keep = ~finished
+        active = active[keep]
+        state[:] = [s[keep] for s in state]
+    return out
 
 
 def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
-    """Dykstra-project a Hermitian 16x16 start matrix onto the set of
+    """Dykstra-project Hermitian 16x16 start matrices onto the set of
     two-qubit PPT-channel Choi matrices.
 
     The constraint set is the intersection of the PSD cone, the PPT cone,
@@ -273,37 +334,42 @@ def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
     trace-preserving step, so the recovered Kraus family is complete to
     machine precision.
 
-    Returns ``(ChoiMatrix, KrausChannel)``; raises :class:`NoConvergence`
-    if the iteration budget runs out.
+    ``start`` is one matrix or a stack ``(..., 16, 16)``.  A stack is
+    projected in one pass with a convergence test per item, and each item
+    comes out bit for bit as it would alone.  Returns ``(ChoiMatrix,
+    KrausChannel)`` for one matrix and a list of such pairs, in C order of
+    the leading axes, for a stack.  Raises :class:`NoConvergence` if any
+    item runs out of iteration budget.
     """
     j = np.asarray(start, dtype=complex)
-    if j.shape != (16, 16):
-        raise WrongDimension(f"expected a 16x16 start matrix, got {j.shape}")
-    projections = (_proj_psd, _proj_ppt, _proj_tp)
-    corrections = [np.zeros_like(j) for _ in projections]
-    for _ in range(int(max_iter)):
-        for i, proj in enumerate(projections):
-            shifted = j + corrections[i]
-            j = proj(shifted)
-            corrections[i] = shifted - j
-        d_psd, d_ppt = _cone_defects(j)
-        d_tp = float(np.abs(_trace_out(j, 4, 4) - np.eye(4)).max())
-        if d_psd <= tol and d_ppt <= tol and d_tp <= tol:
-            break
-    else:
-        raise NoConvergence(
-            f"Dykstra did not reach tolerance {tol:.1e} in {max_iter} iterations"
-        )
-    for _ in range(200):
-        j = _proj_tp(_proj_ppt(_proj_psd(j)))
-        d_psd, d_ppt = _cone_defects(j)
-        if d_psd <= 1e-12 and d_ppt <= 1e-12:
-            break
-    else:
-        raise NoConvergence("polishing projections stalled above 1e-12")
-    j = (j + dagger(j)) / 2.0
-    choi = ChoiMatrix(j, 4, 4)
-    return choi, kraus_from_choi(choi)
+    if j.shape[-2:] != (16, 16):
+        raise WrongDimension(f"expected 16x16 start matrices, got {j.shape}")
+    stack = j.reshape((-1, 16, 16))
+    zero = np.zeros_like(stack)
+    stack = _iterate_each(
+        [stack, zero, zero, zero],
+        _dykstra_step,
+        _dykstra_done(tol),
+        int(max_iter),
+        f"Dykstra did not reach tolerance {tol:.1e} in {max_iter} iterations",
+    )
+    stack = _iterate_each(
+        [stack], _polish_step, _polish_done, 200, "polishing projections stalled above 1e-12"
+    )
+    stack = (stack + dagger(stack)) / 2.0
+    pairs = []
+    for m in stack:
+        choi = ChoiMatrix(m, 4, 4)
+        pairs.append((choi, kraus_from_choi(choi)))
+    return pairs[0] if j.ndim == 2 else pairs
+
+
+def _ppt_start(rng):
+    """Start of the PPT sampler: a normalized Ginibre square, a random PSD
+    16x16 matrix of trace 4."""
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    j = g @ dagger(g)
+    return 4.0 * j / float(np.trace(j).real)
 
 
 def random_ppt_channel(seed, max_iter=10000, tol=1e-9):
@@ -312,8 +378,5 @@ def random_ppt_channel(seed, max_iter=10000, tol=1e-9):
 
     Returns ``(ChoiMatrix, KrausChannel)``.
     """
-    rng = as_generator(seed)
-    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    j = g @ dagger(g)
-    j = 4.0 * j / float(np.trace(j).real)
-    return project_to_ppt_channel(j, max_iter=max_iter, tol=tol)
+    start = _ppt_start(as_generator(seed))
+    return project_to_ppt_channel(start, max_iter=max_iter, tol=tol)

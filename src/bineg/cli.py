@@ -42,6 +42,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_HARD, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text):
+    # a NaN tolerance would make every "gap > tol" test false
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _named_state(name):
     if name == "rho1":
         return sigma_pqr(7.0 / 48.0, 1.0, 0.5 + math.sqrt(1105.0) / 82.0)
@@ -233,8 +254,8 @@ def _add_common(sub, samples_default=100000):
     sub.add_argument("--seed", type=int, default=None, help="root RNG seed (default: BINEG_SEED or 42)")
     sub.add_argument("--samples", type=int, default=samples_default, help="number of random samples")
     sub.add_argument("--rank", type=int, default=2, choices=(1, 2, 3, 4), help="rank of sampled states")
-    sub.add_argument("--tol", type=float, default=None, help="violation tolerance override")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads (results are thread-count independent)")
+    sub.add_argument("--tol", type=_finite_float, default=None, help="violation tolerance override")
+    sub.add_argument("--threads", type=_positive_int, default=1, help="worker threads (results are thread-count independent)")
     sub.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 

@@ -15,12 +15,13 @@ from bineg.channels import (
     is_ppt_channel,
     kraus_from_choi,
     one_way_locc_channel,
+    project_to_ppt_channel,
     random_local_channel,
     random_local_unitary_pair,
     random_ppt_channel,
 )
-from bineg.errors import DimensionMismatch, NotTracePreserving, OutOfRange
-from bineg.linalg import dagger, frobenius_distance, partial_transpose
+from bineg.errors import DimensionMismatch, NoConvergence, NotTracePreserving, OutOfRange
+from bineg.linalg import dagger, frobenius_distance, kron, partial_transpose, transpose_factors
 from bineg.measures import binegativity, concurrence, negativity
 from bineg.states import is_ppt, random_mixed, sigma_pqr
 
@@ -255,3 +256,83 @@ class TestPptChannels:
             assert np.linalg.eigvalsh(partial_transpose(out))[0] >= -1e-8
             out2 = apply(ch, sigma_pqr(0.5, 0.5, 0.5))
             assert np.linalg.eigvalsh(partial_transpose(out2))[0] >= -1e-8
+
+
+def ppt_starts(seed, count):
+    """Normalized Ginibre squares, the starts the PPT sampler projects."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        j = g @ dagger(g)
+        out.append(4.0 * j / np.trace(j).real)
+    return np.stack(out)
+
+
+def reference_projection(start, tol=1e-9):
+    """One-matrix Dykstra loop and 1e-12 polish, written out plainly as the
+    reference for the stacked projection; returns the symmetrized result."""
+    dims, factors = (2, 2, 2, 2), (1, 3)
+
+    def psd(j):
+        w, v = np.linalg.eigh((j + dagger(j)) / 2.0)
+        return (v * np.clip(w, 0.0, None)) @ dagger(v)
+
+    def ppt(j):
+        return transpose_factors(psd(transpose_factors(j, dims, factors)), dims, factors)
+
+    def trace_out(j):
+        return np.einsum("iojo->ij", j.reshape(4, 4, 4, 4))
+
+    def tp(j):
+        return j - kron(trace_out(j) - np.eye(4), np.eye(4)) / 4
+
+    def cone_defect(j):
+        g = transpose_factors(j, dims, factors)
+        low = min(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0] for m in (j, g))
+        return max(0.0, -low)
+
+    j = start
+    corrections = [np.zeros_like(j)] * 3
+    for _ in range(10000):
+        for i, proj in enumerate((psd, ppt, tp)):
+            shifted = j + corrections[i]
+            j = proj(shifted)
+            corrections[i] = shifted - j
+        if cone_defect(j) <= tol and np.abs(trace_out(j) - np.eye(4)).max() <= tol:
+            break
+    for _ in range(200):
+        j = tp(ppt(psd(j)))
+        if cone_defect(j) <= 1e-12:
+            break
+    return (j + dagger(j)) / 2.0
+
+
+class TestStackedProjection:
+    def test_stack_is_bit_identical_to_one_matrix_calls(self):
+        # the completely depolarizing Choi matrix I/4 is already feasible and
+        # leaves after one round; the Ginibre starts need from 6 to about 30
+        starts = np.concatenate([ppt_starts(61, 11), np.eye(16, dtype=complex)[None] / 4.0])
+        within_15 = [True] * len(starts)
+        for k, start in enumerate(starts):
+            try:
+                project_to_ppt_channel(start, max_iter=15)
+            except NoConvergence:
+                within_15[k] = False
+        assert 1 < sum(within_15) < len(starts)  # items stop in different rounds
+        singles = [project_to_ppt_channel(s) for s in starts]
+        stacked = project_to_ppt_channel(starts.reshape(3, 4, 16, 16))
+        assert len(stacked) == len(starts)
+        for start, (choi_a, ch_a), (choi_b, ch_b) in zip(starts, singles, stacked):
+            assert np.array_equal(choi_a.matrix, reference_projection(start))
+            assert np.array_equal(choi_a.matrix, choi_b.matrix)
+            assert len(ch_a.kraus_ops) == len(ch_b.kraus_ops)
+            for ka, kb in zip(ch_a.kraus_ops, ch_b.kraus_ops):
+                assert np.array_equal(ka, kb)
+
+    def test_exhausted_budget_raises(self):
+        starts = ppt_starts(62, 4)
+        with pytest.raises(NoConvergence):
+            project_to_ppt_channel(starts[0], max_iter=1)
+        with pytest.raises(NoConvergence):
+            project_to_ppt_channel(starts, max_iter=1)

@@ -248,6 +248,37 @@ class TestSeedResolution:
         assert "BINEG_SEED" in err
 
 
+# the smallest run of every subcommand that takes --tol and --threads
+SWEEP_COMMANDS = {
+    "verify": ["verify", "region", "--samples", "2000", "--seed", "8"],
+    "monotonic": ["monotonic", "--samples", "2"],
+    "search": ["search", "--restarts", "1", "--steps", "1"],
+    "figure": ["figure", "fig1", "--samples", "20"],
+}
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_usage_error(self, capsys, tmp_path, command, tol):
+        # a NaN tolerance used to switch every check off: the seed-8 region
+        # sweep has 6 genuine findings, and with --tol nan it exited 0
+        argv = SWEEP_COMMANDS[command] + [f"--tol={tol}", "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_HARD
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error(self, capsys, tmp_path, command, threads):
+        argv = SWEEP_COMMANDS[command] + ["--threads", threads, "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_HARD
+        assert "--threads" in capsys.readouterr().err
+
+
 class TestFigure:
     def test_fig_output_reproducible(self, capsys, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
