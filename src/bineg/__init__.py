@@ -60,7 +60,6 @@ from .linalg import (
     kron,
     negative_part,
     partial_transpose,
-    positive_part,
     psd_sqrt,
     trace,
     transpose_factors,

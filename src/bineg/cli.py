@@ -3,7 +3,9 @@
 Subcommands: ``compute`` (measures of one state), ``verify``
 (ordering | region | closed-forms sweeps), ``monotonic`` (channel
 monotonicity sweep), ``search`` (hill-climb counterexample search),
-``figure`` (fig1 | fig2 | fig3 CSV data).
+``figure`` (fig1 | fig2 | fig3 CSV data).  Each subcommand registers only
+the options it reads, so an option that would have no effect is a usage
+error.
 
 Exit codes: 0 clean, 1 hard failure (bad input, IO trouble, or a violated
 proven property), 2 conjecture finding.  All randomness flows from the seed
@@ -50,16 +52,6 @@ def _finite_float(text):
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -184,17 +176,11 @@ def _cmd_verify(args):
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else 1e-9
     if args.which == "ordering":
-        report = harness.verify_ordering(
-            args.samples, rank=args.rank, seed=seed, tol=tol, threads=args.threads
-        )
+        report = harness.verify_ordering(args.samples, rank=args.rank, seed=seed, tol=tol)
     elif args.which == "region":
-        report = harness.verify_region(
-            args.samples, rank=args.rank, seed=seed, tol=tol, threads=args.threads
-        )
+        report = harness.verify_region(args.samples, rank=args.rank, seed=seed, tol=tol)
     else:
-        report = harness.verify_closed_forms(
-            grid_density=args.grid, seed=seed, tol=tol, threads=args.threads
-        )
+        report = harness.verify_closed_forms(grid_density=args.grid, seed=seed, tol=tol)
     _emit_report(report, args)
     if report.has_hard_failure():
         return EXIT_HARD
@@ -212,7 +198,6 @@ def _cmd_monotonic(args):
         rank=args.rank,
         seed=seed,
         tol=tol,
-        threads=args.threads,
     )
     _emit_report(report, args)
     return EXIT_FINDING if report.has_finding() else EXIT_OK
@@ -229,7 +214,6 @@ def _cmd_search(args):
         seed=seed,
         rank=args.rank,
         tol=tol,
-        threads=args.threads,
     )
     _emit_report(report, args)
     return EXIT_FINDING if report.has_finding() else EXIT_OK
@@ -243,20 +227,24 @@ def _cmd_figure(args):
         rank=args.rank,
         seed=seed,
         out_dir=args.out if args.out is not None else ".",
-        threads=args.threads,
     )
     for p in paths:
         print(p, file=sys.stderr)
     return EXIT_OK
 
 
-def _add_common(sub, samples_default=100000):
+def _add_common(sub, samples=None, rank=True, report=True):
+    """Register the shared options that a subcommand reads: ``samples`` is
+    the default of ``--samples`` (None: no such option); ``report`` adds
+    ``--tol`` and ``--format`` for commands that emit a violation report."""
     sub.add_argument("--seed", type=int, default=None, help="root RNG seed (default: BINEG_SEED or 42)")
-    sub.add_argument("--samples", type=int, default=samples_default, help="number of random samples")
-    sub.add_argument("--rank", type=int, default=2, choices=(1, 2, 3, 4), help="rank of sampled states")
-    sub.add_argument("--tol", type=_finite_float, default=None, help="violation tolerance override")
-    sub.add_argument("--threads", type=_positive_int, default=1, help="worker threads (results are thread-count independent)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
+    if samples is not None:
+        sub.add_argument("--samples", type=int, default=samples, help="number of random samples")
+    if rank:
+        sub.add_argument("--rank", type=int, default=2, choices=(1, 2, 3, 4), help="rank of sampled states")
+    if report:
+        sub.add_argument("--tol", type=_finite_float, default=None, help="violation tolerance override")
+        sub.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -282,9 +270,12 @@ def build_parser():
         help="property and bound sweeps",
         description="ordering and closed-forms violations are hard failures (exit 1); region violations are findings (exit 2).",
     )
-    verify.add_argument("which", choices=("ordering", "region", "closed-forms"))
-    _add_common(verify)
-    verify.add_argument("--grid", type=int, default=20, help="grid density for closed-forms")
+    variants = verify.add_subparsers(dest="which", required=True)
+    for which in ("ordering", "region"):
+        _add_common(variants.add_parser(which), samples=100000)
+    closed_forms = variants.add_parser("closed-forms")
+    _add_common(closed_forms, rank=False)
+    closed_forms.add_argument("--grid", type=int, default=20, help="grid density")
     verify.set_defaults(func=_cmd_verify)
 
     monotonic = commands.add_parser(
@@ -292,7 +283,7 @@ def build_parser():
         help="channel monotonicity sweep",
         description="Sample (state, channel) pairs; exit 2 if any channel raises the binegativity.",
     )
-    _add_common(monotonic, samples_default=10000)
+    _add_common(monotonic, samples=10000)
     monotonic.add_argument(
         "--channel", choices=harness.CHANNEL_KINDS, default="local", help="channel ensemble"
     )
@@ -316,7 +307,7 @@ def build_parser():
         description="Write the CSV data behind the three standard plots; --out names the output directory.",
     )
     figure.add_argument("which", choices=("fig1", "fig2", "fig3"))
-    _add_common(figure, samples_default=100000)
+    _add_common(figure, samples=100000, report=False)
     figure.set_defaults(func=_cmd_figure)
     return parser
 

@@ -7,8 +7,8 @@ report, not test failures.  Reports keep that distinction through the
 ``HARD_KINDS`` / ``CONJECTURE_KINDS`` split.
 
 All randomness flows from one root seed through ``SeedSequence.spawn`` in
-fixed-size chunks, so a report is byte-identical for a given seed no matter
-how many worker threads process the chunks.
+fixed-size chunks, processed one after another, so a report is
+byte-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +36,13 @@ from .measures import (
     binegativity,
     bineg_lower_given_nu,
     bineg_mems,
-    boundary_p_range,
     closed_form_pqr,
     concurrence,
     negativity,
     nu_of_c,
     region_bounds,
 )
-from .states import as_generator, projector, random_mixed
+from .states import random_mixed, sigma_pqr
 
 # Fixed chunk size for substream spawning.  Changing it would change every
 # sampled stream, so it is a constant, not a knob.
@@ -152,25 +150,12 @@ def _chunk_sizes(n):
     return sizes
 
 
-def _run_chunks(work, seed, n, threads):
-    """Run ``work(chunk_index, rng, size)`` over fixed-size chunks with
-    independent substreams; results come back in chunk order regardless of
-    thread count."""
+def _run_chunks(work, seed, n):
+    """Run ``work(rng, size)`` over fixed-size chunks with independent
+    substreams; results come back in chunk order."""
     sizes = _chunk_sizes(int(n))
     children = np.random.SeedSequence(int(seed)).spawn(len(sizes))
-    if threads <= 1:
-        return [
-            work(i, np.random.default_rng(child), size)
-            for i, (child, size) in enumerate(zip(children, sizes))
-        ]
-    tasks = list(enumerate(zip(children, sizes)))
-
-    def _call(task):
-        i, (child, size) = task
-        return work(i, np.random.default_rng(child), size)
-
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(_call, tasks))
+    return [work(np.random.default_rng(child), size) for child, size in zip(children, sizes)]
 
 
 def _finish(report, t0):
@@ -180,7 +165,7 @@ def _finish(report, t0):
     return report
 
 
-def verify_ordering(n, rank=2, seed=42, tol=1e-9, threads=1):
+def verify_ordering(n, rank=2, seed=42, tol=1e-9):
     """Sample ``n`` random states of the given rank and flag any break of
     ``n2 <= nu <= c`` beyond ``tol``.  Expected violations: zero; any hit is
     an implementation bug, not a finding."""
@@ -189,14 +174,14 @@ def verify_ordering(n, rank=2, seed=42, tol=1e-9, threads=1):
         raise OutOfRange("n must be >= 1")
     t0 = time.perf_counter()
 
-    def work(i, rng, size):
+    def work(rng, size):
         rho = random_mixed(rank, rng, size=size)
         c = concurrence(rho)
         nu = negativity(rho)
         n2 = binegativity(rho)
         return rho, np.maximum(n2 - nu, nu - c)
 
-    results = _run_chunks(work, seed, n, threads)
+    results = _run_chunks(work, seed, n)
     violations = []
     max_gap = -math.inf
     offset = 0
@@ -219,7 +204,7 @@ def verify_ordering(n, rank=2, seed=42, tol=1e-9, threads=1):
         len(violations),
         max_gap,
         int(seed),
-        {"rank": int(rank), "tol": tol, "threads": int(threads)},
+        {"rank": int(rank), "tol": tol},
         violations,
     )
     return _finish(report, t0)
@@ -243,7 +228,7 @@ def _bound_gaps(c, nu, n2):
     return {k: np.where(entangled, g, -math.inf) for k, g in gaps.items()}
 
 
-def verify_region(n, rank=2, seed=42, tol=1e-9, threads=1):
+def verify_region(n, rank=2, seed=42, tol=1e-9):
     """Check every sampled entangled state against the conjectured bounds:
     the least-negativity curve, both binegativity lower curves, and the
     two-sided (c, nu, n2) region.  Violations are findings."""
@@ -252,14 +237,14 @@ def verify_region(n, rank=2, seed=42, tol=1e-9, threads=1):
         raise OutOfRange("n must be >= 1")
     t0 = time.perf_counter()
 
-    def work(i, rng, size):
+    def work(rng, size):
         rho = random_mixed(rank, rng, size=size)
         c = concurrence(rho)
         nu = negativity(rho)
         n2 = binegativity(rho)
         return rho, _bound_gaps(c, nu, n2)
 
-    results = _run_chunks(work, seed, n, threads)
+    results = _run_chunks(work, seed, n)
     violations = []
     max_gap = -math.inf
     offset = 0
@@ -285,29 +270,13 @@ def verify_region(n, rank=2, seed=42, tol=1e-9, threads=1):
         len(violations),
         max_gap,
         int(seed),
-        {"rank": int(rank), "tol": tol, "threads": int(threads)},
+        {"rank": int(rank), "tol": tol},
         violations,
     )
     return _finish(report, t0)
 
 
-def _sigma_pqr_batch(p, q, r):
-    """Stack of sigma_pqr states from parameter arrays."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    v1 = np.zeros(p.shape + (4,), dtype=complex)
-    v1[..., 0] = np.sqrt(q)
-    v1[..., 3] = np.sqrt(1.0 - q)
-    v2 = np.zeros(p.shape + (4,), dtype=complex)
-    v2[..., 1] = np.sqrt(r)
-    v2[..., 2] = -np.sqrt(1.0 - r)
-    return p[..., None, None] * projector(v1) + (1.0 - p)[..., None, None] * projector(
-        v2
-    )
-
-
-def verify_closed_forms(grid_density=20, seed=42, tol=1e-9, threads=1):
+def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     """Compare the sigma_pqr closed forms against the numerical measures on
     a full (p, q, r) grid plus 100 random triples.  Disagreement beyond
     ``tol`` is a hard failure."""
@@ -322,7 +291,7 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9, threads=1):
     p = np.concatenate([pg, extra[:, 0]])
     q = np.concatenate([qg, extra[:, 1]])
     r = np.concatenate([rg, extra[:, 2]])
-    rho = _sigma_pqr_batch(p, q, r)
+    rho = sigma_pqr(p, q, r)
     triple, _ = closed_form_pqr(p, q, r)
     diff = np.maximum(
         np.abs(concurrence(rho) - triple.c),
@@ -382,7 +351,7 @@ def _sample_pairs(kind, rank, rng, count):
     return [(rho, ch) for rho, (_, ch) in zip(states, projected)]
 
 
-def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9, threads=1):
+def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9):
     """Sample (state, channel) pairs and flag every pair where the channel
     RAISES the binegativity by more than ``tol``.
 
@@ -400,7 +369,7 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9,
         )
     t0 = time.perf_counter()
 
-    def work(i, rng, size):
+    def work(rng, size):
         out = []
         for first in range(0, size, PAIR_BLOCK):
             count = min(PAIR_BLOCK, size - first)
@@ -409,7 +378,7 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9,
                 out.append((gap, rho, ch))
         return out
 
-    results = _run_chunks(work, seed, n_pairs, threads)
+    results = _run_chunks(work, seed, n_pairs)
     violations = []
     max_gap = -math.inf
     offset = 0
@@ -434,12 +403,7 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9,
         len(violations),
         max_gap,
         int(seed),
-        {
-            "channel_kind": channel_kind,
-            "rank": int(rank),
-            "tol": tol,
-            "threads": int(threads),
-        },
+        {"channel_kind": channel_kind, "rank": int(rank), "tol": tol},
         violations,
     )
     return _finish(report, t0)
@@ -533,7 +497,6 @@ def counterexample_search(
     seed=42,
     rank=2,
     tol=1e-8,
-    threads=1,
 ):
     """Random-restart hill climb on ``f = n2(E(sigma)) - n2(sigma)`` over a
     joint (state, channel) parameter vector.
@@ -549,8 +512,7 @@ def counterexample_search(
     t0 = time.perf_counter()
     children = np.random.SeedSequence(int(seed)).spawn(restarts)
 
-    def climb(task):
-        idx, child = task
+    def climb(child):
         rng = np.random.default_rng(child)
         space = _SearchSpace(channel_kind, rank, rng)
         theta = rng.standard_normal(space.n_params)
@@ -566,12 +528,7 @@ def counterexample_search(
                 best_theta = cand
         return best, best_theta, space
 
-    tasks = list(enumerate(children))
-    if threads <= 1:
-        outcomes = [climb(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            outcomes = list(pool.map(climb, tasks))
+    outcomes = [climb(child) for child in children]
     best_idx = max(range(len(outcomes)), key=lambda i: outcomes[i][0])
     best_f, best_theta, best_space = outcomes[best_idx]
     violations = []
@@ -600,26 +557,25 @@ def counterexample_search(
             "step_size": float(step_size),
             "rank": int(rank),
             "tol": tol,
-            "threads": int(threads),
         },
         violations,
     )
     return _finish(report, t0)
 
 
-def _scatter_triples(n, rank, seed, threads):
-    def work(i, rng, size):
+def _scatter_triples(n, rank, seed):
+    def work(rng, size):
         rho = random_mixed(rank, rng, size=size)
         return concurrence(rho), negativity(rho), binegativity(rho)
 
-    results = _run_chunks(work, seed, int(n), threads)
+    results = _run_chunks(work, seed, int(n))
     c = np.concatenate([r[0] for r in results])
     nu = np.concatenate([r[1] for r in results])
     n2 = np.concatenate([r[2] for r in results])
     return c, nu, n2
 
 
-def figure_data(which, n, rank=2, seed=42, out_dir=".", threads=1):
+def figure_data(which, n, rank=2, seed=42, out_dir="."):
     """Emit scatter and bound-curve CSV data for one of the three plots.
 
     * fig1: (c, n2) scatter; curves n2 = c and the sigma_mems lower curve.
@@ -633,7 +589,7 @@ def figure_data(which, n, rank=2, seed=42, out_dir=".", threads=1):
     if which not in ("fig1", "fig2", "fig3"):
         raise OutOfRange(f"unknown figure {which!r}; choose fig1, fig2 or fig3")
     os.makedirs(out_dir, exist_ok=True)
-    c, nu, n2 = _scatter_triples(n, rank, seed, threads)
+    c, nu, n2 = _scatter_triples(n, rank, seed)
     paths = []
 
     def emit(name, header, rows):
@@ -689,16 +645,6 @@ def figure_data(which, n, rank=2, seed=42, out_dir=".", threads=1):
     return paths
 
 
-def _pqr_from_state(rho):
-    """Recover (p, q, r) from a sigma_pqr density matrix; degenerate slots
-    (p = 0 or 1) come back as 0, which leaves the measures unchanged."""
-    d = np.diagonal(rho).real
-    p = float(d[0] + d[3])
-    q = float(d[0] / p) if p > 1e-12 else 0.0
-    r = float(d[1] / (1.0 - p)) if 1.0 - p > 1e-12 else 0.0
-    return min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0), min(max(r, 0.0), 1.0)
-
-
 def recompute_gap(record):
     """Recompute a violation record's observed gap from its serialized state
     (and channel), for audit round-trips."""
@@ -708,15 +654,11 @@ def recompute_gap(record):
         ch = KrausChannel.from_json_dict(record.channel)
         return float(binegativity(apply(ch, rho)) - binegativity(rho))
     if kind == "closed_form":
-        if record.params is not None:
-            p, q, r = (
-                float(record.params["p"]),
-                float(record.params["q"]),
-                float(record.params["r"]),
-            )
-        else:
-            p, q, r = _pqr_from_state(rho)
-        triple, _ = closed_form_pqr(p, q, r)
+        if record.params is None:
+            raise OutOfRange("a closed_form record needs its (p, q, r) params")
+        triple, _ = closed_form_pqr(
+            float(record.params["p"]), float(record.params["q"]), float(record.params["r"])
+        )
         return float(
             max(
                 abs(concurrence(rho) - triple.c),

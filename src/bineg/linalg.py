@@ -111,18 +111,10 @@ def hermitian_eig(m, check=True):
     return HermitianEigenSystem(w, v)
 
 
-def positive_part(m, check=True):
-    """Spectral clip onto the positive cone: keep only eigenvalues > 0."""
-    es = hermitian_eig(m, check=check)
-    w = np.clip(es.eigenvalues, 0.0, None)
-    v = es.eigenvectors
-    return (v * w[..., None, :]) @ dagger(v)
-
-
 def negative_part(m, check=True):
     """PSD matrix collecting the negative spectrum of a Hermitian input.
 
-    Satisfies ``m = positive_part(m) - negative_part(m)`` up to the dropped
+    Satisfies ``m = negative_part(-m) - negative_part(m)`` up to the dropped
     sliver of near-zero eigenvalues.  Eigenvalues above ``-zero_threshold(m)``
     are discarded outright, so a matrix that is PSD up to rounding has
     negative part exactly zero; this is what keeps separable states at

@@ -223,18 +223,39 @@ def closed_form_pqr(p, q, r):
     return triple, derived
 
 
+# Each bound curve is written once, in an unvalidated private helper; the
+# public functions below check their arguments and then call it.
+
+
+def _nu_of_c(c):
+    return np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
+
+
+def _c_of_nu(nu):
+    return np.sqrt(2.0 * nu * (nu + 1.0)) - nu
+
+
+def _bineg_mems_at(c, nu):
+    # binegativity of sigma_mems at concurrence c, given its negativity nu
+    return 0.5 * nu * (1.0 + c / np.sqrt((1.0 - c) ** 2 + c**2))
+
+
+def _p_range(c, nu):
+    p_min = (c**2 - nu**2) / (2.0 * nu)
+    p_max = c * (nu + 1.0) / (c + nu) - 0.5 * (c + nu)
+    return p_min, p_max
+
+
 def nu_of_c(c):
     """Least negativity compatible with concurrence ``c``:
     ``sqrt((1-c)^2 + c^2) - (1-c)``."""
-    c = _unit_interval("c", c)
-    out = np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
+    out = _nu_of_c(_unit_interval("c", c))
     return _maybe_float(out, out.ndim == 0)
 
 
 def c_of_nu(nu):
     """Inverse of :func:`nu_of_c`: ``c = sqrt(2 nu (nu+1)) - nu``."""
-    nu = _unit_interval("nu", nu)
-    out = np.sqrt(2.0 * nu * (nu + 1.0)) - nu
+    out = _c_of_nu(_unit_interval("nu", nu))
     return _maybe_float(out, out.ndim == 0)
 
 
@@ -246,25 +267,25 @@ def bineg_mems(c):
     concurrence ``c``.
     """
     c = _unit_interval("c", c)
-    nu = np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
-    out = 0.5 * nu * (1.0 + c / np.sqrt((1.0 - c) ** 2 + c**2))
+    out = _bineg_mems_at(c, _nu_of_c(c))
     return _maybe_float(out, out.ndim == 0)
 
 
 def bineg_lower_given_nu(nu):
     """Conjectured least binegativity at fixed negativity ``nu``: evaluate
-    :func:`bineg_mems` at the concurrence ``c_of_nu(nu)`` that attains it."""
+    :func:`bineg_mems` at the concurrence ``c_of_nu(nu)`` that attains it.
+
+    The given ``nu`` enters the formula as is; recomputing it from that
+    concurrence would move the result by rounding."""
     nu = _unit_interval("nu", nu)
-    c = np.sqrt(2.0 * nu * (nu + 1.0)) - nu
-    out = 0.5 * nu * (1.0 + c / np.sqrt((1.0 - c) ** 2 + c**2))
+    out = _bineg_mems_at(_c_of_nu(nu), nu)
     return _maybe_float(out, out.ndim == 0)
 
 
 def _check_region(c, nu, tol):
     c = _unit_interval("c", c)
     nu = _unit_interval("nu", nu)
-    low = np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
-    if np.any(nu > c + tol) or np.any(nu < low - tol):
+    if np.any(nu > c + tol) or np.any(nu < _nu_of_c(c) - tol):
         raise InfeasibleRegion(
             "negativity must lie between nu_of_c(concurrence) and the concurrence"
         )
@@ -307,8 +328,7 @@ def _check_family(c, nu):
         raise InfeasibleRegion(
             "c = nu is degenerate for this family; pure states cover that edge"
         )
-    low = np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
-    if np.any(nu < low - 1e-12):
+    if np.any(nu < _nu_of_c(c) - 1e-12):
         raise InfeasibleRegion("nu below nu_of_c(c): no state has this pair")
     return c, nu
 
@@ -317,9 +337,7 @@ def boundary_p_range(c, nu):
     """Mixing-parameter interval ``[p_min, p_max]`` of the boundary family:
     ``p_min = (c^2 - nu^2) / (2 nu)``,
     ``p_max = c (nu+1)/(c+nu) - (c+nu)/2``."""
-    c, nu = _check_family(c, nu)
-    p_min = (c**2 - nu**2) / (2.0 * nu)
-    p_max = c * (nu + 1.0) / (c + nu) - 0.5 * (c + nu)
+    p_min, p_max = _p_range(*_check_family(c, nu))
     single = np.ndim(p_min) == 0
     return _maybe_float(p_min, single), _maybe_float(p_max, single)
 
@@ -333,8 +351,7 @@ def boundary_bineg(c, nu, p, tol=1e-12):
     """
     c, nu = _check_family(c, nu)
     p = np.asarray(p, dtype=float)
-    p_min = (c**2 - nu**2) / (2.0 * nu)
-    p_max = c * (nu + 1.0) / (c + nu) - 0.5 * (c + nu)
+    p_min, p_max = _p_range(c, nu)
     if np.any(p < p_min - tol) or np.any(p > p_max + tol):
         raise OutOfRange("p outside [p_min, p_max] for this (c, nu)")
     out = nu * (c + nu) / (4.0 * c) * (2.0 + (c - nu) / (p + nu))

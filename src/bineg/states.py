@@ -19,10 +19,12 @@ from .measures import boundary_p_range
 
 
 def _check_unit(name, value):
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRange(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+    # a float for scalar input, an array for array input; NaN is rejected
+    arr = np.asarray(value, dtype=float)
+    ok = (arr >= 0.0) & (arr <= 1.0)
+    if not ok.all():
+        raise OutOfRange(f"{name} must lie in [0, 1], got {float(arr[~ok].flat[0])!r}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def projector(psi):
@@ -61,9 +63,20 @@ def sigma_pqr(p, q, r):
     In the computational basis this has diagonal
     ``(pq, (1-p)r, (1-p)(1-r), p(1-q))``, corner entries ``p sqrt(q(1-q))``
     at (0,3)/(3,0) and middle entries ``-(1-p) sqrt(r(1-r))`` at (1,2)/(2,1).
+
+    Array arguments broadcast against each other and give a stack of shape
+    ``(..., 4, 4)``; each item equals the scalar call bit for bit.
     """
-    p = _check_unit("p", p)
-    return p * projector(phi_q(q)) + (1.0 - p) * projector(psi_r(r))
+    p, q, r = np.broadcast_arrays(
+        _check_unit("p", p), _check_unit("q", q), _check_unit("r", r)
+    )
+    v1 = np.zeros(p.shape + (4,), dtype=complex)
+    v1[..., 0] = np.sqrt(q)
+    v1[..., 3] = np.sqrt(1.0 - q)
+    v2 = np.zeros(p.shape + (4,), dtype=complex)
+    v2[..., 1] = np.sqrt(r)
+    v2[..., 2] = -np.sqrt(1.0 - r)
+    return p[..., None, None] * projector(v1) + (1.0 - p)[..., None, None] * projector(v2)
 
 
 def sigma_mems(c):

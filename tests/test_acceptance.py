@@ -362,7 +362,7 @@ def test_criterion_7_reproducibility(tmp_path):
     runs = [
         (["compute", "--state", "rho1"], "compute.json"),
         (
-            ["verify", "region", "--samples", "2000", "--seed", "11", "--threads", "2"],
+            ["verify", "region", "--samples", "2000", "--seed", "11"],
             "region.json",
         ),
         (["monotonic", "--samples", "200", "--channel", "local", "--seed", "5"], "mono.json"),

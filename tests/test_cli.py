@@ -248,12 +248,29 @@ class TestSeedResolution:
         assert "BINEG_SEED" in err
 
 
-# the smallest run of every subcommand that takes --tol and --threads
+# the smallest run of every sweep subcommand; figure no longer registers
+# --tol and none registers --threads, so those flags are usage errors there
 SWEEP_COMMANDS = {
     "verify": ["verify", "region", "--samples", "2000", "--seed", "8"],
     "monotonic": ["monotonic", "--samples", "2"],
     "search": ["search", "--restarts", "1", "--steps", "1"],
     "figure": ["figure", "fig1", "--samples", "20"],
+}
+
+# options a subcommand would ignore are not registered, so passing one is
+# a usage error rather than a silent no-op
+UNREAD_OPTIONS = {
+    "verify-threads": ["verify", "region", "--samples", "20", "--threads", "2"],
+    "monotonic-threads": ["monotonic", "--samples", "2", "--threads", "2"],
+    "search-threads": ["search", "--restarts", "1", "--steps", "1", "--threads", "2"],
+    "figure-threads": ["figure", "fig1", "--samples", "20", "--threads", "2"],
+    "figure-tol": ["figure", "fig1", "--samples", "20", "--tol", "1"],
+    "figure-format": ["figure", "fig1", "--samples", "20", "--format", "csv"],
+    "search-samples": ["search", "--restarts", "1", "--steps", "1", "--samples", "5"],
+    "closed-forms-samples": ["verify", "closed-forms", "--grid", "2", "--samples", "5"],
+    "closed-forms-rank": ["verify", "closed-forms", "--grid", "2", "--rank", "3"],
+    "region-grid": ["verify", "region", "--samples", "20", "--grid", "5"],
+    "ordering-grid": ["verify", "ordering", "--samples", "20", "--grid", "5"],
 }
 
 
@@ -277,6 +294,17 @@ class TestNumericFlags:
             main(argv)
         assert exc.value.code == EXIT_HARD
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(UNREAD_OPTIONS))
+    def test_unread_option_is_usage_error(self, capsys, tmp_path, case):
+        argv = UNREAD_OPTIONS[case]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_HARD
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert argv[-2] in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFigure:

@@ -19,7 +19,6 @@ from bineg.linalg import (
     kron,
     negative_part,
     partial_transpose,
-    positive_part,
     psd_sqrt,
     trace,
     transpose_factors,
@@ -150,7 +149,7 @@ class TestHermitianEig:
 class TestPositiveNegativeParts:
     def test_diagonal_split(self):
         m = np.diag([2.0, -3.0, 0.0, 1.0]).astype(complex)
-        assert_allclose(positive_part(m), np.diag([2.0, 0.0, 0.0, 1.0]), atol=1e-12)
+        assert_allclose(negative_part(-m), np.diag([2.0, 0.0, 0.0, 1.0]), atol=1e-12)
         assert_allclose(negative_part(m), np.diag([0.0, 3.0, 0.0, 0.0]), atol=1e-12)
 
     def test_negative_part_of_psd_is_zero(self):
@@ -163,7 +162,7 @@ class TestPositiveNegativeParts:
         rng = np.random.default_rng(105)
         for _ in range(50):
             m = random_hermitian(rng)
-            diff = positive_part(m) - negative_part(m) - m
+            diff = negative_part(-m) - negative_part(m) - m
             assert frobenius_norm(diff) <= 1e-11
 
     def test_bell_partial_transpose_negative_part(self):

@@ -84,6 +84,29 @@ class TestSigmaPqr:
         with pytest.raises(OutOfRange):
             sigma_pqr(1.2, 0.5, 0.5)
 
+    def test_arrays_give_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        p, q, r = rng.uniform(size=(3, 40))
+        p[:2], q[:2], r[:2] = (0.0, 1.0), (1.0, 0.0), (0.0, 1.0)
+        stack = sigma_pqr(p, q, r)
+        assert stack.shape == (40, 4, 4)
+        for i in range(40):
+            assert np.array_equal(stack[i], sigma_pqr(p[i], q[i], r[i]))
+        # scalars broadcast against arrays
+        assert np.array_equal(sigma_pqr(0.3, q[:5], 0.2)[4], sigma_pqr(0.3, q[4], 0.2))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.array([0.5, 1.2]), 0.5, 0.5),
+            (0.5, np.array([[0.1], [-0.1]]), 0.5),
+            (0.5, 0.5, np.array([0.2, np.nan])),
+        ],
+    )
+    def test_array_out_of_range(self, args):
+        with pytest.raises(OutOfRange):
+            sigma_pqr(*args)
+
 
 class TestSigmaMems:
     def test_is_special_case_of_sigma_pqr(self):
