@@ -24,8 +24,8 @@ from .errors import (
     OutOfRange,
     WrongDimension,
 )
-from .linalg import dagger, frobenius_norm, kron, transpose_factors
-from .states import as_generator
+from .linalg import dagger, frobenius_norm, kron, trace, transpose_factors
+from .states import _gaussian_matrices, as_generator
 
 COMPLETENESS_TOL = 1e-10
 
@@ -53,14 +53,7 @@ class KrausChannel:
                     f"({self.dim_out}, {self.dim_in})"
                 )
         object.__setattr__(self, "kraus_ops", ops)
-        comp = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for k in ops:
-            comp += dagger(k) @ k
-        defect = float(np.abs(comp - np.eye(self.dim_in)).max())
-        if defect > COMPLETENESS_TOL:
-            raise NotTracePreserving(
-                f"sum K^dagger K deviates from identity by {defect:.3e}"
-            )
+        _check_complete(np.stack(ops))
 
     def to_json_dict(self):
         return {
@@ -108,6 +101,16 @@ class ChoiMatrix:
             )
 
 
+def _check_complete(kraus):
+    """Raise :class:`NotTracePreserving` unless ``sum_k K_k^dagger K_k = I``
+    to ``COMPLETENESS_TOL`` for every Kraus family in a stack of shape
+    ``(..., count, dim_out, dim_in)``.  Zero padding adds nothing to the sum."""
+    comp = (dagger(kraus) @ kraus).sum(axis=-3)
+    defect = float(np.abs(comp - np.eye(kraus.shape[-1])).max())
+    if defect > COMPLETENESS_TOL:
+        raise NotTracePreserving(f"sum K^dagger K deviates from identity by {defect:.3e}")
+
+
 def _trace_out(j, dim_in, dim_out):
     """Partial trace over the output factor, batched over leading axes."""
     split = j.shape[:-2] + (dim_in, dim_out, dim_in, dim_out)
@@ -121,8 +124,67 @@ def apply(ch, rho):
         raise DimensionMismatch(
             f"state of shape {rho.shape} fed to a channel with dim_in {ch.dim_in}"
         )
-    k = np.stack(ch.kraus_ops)
-    return np.einsum("aij,jl,akl->ik", k, rho, np.conjugate(k))
+    return _apply_kraus(np.stack(ch.kraus_ops), rho)
+
+
+def _apply_kraus(kraus, rho):
+    """``sum_k K_k rho K_k^dagger`` for a Kraus stack ``(..., count, d_out,
+    d_in)`` and states ``(..., d_in, d_in)``, one einsum over the stack.
+
+    Zero operators padding a family to the stack's count add exact zeros,
+    so each item comes out bit for bit as its unpadded family gives it.
+    The einsum's summation order follows the operands' memory layout, so a
+    stack must hold each operator in the layout ``np.stack`` gives it.
+    """
+    return np.einsum("...aij,...jl,...akl->...ik", kraus, rho, np.conjugate(kraus))
+
+
+def _isometry(g):
+    """Haar map of complex Gaussian matrices ``(..., rows, cols)``, rows >=
+    cols: the Q of their QR decomposition with the phases of R's diagonal
+    moved into it.  A zero diagonal entry leaves its column's phase alone,
+    so every input maps to an isometry."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    safe = np.where(np.abs(d) > 0.0, d, 1.0)
+    return q * (safe / np.abs(safe))[..., None, :]
+
+
+def _stinespring_kraus(v, count):
+    """Kraus operators ``v[e::count]`` of an isometry ``(..., 2 count, 2)``
+    whose rows are ordered (system, environment), stacked on a new axis
+    before the last two: ``(..., count, 2, 2)``."""
+    return np.swapaxes(v.reshape(v.shape[:-2] + (2, count, 2)), -3, -2)
+
+
+def _local_unitary_kraus(raw):
+    """Kraus stack ``(..., 1, 4, 4)`` of ``U_A (x) U_B`` from 16 real
+    Gaussians per item: 8 for ``U_A``, then 8 for ``U_B``."""
+    raw = np.asarray(raw, dtype=float)
+    u = _isometry(_gaussian_matrices(raw.reshape(raw.shape[:-1] + (2, 8)), (2, 2)))
+    return kron(u[..., 0, :, :], u[..., 1, :, :])[..., None, :, :]
+
+
+def _local_kraus(raw, env_dim, on_a):
+    """Kraus stack ``(..., env_dim, 4, 4)`` of ``E (x) id`` where ``on_a``
+    holds, else ``id (x) E``, from ``8 env_dim`` real Gaussians per item:
+    those of E's Stinespring isometry of one qubit into system (x)
+    environment.  ``on_a`` is a bool or a bool array over the items."""
+    v = _isometry(_gaussian_matrices(raw, (2 * env_dim, 2)))
+    k = _stinespring_kraus(v, env_dim)
+    eye = np.eye(2)
+    return np.where(np.asarray(on_a)[..., None, None, None], kron(k, eye), kron(eye, k))
+
+
+def _one_way_locc_kraus(raw, n_outcomes):
+    """Kraus stack ``(..., n_outcomes, 4, 4)`` of ``{M_i (x) V_i}`` from
+    ``16 n_outcomes`` real Gaussians per item: ``8 n_outcomes`` for the
+    isometry behind A's instrument, then 8 for each outcome's unitary on B."""
+    raw = np.asarray(raw, dtype=float)
+    m = n_outcomes
+    v = _isometry(_gaussian_matrices(raw[..., : 8 * m], (2 * m, 2)))
+    u = _isometry(_gaussian_matrices(raw[..., 8 * m :].reshape(raw.shape[:-1] + (m, 8)), (2, 2)))
+    return kron(_stinespring_kraus(v, m), u)
 
 
 def haar_unitary(dim, seed, size=None):
@@ -131,10 +193,7 @@ def haar_unitary(dim, seed, size=None):
     """
     rng = as_generator(seed)
     shape = (dim, dim) if size is None else (int(size), dim, dim)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    return _isometry(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def haar_isometry(dim_in, dim_out, seed):
@@ -143,20 +202,14 @@ def haar_isometry(dim_in, dim_out, seed):
     if dim_out < dim_in:
         raise DimensionMismatch(f"no isometry from dim {dim_in} into dim {dim_out}")
     rng = as_generator(seed)
-    g = rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal(
-        (dim_out, dim_in)
-    )
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    shape = (dim_out, dim_in)
+    return _isometry(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def random_local_unitary_pair(seed):
     """Single-Kraus channel ``U_A (x) U_B`` with independent Haar factors."""
-    rng = as_generator(seed)
-    ua = haar_unitary(2, rng)
-    ub = haar_unitary(2, rng)
-    return KrausChannel((kron(ua, ub),), 4, 4)
+    raw = as_generator(seed).standard_normal(16)
+    return KrausChannel(tuple(_local_unitary_kraus(raw)), 4, 4)
 
 
 def random_local_channel(side, env_dim, seed):
@@ -172,15 +225,8 @@ def random_local_channel(side, env_dim, seed):
     env_dim = int(env_dim)
     if not 1 <= env_dim <= 4:
         raise OutOfRange(f"env_dim must be 1..4, got {env_dim}")
-    rng = as_generator(seed)
-    # rows of the isometry ordered (system, environment)
-    v = haar_isometry(2, 2 * env_dim, rng)
-    eye = np.eye(2)
-    ops = []
-    for e in range(env_dim):
-        k = v[e::env_dim]
-        ops.append(kron(k, eye) if side == "A" else kron(eye, k))
-    return KrausChannel(tuple(ops), 4, 4)
+    raw = as_generator(seed).standard_normal(8 * env_dim)
+    return KrausChannel(tuple(_local_kraus(raw, env_dim, side == "A")), 4, 4)
 
 
 def one_way_locc_channel(n_outcomes, seed):
@@ -194,14 +240,8 @@ def one_way_locc_channel(n_outcomes, seed):
     n_outcomes = int(n_outcomes)
     if n_outcomes < 1:
         raise OutOfRange(f"n_outcomes must be >= 1, got {n_outcomes}")
-    rng = as_generator(seed)
-    v = haar_isometry(2, 2 * n_outcomes, rng)
-    ops = []
-    for i in range(n_outcomes):
-        m_i = v[i::n_outcomes]
-        u_i = haar_unitary(2, rng)
-        ops.append(kron(m_i, u_i))
-    return KrausChannel(tuple(ops), 4, 4)
+    raw = as_generator(seed).standard_normal(16 * n_outcomes)
+    return KrausChannel(tuple(_one_way_locc_kraus(raw, n_outcomes)), 4, 4)
 
 
 def choi_from_kraus(ch):
@@ -364,12 +404,17 @@ def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
     return pairs[0] if j.ndim == 2 else pairs
 
 
-def _ppt_start(rng):
+def _ppt_start(raw):
     """Start of the PPT sampler: a normalized Ginibre square, a random PSD
-    16x16 matrix of trace 4."""
-    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    16x16 matrix of trace 4, from 512 real Gaussians per item.  An input
+    whose square has trace below 1e-30 starts from ``I / 4``."""
+    g = _gaussian_matrices(raw, (16, 16))
     j = g @ dagger(g)
-    return 4.0 * j / float(np.trace(j).real)
+    tr = np.asarray(trace(j).real)
+    tiny = tr <= 1e-30
+    start = 4.0 * j / np.where(tiny, 1.0, tr)[..., None, None]
+    start[tiny] = np.eye(16) / 4.0
+    return start
 
 
 def random_ppt_channel(seed, max_iter=10000, tol=1e-9):
@@ -378,5 +423,5 @@ def random_ppt_channel(seed, max_iter=10000, tol=1e-9):
 
     Returns ``(ChoiMatrix, KrausChannel)``.
     """
-    start = _ppt_start(as_generator(seed))
+    start = _ppt_start(as_generator(seed).standard_normal(512))
     return project_to_ppt_channel(start, max_iter=max_iter, tol=tol)

@@ -226,7 +226,7 @@ def _cmd_figure(args):
         args.samples,
         rank=args.rank,
         seed=seed,
-        out_dir=args.out if args.out is not None else ".",
+        out_dir=args.out,
     )
     for p in paths:
         print(p, file=sys.stderr)
@@ -236,7 +236,8 @@ def _cmd_figure(args):
 def _add_common(sub, samples=None, rank=True, report=True):
     """Register the shared options that a subcommand reads: ``samples`` is
     the default of ``--samples`` (None: no such option); ``report`` adds
-    ``--tol`` and ``--format`` for commands that emit a violation report."""
+    ``--tol`` and ``--format`` for commands that emit a violation report,
+    whose ``--out`` is a file; otherwise ``--out`` is a directory."""
     sub.add_argument("--seed", type=int, default=None, help="root RNG seed (default: BINEG_SEED or 42)")
     if samples is not None:
         sub.add_argument("--samples", type=int, default=samples, help="number of random samples")
@@ -245,7 +246,9 @@ def _add_common(sub, samples=None, rank=True, report=True):
     if report:
         sub.add_argument("--tol", type=_finite_float, default=None, help="violation tolerance override")
         sub.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+        sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    else:
+        sub.add_argument("--out", default=".", help="output directory (default: .)")
 
 
 def build_parser():

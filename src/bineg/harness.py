@@ -8,7 +8,9 @@ report, not test failures.  Reports keep that distinction through the
 
 All randomness flows from one root seed through ``SeedSequence.spawn`` in
 fixed-size chunks, processed one after another, so a report is
-byte-identical for a given seed.
+byte-identical for a given seed.  Channel sweeps draw the raw Gaussians of
+each pair in the samplers' order, then build, apply and measure a block of
+pairs in stacked calls that give each pair the bits of a one-pair run.
 """
 
 from __future__ import annotations
@@ -23,15 +25,16 @@ import numpy as np
 from . import serialize
 from .channels import (
     KrausChannel,
+    _apply_kraus,
+    _check_complete,
+    _local_kraus,
+    _local_unitary_kraus,
+    _one_way_locc_kraus,
     _ppt_start,
     apply,
-    one_way_locc_channel,
     project_to_ppt_channel,
-    random_local_channel,
-    random_local_unitary_pair,
 )
 from .errors import OutOfRange
-from .linalg import dagger, kron
 from .measures import (
     binegativity,
     bineg_lower_given_nu,
@@ -42,15 +45,15 @@ from .measures import (
     nu_of_c,
     region_bounds,
 )
-from .states import random_mixed, sigma_pqr
+from .states import _check_rank, _gaussian_matrices, _gram_state, random_mixed, sigma_pqr
 
 # Fixed chunk size for substream spawning.  Changing it would change every
 # sampled stream, so it is a constant, not a knob.
 CHUNK = 1024
 
-# Pairs drawn ahead of measuring them, so that the PPT channels of a block
-# are projected in one stacked call.  The projection is bit-identical per
-# item and draws no randomness, so this sets speed and memory, not streams.
+# Pairs drawn ahead of measuring them, so that a block's channels are built,
+# applied and measured in stacked calls.  Every stacked step is bit-identical
+# per item and draws no randomness, so this sets speed and memory, not streams.
 PAIR_BLOCK = 32
 
 HARD_KINDS = frozenset({"ordering", "closed_form"})
@@ -323,32 +326,85 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     return _finish(report, t0)
 
 
-def _sample_channel(kind, rng):
+def _draw_structure(kind, rng):
+    """Draw the discrete part of a channel of ``kind``.
+
+    Returns ``(structure, size)``: ``size`` counts the real Gaussians the
+    channel is built from, and ``structure`` is a tuple that starts with the
+    Kraus count (``(1,)``, ``(env, on_a)`` for local, ``(outcomes,)``), or
+    None for PPT, whose count comes out of the projection.
+    """
     if kind == "local_unitary":
-        return random_local_unitary_pair(rng)
+        return (1,), 16
     if kind == "local":
-        side = "A" if int(rng.integers(2)) == 0 else "B"
-        return random_local_channel(side, int(rng.integers(1, 5)), rng)
+        on_a = int(rng.integers(2)) == 0
+        env = int(rng.integers(1, 5))
+        return (env, on_a), 8 * env
     if kind == "one_way_locc":
-        return one_way_locc_channel(int(rng.integers(2, 5)), rng)
+        m = int(rng.integers(2, 5))
+        return (m,), 16 * m
+    if kind == "ppt":
+        return None, 512
     raise OutOfRange(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
 
 
-def _sample_pairs(kind, rank, rng, count):
-    """Draw ``count`` (state, channel) pairs, each state before its channel.
-
-    PPT channels are projected together once all their starts are drawn;
-    the projection consumes no randomness, so the stream and every channel
-    match a pair-by-pair draw.
-    """
-    if kind != "ppt":
-        return [(random_mixed(rank, rng), _sample_channel(kind, rng)) for _ in range(count)]
-    states, starts = [], []
+def _draw_pairs(kind, rank, rng, count):
+    """Raw Gaussians of ``count`` (state, channel) pairs, drawn pair by pair
+    in the samplers' order: the state's, the channel's structure, then the
+    channel's.  Returns ``(state_raw, structures, channel_raw)``."""
+    states, structures, channels = [], [], []
     for _ in range(count):
-        states.append(random_mixed(rank, rng))
-        starts.append(_ppt_start(rng))
-    projected = project_to_ppt_channel(np.stack(starts))
-    return [(rho, ch) for rho, (_, ch) in zip(states, projected)]
+        states.append(rng.standard_normal(8 * rank))
+        structure, size = _draw_structure(kind, rng)
+        structures.append(structure)
+        channels.append(rng.standard_normal(size))
+    return np.stack(states), structures, channels
+
+
+def _build_pairs(kind, structures, state_raw, channel_raw):
+    """States and zero-padded Kraus stacks from raw Gaussians, one pair per
+    row: ``state_raw`` is ``(n, 8 rank)``, ``channel_raw`` a list of n flat
+    arrays sized by their structures.  The samplers and the hill climb both
+    map their draws to pairs here.
+
+    Returns ``(rho, kraus, counts)``: states ``(n, 4, 4)``, Kraus operators
+    ``(n, K, 4, 4)`` with K the largest count, and each pair's own count.
+    Raises :class:`NotTracePreserving` if any channel fails the completeness
+    check.
+    """
+    n = len(structures)
+    rank = state_raw.shape[-1] // 8
+    rho = _gram_state(_gaussian_matrices(state_raw, (4, rank)))
+    if kind == "ppt":
+        channels = [ch for _, ch in project_to_ppt_channel(_ppt_start(np.stack(channel_raw)))]
+        counts = [len(ch.kraus_ops) for ch in channels]
+        # kraus_from_choi's operators are column-major; keep that layout so
+        # the stacked einsum sums each pair as apply() does
+        kraus = np.zeros((n, max(counts), 4, 4), dtype=complex).swapaxes(-1, -2)
+        for i, ch in enumerate(channels):
+            kraus[i, : counts[i]] = ch.kraus_ops
+        return rho, kraus, counts
+    counts = [s[0] for s in structures]
+    kraus = np.zeros((n, max(counts), 4, 4), dtype=complex)
+    for count in sorted(set(counts)):
+        idx = [i for i in range(n) if counts[i] == count]
+        raw = np.stack([channel_raw[i] for i in idx])
+        if kind == "local_unitary":
+            ops = _local_unitary_kraus(raw)
+        elif kind == "local":
+            ops = _local_kraus(raw, count, np.array([structures[i][1] for i in idx]))
+        else:
+            ops = _one_way_locc_kraus(raw, count)
+        kraus[idx, :count] = ops
+    _check_complete(kraus)
+    return rho, kraus, counts
+
+
+def _gaps(rho, kraus):
+    """``n2(E(rho)) - n2(rho)`` per pair, all outputs and inputs measured in
+    one stacked call."""
+    n2 = binegativity(np.concatenate([_apply_kraus(kraus, rho), rho]))
+    return n2[: len(rho)] - n2[len(rho) :]
 
 
 def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9):
@@ -367,36 +423,41 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
         raise OutOfRange(
             f"unknown channel kind {channel_kind!r}; choose from {CHANNEL_KINDS}"
         )
+    rank = _check_rank(rank)
     t0 = time.perf_counter()
 
     def work(rng, size):
-        out = []
+        gaps, found = [], []
         for first in range(0, size, PAIR_BLOCK):
             count = min(PAIR_BLOCK, size - first)
-            for rho, ch in _sample_pairs(channel_kind, rank, rng, count):
-                gap = binegativity(apply(ch, rho)) - binegativity(rho)
-                out.append((gap, rho, ch))
-        return out
+            state_raw, structures, channel_raw = _draw_pairs(channel_kind, rank, rng, count)
+            rho, kraus, counts = _build_pairs(channel_kind, structures, state_raw, channel_raw)
+            gap = _gaps(rho, kraus)
+            for j in np.flatnonzero(gap > tol):
+                ch = KrausChannel(tuple(kraus[j, : counts[j]]), 4, 4)
+                found.append((first + int(j), float(gap[j]), rho[j], ch))
+            gaps.append(gap)
+        return np.concatenate(gaps), found
 
     results = _run_chunks(work, seed, n_pairs)
     violations = []
     max_gap = -math.inf
     offset = 0
-    for chunk in results:
-        for j, (gap, rho, ch) in enumerate(chunk):
-            max_gap = max(max_gap, gap)
-            if gap > tol:
-                violations.append(
-                    ViolationRecord(
-                        "monotonicity",
-                        float(gap),
-                        int(seed),
-                        offset + j,
-                        serialize.complex_matrix_to_json(rho),
-                        channel=ch.to_json_dict(),
-                    )
+    for gaps, found in results:
+        # fmax skips NaN as the per-pair max() of a Python loop would
+        max_gap = float(np.fmax.reduce(gaps, initial=max_gap))
+        for j, gap, rho, ch in found:
+            violations.append(
+                ViolationRecord(
+                    "monotonicity",
+                    gap,
+                    int(seed),
+                    offset + j,
+                    serialize.complex_matrix_to_json(rho),
+                    channel=ch.to_json_dict(),
                 )
-        offset += len(chunk)
+            )
+        offset += len(gaps)
     report = SweepReport(
         "monotonicity_sweep",
         n_pairs,
@@ -409,86 +470,6 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
     return _finish(report, t0)
 
 
-def _unitary_from_raw(raw):
-    """QR with the R-diagonal phase fix; maps any full-rank complex matrix to
-    a unitary (or an isometry for tall input) continuously almost everywhere."""
-    q, r = np.linalg.qr(raw)
-    d = np.diagonal(r)
-    safe = np.where(np.abs(d) > 0.0, d, 1.0)
-    return q * (safe / np.abs(safe))
-
-
-class _SearchSpace:
-    """Joint (state, channel) parameterization for the hill climb.
-
-    Discrete structure (side, environment size, outcome count) is frozen at
-    construction; after that ``build`` is a pure function of the real
-    parameter vector, which is what the climber perturbs.
-    """
-
-    def __init__(self, kind, rank, rng):
-        self.kind = kind
-        self.rank = int(rank)
-        self.state_size = 8 * self.rank
-        if kind == "local_unitary":
-            self.channel_size = 16
-        elif kind == "local":
-            self.side = "A" if int(rng.integers(2)) == 0 else "B"
-            self.env = int(rng.integers(1, 5))
-            self.channel_size = 8 * self.env
-        elif kind == "one_way_locc":
-            self.m = int(rng.integers(2, 5))
-            self.channel_size = 16 * self.m
-        elif kind == "ppt":
-            self.channel_size = 512
-        else:
-            raise OutOfRange(
-                f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}"
-            )
-        self.n_params = self.state_size + self.channel_size
-
-    def _complex(self, flat, shape):
-        half = flat.size // 2
-        return (flat[:half] + 1j * flat[half:]).reshape(shape)
-
-    def build(self, theta):
-        g = self._complex(theta[: self.state_size], (4, self.rank))
-        m = g @ dagger(g)
-        tr = float(np.trace(m).real)
-        rho = m / tr if tr > 1e-30 else np.eye(4, dtype=complex) / 4.0
-        raw = theta[self.state_size :]
-        eye = np.eye(2)
-        if self.kind == "local_unitary":
-            ua = _unitary_from_raw(self._complex(raw[:8], (2, 2)))
-            ub = _unitary_from_raw(self._complex(raw[8:], (2, 2)))
-            ch = KrausChannel((kron(ua, ub),), 4, 4)
-        elif self.kind == "local":
-            v = _unitary_from_raw(self._complex(raw, (2 * self.env, 2)))
-            ops = [
-                kron(v[e :: self.env], eye) if self.side == "A" else kron(eye, v[e :: self.env])
-                for e in range(self.env)
-            ]
-            ch = KrausChannel(tuple(ops), 4, 4)
-        elif self.kind == "one_way_locc":
-            v = _unitary_from_raw(self._complex(raw[: 8 * self.m], (2 * self.m, 2)))
-            ops = []
-            for i in range(self.m):
-                u = _unitary_from_raw(
-                    self._complex(raw[8 * self.m + 8 * i : 8 * self.m + 8 * (i + 1)], (2, 2))
-                )
-                ops.append(kron(v[i :: self.m], u))
-            ch = KrausChannel(tuple(ops), 4, 4)
-        else:  # ppt
-            g = self._complex(raw, (16, 16))
-            j = g @ dagger(g)
-            tr_j = float(np.trace(j).real)
-            if tr_j <= 1e-30:
-                j = np.eye(16, dtype=complex)
-                tr_j = 16.0
-            _, ch = project_to_ppt_channel(4.0 * j / tr_j)
-        return rho, ch
-
-
 def counterexample_search(
     channel_kind="one_way_locc",
     restarts=10,
@@ -499,56 +480,60 @@ def counterexample_search(
     tol=1e-8,
 ):
     """Random-restart hill climb on ``f = n2(E(sigma)) - n2(sigma)`` over a
-    joint (state, channel) parameter vector.
+    joint (state, channel) parameter vector: the raw Gaussians the samplers
+    draw, mapped to a pair by the same constructors.
 
     Accept-on-improvement Gaussian steps; the report's ``max_gap`` is the
-    best ``f`` found.  A best value above ``tol`` is a finding: a candidate
-    refutation of monotonicity, recorded with its state and channel.
+    best ``f`` found.  Each restart climbs on its own substream with its own
+    accept rule, and all restarts advance in lockstep, one stacked
+    evaluation per step, so the result equals that of separate climbs.  A
+    best value above ``tol`` is a finding: a candidate refutation of
+    monotonicity, recorded with its state and channel.
     """
     restarts = int(restarts)
     steps = int(steps)
     if restarts < 1 or steps < 0:
         raise OutOfRange("need restarts >= 1 and steps >= 0")
     t0 = time.perf_counter()
-    children = np.random.SeedSequence(int(seed)).spawn(restarts)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(int(seed)).spawn(restarts)]
+    structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
+    split = 8 * int(rank)  # a parameter vector is the state's Gaussians, then the channel's
 
-    def climb(child):
-        rng = np.random.default_rng(child)
-        space = _SearchSpace(channel_kind, rank, rng)
-        theta = rng.standard_normal(space.n_params)
-        rho, ch = space.build(theta)
-        best = binegativity(apply(ch, rho)) - binegativity(rho)
-        best_theta = theta
-        for _ in range(steps):
-            cand = best_theta + step_size * rng.standard_normal(space.n_params)
-            rho, ch = space.build(cand)
-            f = binegativity(apply(ch, rho)) - binegativity(rho)
-            if f > best:
-                best = f
-                best_theta = cand
-        return best, best_theta, space
+    def build(which, thetas):
+        raw = np.stack([t[:split] for t in thetas]), [t[split:] for t in thetas]
+        return _build_pairs(channel_kind, [structures[i] for i in which], *raw)
 
-    outcomes = [climb(child) for child in children]
-    best_idx = max(range(len(outcomes)), key=lambda i: outcomes[i][0])
-    best_f, best_theta, best_space = outcomes[best_idx]
+    every = range(restarts)
+    thetas = [rng.standard_normal(split + size) for rng, size in zip(rngs, sizes)]
+    rho, kraus, _ = build(every, thetas)
+    best = _gaps(rho, kraus)
+    for _ in range(steps):
+        cands = [t + step_size * rng.standard_normal(t.size) for t, rng in zip(thetas, rngs)]
+        rho, kraus, _ = build(every, cands)
+        f = _gaps(rho, kraus)
+        better = f > best
+        best = np.where(better, f, best)
+        thetas = [c if b else t for c, t, b in zip(cands, thetas, better)]
+    best_idx = max(every, key=lambda i: best[i])
+    best_f = float(best[best_idx])
     violations = []
     if best_f > tol:
-        rho, ch = best_space.build(best_theta)
+        rho, kraus, counts = build([best_idx], [thetas[best_idx]])
         violations.append(
             ViolationRecord(
                 "monotonicity",
-                float(best_f),
+                best_f,
                 int(seed),
                 best_idx,
-                serialize.complex_matrix_to_json(rho),
-                channel=ch.to_json_dict(),
+                serialize.complex_matrix_to_json(rho[0]),
+                channel=KrausChannel(tuple(kraus[0, : counts[0]]), 4, 4).to_json_dict(),
             )
         )
     report = SweepReport(
         "counterexample_search",
         restarts * (steps + 1),
         len(violations),
-        float(best_f),
+        best_f,
         int(seed),
         {
             "channel_kind": channel_kind,

@@ -128,21 +128,6 @@ def negative_part(m, check=True):
     return (v * w[..., None, :]) @ dagger(v)
 
 
-def partial_transpose(m):
-    """Transpose the second (B) tensor factor of a two-qubit operator.
-
-    Basis order ``|00>, |01>, |10>, |11>``; entry ``((a,b),(a',b'))`` maps to
-    the old entry at ``((a,b'),(a',b))``.  Applying it twice returns the
-    input exactly.  Works on stacks of shape ``(..., 4, 4)``.
-    """
-    m = np.asarray(m)
-    if m.shape[-2:] != (4, 4):
-        raise WrongDimension(f"expected trailing shape (4, 4), got {m.shape}")
-    t = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
-    t = np.swapaxes(t, -3, -1)
-    return t.reshape(m.shape)
-
-
 def transpose_factors(m, dims, which):
     """Transpose selected tensor factors of an operator on a product space.
 
@@ -154,7 +139,7 @@ def transpose_factors(m, dims, which):
     which : sequence of int
         Indices of the factors to transpose.
 
-    ``transpose_factors(m, (2, 2), (1,))`` equals ``partial_transpose(m)``.
+    Raises :class:`WrongDimension` when the trailing shape is not ``(d, d)``.
     """
     m = np.asarray(m)
     dims = tuple(int(d) for d in dims)
@@ -173,6 +158,18 @@ def transpose_factors(m, dims, which):
         i, j = lead + f, lead + nf + f
         axes[i], axes[j] = axes[j], axes[i]
     return t.transpose(axes).reshape(m.shape)
+
+
+def partial_transpose(m):
+    """Transpose the second (B) tensor factor of a two-qubit operator:
+    ``transpose_factors(m, (2, 2), (1,))``.
+
+    Basis order ``|00>, |01>, |10>, |11>``; entry ``((a,b),(a',b'))`` maps to
+    the old entry at ``((a,b'),(a',b))``.  Applying it twice returns the
+    input exactly.  Works on stacks of shape ``(..., 4, 4)`` and raises
+    :class:`WrongDimension` for any other trailing shape.
+    """
+    return transpose_factors(m, (2, 2), (1,))
 
 
 def psd_sqrt(m, check=True):

@@ -182,21 +182,45 @@ def random_pure(seed, size=None):
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
+def _gaussian_matrices(raw, shape):
+    """Complex matrices of ``shape`` from the real Gaussians on the last axis
+    of ``raw``: its first half are the real parts and its second half the
+    imaginary parts, each in C order.  That is the order in which
+    ``rng.standard_normal(shape) + 1j * rng.standard_normal(shape)`` draws
+    them, so a flat draw of ``2 prod(shape)`` normals gives the same matrix."""
+    raw = np.asarray(raw, dtype=float)
+    half = raw.shape[-1] // 2
+    return (raw[..., :half] + 1j * raw[..., half:]).reshape(raw.shape[:-1] + tuple(shape))
+
+
+def _check_rank(rank):
+    rank = int(rank)
+    if rank not in (1, 2, 3, 4):
+        raise OutOfRange(f"rank must be 1..4, got {rank}")
+    return rank
+
+
+def _gram_state(g):
+    """Density matrices ``G G^dagger / Tr`` of complex matrices ``(..., 4,
+    k)``; the maximally mixed state where the trace is below 1e-30."""
+    m = g @ dagger(g)
+    tr = np.asarray(trace(m).real)
+    tiny = tr <= 1e-30
+    rho = m / np.where(tiny, 1.0, tr)[..., None, None]
+    rho[tiny] = np.eye(4) / 4.0
+    return rho
+
+
 def random_mixed(rank, seed, size=None):
     """Induced-measure random density matrices ``G G^dagger / Tr`` with
     ``G`` a complex Gaussian 4 x rank matrix.
 
     ``rank=1`` reproduces Haar-random pure states.
     """
-    rank = int(rank)
-    if rank not in (1, 2, 3, 4):
-        raise OutOfRange(f"rank must be 1..4, got {rank}")
+    rank = _check_rank(rank)
     rng = as_generator(seed)
     shape = (4, rank) if size is None else (int(size), 4, rank)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    m = g @ dagger(g)
-    tr = np.asarray(trace(m).real)
-    return m / tr[..., None, None]
+    return _gram_state(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def is_ppt(rho, tol=1e-11):

@@ -8,6 +8,7 @@ from bineg.channels import (
     COMPLETENESS_TOL,
     ChoiMatrix,
     KrausChannel,
+    _check_complete,
     apply,
     choi_from_kraus,
     haar_isometry,
@@ -67,6 +68,17 @@ class TestKrausChannel:
     def test_rejects_incomplete_kraus_set(self):
         with pytest.raises(NotTracePreserving):
             KrausChannel((np.eye(4, dtype=complex) * 0.5,), 4, 4)
+
+    def test_stacked_completeness_check_sees_one_spoiled_item(self):
+        rng = np.random.default_rng(530)
+        kraus = np.zeros((5, 4, 4, 4), dtype=complex)
+        for i in range(5):
+            ops = one_way_locc_channel(2 + i % 3, rng).kraus_ops
+            kraus[i, : len(ops)] = ops
+        _check_complete(kraus)
+        kraus[3] *= 1.0 + 1e-9
+        with pytest.raises(NotTracePreserving):
+            _check_complete(kraus)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionMismatch):

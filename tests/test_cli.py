@@ -128,6 +128,22 @@ class TestComputeErrors:
         for sub in ("compute", "verify", "monotonic", "search", "figure"):
             assert sub in out
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["figure", "--help"], "output directory (default: .)"),
+            (["monotonic", "--help"], "output path (default: stdout)"),
+        ],
+    )
+    def test_help_describes_out(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert text in out
+        if argv[0] == "figure":
+            assert "stdout" not in out
+
 
 class TestVerify:
     def test_closed_forms_clean(self, capsys):

@@ -7,14 +7,29 @@ counts are frozen from high-precision audits of the same seeds.
 import numpy as np
 import pytest
 
+from bineg import harness
+from bineg.channels import (
+    KrausChannel,
+    _apply_kraus,
+    _ppt_start,
+    apply,
+    one_way_locc_channel,
+    project_to_ppt_channel,
+    random_local_channel,
+    random_local_unitary_pair,
+)
 from bineg.cli import parse_state_spec
-from bineg.errors import OutOfRange
+from bineg.errors import NotTracePreserving, OutOfRange
 from bineg.harness import (
     CHANNEL_KINDS,
+    CHUNK,
     CONJECTURE_KINDS,
     HARD_KINDS,
     SweepReport,
     ViolationRecord,
+    _build_pairs,
+    _draw_pairs,
+    _draw_structure,
     counterexample_search,
     figure_data,
     monotonicity_sweep,
@@ -23,8 +38,9 @@ from bineg.harness import (
     verify_ordering,
     verify_region,
 )
-from bineg.measures import bineg_lower_given_nu, bineg_mems, nu_of_c
+from bineg.measures import bineg_lower_given_nu, bineg_mems, binegativity, nu_of_c
 from bineg.serialize import complex_matrix_to_json, dumps
+from bineg.states import random_mixed
 
 import mp_oracle
 
@@ -34,6 +50,24 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
     return header, np.array(rows)
+
+
+def reference_pairs(kind, rank, seed, n):
+    """(state, channel) pairs of a sweep, drawn one by one through the public
+    samplers from the sweep's fixed-size chunk substreams."""
+    sizes = [CHUNK] * (n // CHUNK) + ([n % CHUNK] if n % CHUNK else [])
+    for child, size in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+        rng = np.random.default_rng(child)
+        for _ in range(size):
+            rho = random_mixed(rank, rng)
+            if kind == "local_unitary":
+                ch = random_local_unitary_pair(rng)
+            elif kind == "local":
+                side = "A" if int(rng.integers(2)) == 0 else "B"
+                ch = random_local_channel(side, int(rng.integers(1, 5)), rng)
+            else:
+                ch = one_way_locc_channel(int(rng.integers(2, 5)), rng)
+            yield rho, ch
 
 
 class TestVerifyOrdering:
@@ -156,6 +190,63 @@ class TestMonotonicitySweep:
         with pytest.raises(OutOfRange):
             monotonicity_sweep(5, channel_kind="teleport", seed=8)
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("kind", ["local_unitary", "local", "one_way_locc"])
+    def test_blocks_match_pair_by_pair_reference(self, kind, rank):
+        # 1030 pairs: a full chunk of 32 blocks, then a chunk that is one
+        # partial block of 6; tol=-1 records every pair
+        n, seed = 1030, 11
+        rep = monotonicity_sweep(n, channel_kind=kind, rank=rank, seed=seed, tol=-1.0)
+        assert rep.n_violations == n
+        gaps = []
+        for v, (rho, ch) in zip(rep.violations, reference_pairs(kind, rank, seed, n)):
+            gaps.append(binegativity(apply(ch, rho)) - binegativity(rho))
+            assert v.index == len(gaps) - 1
+            assert v.observed_gap == gaps[-1]
+            assert v.state == complex_matrix_to_json(rho)
+            assert v.channel == ch.to_json_dict()
+        assert len(gaps) == n
+        assert rep.max_gap == max(gaps)
+
+    @pytest.mark.parametrize("kind", ["local", "one_way_locc"])
+    def test_records_carry_no_padding(self, kind):
+        rep = monotonicity_sweep(64, channel_kind=kind, seed=13, tol=-1.0)
+        counts = []
+        for v, (_, ch) in zip(rep.violations, reference_pairs(kind, 2, 13, 64)):
+            ops = KrausChannel.from_json_dict(v.channel).kraus_ops
+            counts.append(len(ops))
+            assert len(ops) == len(ch.kraus_ops)  # env or the outcome count
+            assert all(np.any(k != 0) for k in ops)
+        assert len(counts) == 64
+        assert len(set(counts)) > 1  # the blocks were padded
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_padded_apply_equals_apply_of_each_channel(self, kind):
+        n = 5 if kind == "ppt" else 40
+        state_raw, structures, channel_raw = _draw_pairs(kind, 2, np.random.default_rng(14), n)
+        rho, kraus, counts = _build_pairs(kind, structures, state_raw, channel_raw)
+        assert kraus.shape == (n, max(counts), 4, 4)
+        out = _apply_kraus(kraus, rho)
+        for i in range(n):
+            assert np.all(kraus[i, counts[i] :] == 0)
+            ch = KrausChannel(tuple(kraus[i, : counts[i]]), 4, 4)
+            assert np.array_equal(out[i], apply(ch, rho[i]))
+            if kind == "ppt":
+                _, alone = project_to_ppt_channel(_ppt_start(channel_raw[i]))
+                assert np.array_equal(out[i], apply(alone, rho[i]))
+
+    def test_incomplete_channel_in_a_block_raises(self, monkeypatch):
+        build = harness._one_way_locc_kraus
+
+        def spoiled(raw, m):
+            ops = build(raw, m)
+            ops[-1] *= 1.0 + 1e-9
+            return ops
+
+        monkeypatch.setattr(harness, "_one_way_locc_kraus", spoiled)
+        with pytest.raises(NotTracePreserving):
+            monotonicity_sweep(40, channel_kind="one_way_locc", seed=8)
+
 
 class TestCounterexampleSearch:
     def test_sample_count_and_clean_result(self):
@@ -187,6 +278,35 @@ class TestCounterexampleSearch:
     def test_rejects_bad_budget(self):
         with pytest.raises(OutOfRange):
             counterexample_search(restarts=0)
+
+    @pytest.mark.parametrize("kind", ["one_way_locc", "local"])
+    def test_lockstep_equals_independent_climbs(self, kind):
+        seed, restarts, steps, step_size = 8, 3, 30, 0.1
+        bests = []
+        for child in np.random.SeedSequence(seed).spawn(restarts):
+            rng = np.random.default_rng(child)
+            structure, size = _draw_structure(kind, rng)
+
+            def f(theta):
+                rho, kraus, counts = _build_pairs(kind, [structure], theta[None, :16], [theta[16:]])
+                ch = KrausChannel(tuple(kraus[0, : counts[0]]), 4, 4)
+                return binegativity(apply(ch, rho[0])) - binegativity(rho[0])
+
+            theta = rng.standard_normal(16 + size)
+            best = f(theta)
+            for _ in range(steps):
+                cand = theta + step_size * rng.standard_normal(theta.size)
+                value = f(cand)
+                if value > best:
+                    best, theta = value, cand
+            bests.append(best)
+        rep = counterexample_search(
+            channel_kind=kind, restarts=restarts, steps=steps, step_size=step_size, seed=seed, tol=-1.0
+        )
+        assert rep.max_gap == max(bests)
+        (v,) = rep.violations
+        assert v.index == bests.index(max(bests))
+        assert v.observed_gap == max(bests)
 
 
 class TestReportSerialization:
