@@ -35,7 +35,6 @@ from .errors import (
     MultipleNegativeEigenvalues,
     NoConvergence,
     NotHermitian,
-    NotPSD,
     NotTracePreserving,
     OutOfRange,
     ParseError,
@@ -60,7 +59,6 @@ from .linalg import (
     kron,
     negative_part,
     partial_transpose,
-    psd_sqrt,
     trace,
     transpose_factors,
 )

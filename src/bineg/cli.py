@@ -23,7 +23,7 @@ import sys
 
 from . import harness, serialize
 from .errors import BinegError, ParseError
-from .measures import measure_triple, negative_eigvec_mu
+from .measures import _measure_all
 from .states import (
     boundary_family,
     is_ppt,
@@ -150,8 +150,8 @@ def _emit_report(report, args):
 def _cmd_compute(args):
     rho, echo = parse_state_spec(args.state)
     rho = validate_density_matrix(rho)
-    triple = measure_triple(rho)
-    mu = negative_eigvec_mu(rho)
+    triple, mu = _measure_all(rho)
+    ppt = is_ppt(rho)
     result = dict(echo)
     result.update(
         {
@@ -159,12 +159,12 @@ def _cmd_compute(args):
             "nu": triple.nu,
             "n2": triple.n2,
             "mu": mu,
-            "is_ppt": is_ppt(rho),
+            "is_ppt": ppt,
         }
     )
     if args.format == "csv":
         header = ["c", "nu", "n2", "mu", "is_ppt"]
-        row = [triple.c, triple.nu, triple.n2, math.nan if mu is None else mu, is_ppt(rho)]
+        row = [triple.c, triple.nu, triple.n2, math.nan if mu is None else mu, ppt]
         text = ",".join(header) + "\n" + ",".join(serialize._cell(x) for x in row) + "\n"
         _write_text(args.out, text)
     else:

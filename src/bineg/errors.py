@@ -13,10 +13,6 @@ class NotHermitian(BinegError):
     """Matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class NotPSD(BinegError):
-    """Matrix expected to be positive semidefinite has a negative eigenvalue."""
-
-
 class WrongDimension(BinegError):
     """Array does not have the required shape for a two-qubit object."""
 

@@ -40,8 +40,7 @@ from .measures import (
     bineg_lower_given_nu,
     bineg_mems,
     closed_form_pqr,
-    concurrence,
-    negativity,
+    measure_triple,
     nu_of_c,
     region_bounds,
 )
@@ -179,10 +178,8 @@ def verify_ordering(n, rank=2, seed=42, tol=1e-9):
 
     def work(rng, size):
         rho = random_mixed(rank, rng, size=size)
-        c = concurrence(rho)
-        nu = negativity(rho)
-        n2 = binegativity(rho)
-        return rho, np.maximum(n2 - nu, nu - c)
+        t = measure_triple(rho)
+        return rho, np.maximum(t.n2 - t.nu, t.nu - t.c)
 
     results = _run_chunks(work, seed, n)
     violations = []
@@ -242,10 +239,8 @@ def verify_region(n, rank=2, seed=42, tol=1e-9):
 
     def work(rng, size):
         rho = random_mixed(rank, rng, size=size)
-        c = concurrence(rho)
-        nu = negativity(rho)
-        n2 = binegativity(rho)
-        return rho, _bound_gaps(c, nu, n2)
+        t = measure_triple(rho)
+        return rho, _bound_gaps(t.c, t.nu, t.n2)
 
     results = _run_chunks(work, seed, n)
     violations = []
@@ -295,12 +290,11 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     q = np.concatenate([qg, extra[:, 1]])
     r = np.concatenate([rg, extra[:, 2]])
     rho = sigma_pqr(p, q, r)
-    triple, _ = closed_form_pqr(p, q, r)
+    want, _ = closed_form_pqr(p, q, r)
+    got = measure_triple(rho)
     diff = np.maximum(
-        np.abs(concurrence(rho) - triple.c),
-        np.maximum(
-            np.abs(negativity(rho) - triple.nu), np.abs(binegativity(rho) - triple.n2)
-        ),
+        np.abs(got.c - want.c),
+        np.maximum(np.abs(got.nu - want.nu), np.abs(got.n2 - want.n2)),
     )
     violations = []
     for j in np.flatnonzero(diff > tol):
@@ -494,6 +488,7 @@ def counterexample_search(
     steps = int(steps)
     if restarts < 1 or steps < 0:
         raise OutOfRange("need restarts >= 1 and steps >= 0")
+    rank = _check_rank(rank)
     t0 = time.perf_counter()
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(int(seed)).spawn(restarts)]
     structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
@@ -550,8 +545,8 @@ def counterexample_search(
 
 def _scatter_triples(n, rank, seed):
     def work(rng, size):
-        rho = random_mixed(rank, rng, size=size)
-        return concurrence(rho), negativity(rho), binegativity(rho)
+        t = measure_triple(random_mixed(rank, rng, size=size))
+        return t.c, t.nu, t.n2
 
     results = _run_chunks(work, seed, int(n))
     c = np.concatenate([r[0] for r in results])
@@ -641,22 +636,15 @@ def recompute_gap(record):
     if kind == "closed_form":
         if record.params is None:
             raise OutOfRange("a closed_form record needs its (p, q, r) params")
-        triple, _ = closed_form_pqr(
+        want, _ = closed_form_pqr(
             float(record.params["p"]), float(record.params["q"]), float(record.params["r"])
         )
-        return float(
-            max(
-                abs(concurrence(rho) - triple.c),
-                abs(negativity(rho) - triple.nu),
-                abs(binegativity(rho) - triple.n2),
-            )
-        )
-    c = concurrence(rho)
-    nu = negativity(rho)
-    n2 = binegativity(rho)
+        got = measure_triple(rho)
+        return float(max(abs(got.c - want.c), abs(got.nu - want.nu), abs(got.n2 - want.n2)))
+    t = measure_triple(rho)
     if kind == "ordering":
-        return float(max(n2 - nu, nu - c))
-    gaps = _bound_gaps(c, nu, n2)
+        return float(max(t.n2 - t.nu, t.nu - t.c))
+    gaps = _bound_gaps(t.c, t.nu, t.n2)
     if kind in gaps:
         return float(gaps[kind])
     raise OutOfRange(f"cannot recompute gap for record kind {record.kind!r}")

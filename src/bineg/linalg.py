@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, WrongDimension
+from .errors import NotHermitian, WrongDimension
 
 HERMITICITY_TOL = 1e-12
 ZERO_EIG_TOL = 1e-11
@@ -171,19 +171,3 @@ def partial_transpose(m):
     """
     return transpose_factors(m, (2, 2), (1,))
 
-
-def psd_sqrt(m, check=True):
-    """Principal square root of a PSD matrix via its spectrum.
-
-    Eigenvalues in ``[-zero_threshold(m), 0)`` are clamped to zero; anything
-    more negative raises :class:`NotPSD`.
-    """
-    m = np.asarray(m, dtype=complex)
-    es = hermitian_eig(m, check=check)
-    cut = np.asarray(zero_threshold(m))
-    if np.any(es.eigenvalues < -cut[..., None]):
-        worst = float(np.min(es.eigenvalues))
-        raise NotPSD(f"eigenvalue {worst:.3e} below the PSD tolerance")
-    w = np.sqrt(np.clip(es.eigenvalues, 0.0, None))
-    v = es.eigenvectors
-    return (v * w[..., None, :]) @ dagger(v)

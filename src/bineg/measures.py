@@ -7,8 +7,12 @@ The three measures are
   and ``_-`` the negative part,
 * binegativity ``N2 = Tr[(rho^G)_-] + 2 Tr[(((rho^G)_-)^G)_-]``,
 * Wootters concurrence ``C = max{0, l1 - l2 - l3 - l4}`` with ``l_i`` the
-  decreasing square roots of the eigenvalues of
+  decreasing singular values of ``sqrt(rho) (Y x Y) conj(sqrt(rho))``, the
+  square roots of the eigenvalues of
   ``sqrt(rho) (Y x Y) conj(rho) (Y x Y) sqrt(rho)``.
+
+``rho^G`` has at most one negative eigenvalue ``-lam``; with ``mu`` the larger
+Schmidt coefficient of its eigenvector, ``N2 = N (1/2 + sqrt(mu(1-mu)))``.
 
 They obey ``0 <= N2 <= N <= C <= 1``, vanish together exactly on the PPT
 (= separable) states, and coincide on pure states.
@@ -21,19 +25,12 @@ arguments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
-from .linalg import (
-    hermitian_eig,
-    negative_part,
-    partial_transpose,
-    psd_sqrt,
-    zero_threshold,
-)
+from .linalg import ZERO_EIG_TOL, partial_transpose, zero_threshold
 
 # (Y tensor Y) in the computational basis; real symmetric, squares to I.
 _YY = np.array(
@@ -45,10 +42,12 @@ _YY = np.array(
     ]
 )
 
-# Eigenvalues of the concurrence product matrix below this level are rounding
-# noise; taking their square roots would inflate 1e-17 of noise into 3e-9 of
-# error, so they are zeroed first.
-_CONC_EIG_CLAMP = 1e-13
+# Eigenvalues of rho below this are rounding residue of its null space (~1e-17
+# in a rank-2 sample) and count as zero.  Clipped at zero instead, their square
+# roots (~6e-9) enter the concurrence at first order where the spin-flipped
+# support is rank-deficient: sigma_pqr(0.8, 0.4, 0) lands 6.3e-9 off its closed
+# form.  Any cut from 1e-15 to 1e-12 brings the closed-form grids to ~1e-15.
+_RANK_CUT = 1e-13
 
 
 def _as_batch(rho):
@@ -60,47 +59,84 @@ def _maybe_float(x, single):
     return float(x) if single else x
 
 
+def _negative_branch(rho):
+    """``(lam, a)`` from one batched ``eigh`` of ``rho^G``: the magnitude of
+    its eigenvalue below ``-zero_threshold`` (0.0 when PPT) and that unit
+    eigenvector as 2x2 amplitudes.  Raises :class:`MultipleNegativeEigenvalues`
+    for two or more such eigenvalues, which no two-qubit state has."""
+    g = partial_transpose(rho)
+    w, v = np.linalg.eigh(g)
+    neg = w < -np.asarray(zero_threshold(g))[..., None]
+    counts = neg.sum(axis=-1)
+    if np.any(counts > 1):
+        raise MultipleNegativeEigenvalues(
+            f"partial transpose has {int(np.max(counts))} negative eigenvalues"
+        )
+    # eigenvalues ascend, so the negative one (when present) sits at index 0
+    lam = np.where(neg[..., 0], -w[..., 0], 0.0)
+    return lam, v[..., :, 0].reshape(lam.shape + (2, 2))
+
+
+def _nu_n2(lam, a):
+    """``(N, N2) = (2 lam, lam + 2 t2)``: ``(lam |v><v|)^G`` has the one
+    negative eigenvalue ``-t2 = -lam |det a|``, cut as ``zero_threshold``
+    cuts it for that matrix of Frobenius norm ``lam``."""
+    t2 = lam * np.abs(a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])
+    t2 = np.where(t2 > ZERO_EIG_TOL * np.maximum(1.0, lam), t2, 0.0)
+    return 2.0 * lam, lam + 2.0 * t2
+
+
 def negativity(rho):
     """Twice the trace of the negative part of the partial transpose.
 
     Exactly 0.0 for PPT inputs: eigenvalues above ``-zero_threshold`` are
     discarded, not truncated, so separability verdicts stay consistent with
-    :func:`bineg.states.is_ppt`.
+    :func:`bineg.states.is_ppt`.  Raises :class:`MultipleNegativeEigenvalues`
+    for a non-state input with two negative eigenvalues there.
     """
     rho, single = _as_batch(rho)
-    g = partial_transpose(rho)
-    w = np.linalg.eigvalsh(g)
-    cut = np.asarray(zero_threshold(g))
-    neg = np.where(w < -cut[..., None], -w, 0.0).sum(axis=-1)
-    return _maybe_float(2.0 * neg, single)
+    lam, _ = _negative_branch(rho)
+    return _maybe_float(2.0 * lam, single)
 
 
 def binegativity(rho):
     """``Tr[(rho^G)_-] + 2 Tr[(((rho^G)_-)^G)_-]``: the negativity of the
     negative part, folded back once more through the partial transpose.
 
-    Vanishes exactly on PPT states and never exceeds the negativity.
+    Computed from the negativity's eigensolve by the structure identity;
+    vanishes exactly on PPT states, never exceeds the negativity, and raises
+    as :func:`negativity` does.
     """
     rho, single = _as_batch(rho)
-    neg = negative_part(partial_transpose(rho), check=False)
-    t1 = np.trace(neg, axis1=-2, axis2=-1).real
-    g2 = partial_transpose(neg)
-    w2 = np.linalg.eigvalsh(g2)
-    cut = np.asarray(zero_threshold(g2))
-    t2 = np.where(w2 < -cut[..., None], -w2, 0.0).sum(axis=-1)
-    return _maybe_float(t1 + 2.0 * t2, single)
+    return _maybe_float(_nu_n2(*_negative_branch(rho))[1], single)
 
 
 def concurrence(rho):
-    """Wootters concurrence of a two-qubit density matrix."""
+    """Wootters concurrence of a two-qubit density matrix, in Uhlmann's
+    form: ``max(0, s1 - s2 - s3 - s4)`` over the decreasing singular values
+    of ``sqrt(rho) (Y x Y) conj(sqrt(rho))``.
+
+    These are the singular values of ``W^T (Y x Y) W`` for ``W = V
+    diag(sqrt(w))`` from ``rho = V diag(w) V^dagger``; nothing is squared.
+    """
     rho, single = _as_batch(rho)
-    s = psd_sqrt(rho, check=False)
-    flipped = _YY @ np.conjugate(rho) @ _YY
-    w = np.linalg.eigvalsh(s @ flipped @ s)
-    w = np.where(w < _CONC_EIG_CLAMP, 0.0, w)
-    lam = np.sqrt(w)
-    c = 2.0 * lam[..., -1] - lam.sum(axis=-1)
+    w, v = np.linalg.eigh(rho)
+    f = v * np.sqrt(np.where(w > _RANK_CUT, w, 0.0))[..., None, :]
+    sv = np.linalg.svd(np.swapaxes(f, -1, -2) @ (_YY @ f), compute_uv=False)
+    c = 2.0 * sv[..., 0] - sv.sum(axis=-1)
     return _maybe_float(np.maximum(c, 0.0), single)
+
+
+def _mu(lam, a, single):
+    # mu - 1/2 is the Bloch length of a a^dagger: accurate near mu = 1/2, where
+    # 1/2 + sqrt(1/4 - |det a|^2) loses half the digits.  None/NaN when PPT.
+    p = np.abs(a) ** 2
+    z = (p[..., 0, :].sum(axis=-1) - p[..., 1, :].sum(axis=-1)) / 2.0
+    x = np.abs((a[..., 0, :] * np.conjugate(a[..., 1, :])).sum(axis=-1))
+    mu = np.where(lam > 0.0, 0.5 + np.hypot(z, x), np.nan)
+    if single:
+        return None if lam == 0.0 else float(mu)
+    return mu
 
 
 def negative_eigvec_mu(rho):
@@ -112,30 +148,11 @@ def negative_eigvec_mu(rho):
     negative branch of the binegativity through
     ``Tr[(((rho^G)_-)^G)_-] = sqrt(mu(1-mu)) Tr[(rho^G)_-]``.
 
-    Returns ``None`` for a single PPT input, NaN entries in a batch.  Raises
-    :class:`MultipleNegativeEigenvalues` if any input has two or more
-    eigenvalues below the zero threshold, which no valid two-qubit state can
-    produce.
+    Returns ``None`` for a single PPT input, NaN entries in a batch; raises
+    as :func:`negativity` does.
     """
     rho, single = _as_batch(rho)
-    g = partial_transpose(rho)
-    es = hermitian_eig(g, check=False)
-    cut = np.asarray(zero_threshold(g))
-    counts = (es.eigenvalues < -cut[..., None]).sum(axis=-1)
-    if np.any(counts > 1):
-        raise MultipleNegativeEigenvalues(
-            f"partial transpose has {int(np.max(counts))} negative eigenvalues"
-        )
-    # eigenvalues ascend, so the negative one (when present) sits at index 0
-    vec = es.eigenvectors[..., :, 0]
-    amp = vec.reshape(vec.shape[:-1] + (2, 2))
-    sv = np.linalg.svd(amp, compute_uv=False)
-    mu = np.minimum(sv[..., 0] ** 2, 1.0)
-    mu = np.where(counts == 1, mu, np.nan)
-    if single:
-        val = float(mu)
-        return None if math.isnan(val) else val
-    return mu
+    return _mu(*_negative_branch(rho), single)
 
 
 @dataclass(frozen=True)
@@ -150,9 +167,19 @@ class MeasureTriple:
         return {"c": self.c, "nu": self.nu, "n2": self.n2}
 
 
+def _measure_all(rho):
+    """``(MeasureTriple, negative_eigvec_mu(rho))`` from one eigensolve of
+    ``rho`` and one of ``rho^G``."""
+    rho, single = _as_batch(rho)
+    lam, a = _negative_branch(rho)
+    nu, n2 = (_maybe_float(x, single) for x in _nu_n2(lam, a))
+    return MeasureTriple(concurrence(rho), nu, n2), _mu(lam, a, single)
+
+
 def measure_triple(rho):
-    """All three measures of a state in one call."""
-    return MeasureTriple(concurrence(rho), negativity(rho), binegativity(rho))
+    """All three measures of a state or stack, from one eigensolve of
+    ``rho`` and one of its partial transpose."""
+    return _measure_all(rho)[0]
 
 
 @dataclass(frozen=True)

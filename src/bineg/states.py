@@ -128,8 +128,10 @@ def boundary_family(c, nu, p):
         )
     p = min(max(p, p_min), p_max)
     scale = math.sqrt(c * c - nu * nu) / (2.0 * c)
-    q_arg = (p - 0.5 * (c - nu)) * (p + 0.5 * (c + nu))
-    q = 0.5 + scale / p * math.sqrt(_clamped_sqrt_arg(q_arg))
+    # q(1-q) = s^2: this form puts q at exactly 1 at p_min, where the
+    # rounding of 1 - q would otherwise leave a corner entry of ~1e-8
+    s = nu * (p - p_min) / (2.0 * c * p)
+    q = 0.5 + math.sqrt(_clamped_sqrt_arg(0.25 - s * s))
     r_arg = (p - 0.5 * (c - nu) - c * (nu + 1.0) / (c - nu)) * (
         p + 0.5 * (c + nu) - c * (nu + 1.0) / (c + nu)
     )

@@ -60,9 +60,9 @@ def _negative_trace(m):
     return -sum(x for x in w if x < 0)
 
 
-def _concurrence(rho):
+def _concurrence(rho, rank_cut):
     w, q = _spectrum(rho)
-    cols = [k for k, x in enumerate(w) if x > RANK_CUT]
+    cols = [k for k, x in enumerate(w) if x > rank_cut]
     big = mpmath.matrix(4, len(cols))
     for j, k in enumerate(cols):
         for i in range(4):
@@ -72,13 +72,17 @@ def _concurrence(rho):
     return max(mpmath.mpf(0), s[0] - sum(s[1:]))
 
 
-def measures(state):
-    """``(c, nu, n2)`` of a serialized state, computed from the definitions."""
+def measures(state, rank_cut=RANK_CUT):
+    """``(c, nu, n2)`` of a serialized state, computed from the definitions.
+
+    ``rank_cut=0`` keeps every positive eigenvalue of the stored state, for
+    states whose small eigenvalues are genuine rather than rounding residue.
+    """
     rho = _matrix(state)
     first = _negative_part(_partial_transpose(rho))
     t1 = sum(mpmath.re(first[i, i]) for i in range(4))
     n2 = t1 + 2 * _negative_trace(_partial_transpose(first))
-    return _concurrence(rho), 2 * t1, n2
+    return _concurrence(rho, rank_cut), 2 * t1, n2
 
 
 def region_surfaces(c, nu):

@@ -279,6 +279,11 @@ class TestCounterexampleSearch:
         with pytest.raises(OutOfRange):
             counterexample_search(restarts=0)
 
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rejects_bad_rank(self, rank):
+        with pytest.raises(OutOfRange):
+            counterexample_search(channel_kind="local", restarts=1, steps=2, seed=1, rank=rank)
+
     @pytest.mark.parametrize("kind", ["one_way_locc", "local"])
     def test_lockstep_equals_independent_climbs(self, kind):
         seed, restarts, steps, step_size = 8, 3, 30, 0.1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bineg.errors import NotHermitian, NotPSD, WrongDimension
+from bineg.errors import NotHermitian, WrongDimension
 from bineg.linalg import (
     HERMITICITY_TOL,
     dagger,
@@ -19,7 +19,6 @@ from bineg.linalg import (
     kron,
     negative_part,
     partial_transpose,
-    psd_sqrt,
     trace,
     transpose_factors,
     zero_threshold,
@@ -227,27 +226,3 @@ class TestPartialTranspose:
         with pytest.raises(WrongDimension):
             partial_transpose(np.eye(3))
 
-
-class TestPsdSqrt:
-    def test_diagonal(self):
-        assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_projector_is_own_sqrt(self):
-        assert_allclose(psd_sqrt(BELL_PHI_PLUS), BELL_PHI_PLUS, atol=1e-14)
-
-    def test_squares_back(self):
-        rng = np.random.default_rng(111)
-        for _ in range(50):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            p = g @ dagger(g)
-            r = psd_sqrt(p)
-            assert frobenius_distance(r @ r, p) <= 1e-11 * max(1.0, float(frobenius_norm(p)))
-
-    def test_tolerates_tiny_negative_eigenvalues(self):
-        m = np.diag([1.0, -1e-13])
-        r = psd_sqrt(m)
-        assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
-            psd_sqrt(np.diag([1.0, -0.5]))

@@ -3,15 +3,19 @@
 Numeric reference values are either exact rationals worked out by hand or
 recomputed here through independent routes (trace norm for the negativity,
 a non-symmetric eigensolve for the concurrence, reduced-density spectra
-for the Schmidt weight).
+for the Schmidt weight).  ``TestOracleAccuracy`` compares all three measures
+with the 40-digit mpmath oracle of ``mp_oracle.py`` on adversarial families.
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bineg.errors import InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
-from bineg.linalg import kron, negative_part, partial_transpose, trace
+from bineg.linalg import ZERO_EIG_TOL, kron, negative_part, partial_transpose, trace
 from bineg.measures import (
     MeasureTriple,
     bineg_lower_given_nu,
@@ -28,6 +32,7 @@ from bineg.measures import (
     nu_of_c,
     region_bounds,
 )
+from bineg.serialize import complex_matrix_to_json
 from bineg.states import (
     boundary_family,
     phi_plus,
@@ -39,6 +44,8 @@ from bineg.states import (
     sigma_pqr,
 )
 
+import mp_oracle
+
 RHO1 = sigma_pqr(7.0 / 48.0, 1.0, 0.5 + np.sqrt(1105.0) / 82.0)
 RHO2 = sigma_pqr(39.0 / 112.0, 0.5 + 2.0 * np.sqrt(77.0) / 39.0, 0.5)
 
@@ -48,7 +55,8 @@ _YY = np.kron(_Y, _Y)
 
 def concurrence_oracle(rho):
     """Concurrence through the non-symmetric spectrum of rho @ spin-flip(rho),
-    avoiding the matrix square root used by the implementation."""
+    avoiding the eigensolve of rho and the singular values used by the
+    implementation."""
     lam = np.linalg.eigvals(rho @ _YY @ rho.conj() @ _YY)
     lam = np.sqrt(np.clip(lam.real, 0.0, None))
     lam.sort()
@@ -460,3 +468,185 @@ class TestMeasureTriple:
         t = measure_triple(rho)
         assert t.c.shape == (8,)
         assert_allclose(t.nu, negativity(rho), atol=0)
+
+
+# Accuracy against the 40-digit oracle.  Each state is built in mpmath from
+# its parameters, rounded once to double precision, and refereed on that
+# rounded matrix.  Full-rank families keep every positive eigenvalue
+# (rank_cut=0), so the reference is the exact measure of the very input the
+# kernel sees.  Rank-deficient families are refereed as states of their own
+# rank: the oracle drops eigenvalues below RESIDUE_CUT, the rounding residue
+# of the null space (about 1e-17, at most ~4e-16 for entries below 1).  Kept,
+# that residue moves the exact concurrence of the rounded matrix by up to
+# ~1e-9 wherever the spin-flipped support is rank-deficient (sigma_mems(0.5)
+# under local unitaries reads 0.4999999991), a sensitivity of the input that
+# no double-precision method resolves.  The cut sits below the oracle's own
+# RANK_CUT (1e-12) because sigma_pqr with p ~ 1e-12 has a genuine eigenvalue
+# of that size, worth 1e-12 of concurrence.
+RESIDUE_CUT = 1e-15
+ORACLE_ACCURACY = 1e-12
+ORACLE_PROFILE = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+_unit = st.floats(-1.0, 1.0)
+_PAULI = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+
+
+def _mp_projector(amps):
+    v = mpmath.matrix([mpmath.mpc(a) for a in amps])
+    v /= mpmath.norm(v)
+    return v * v.H
+
+
+def _gram_factor(entries, rank):
+    """4 x rank complex matrix from 8 * rank reals."""
+    raw = np.asarray(entries[: 8 * rank], dtype=float)
+    return (raw[0::2] + 1j * raw[1::2]).reshape(4, rank)
+
+
+def _well_conditioned(entries, rank):
+    s = np.linalg.svd(_gram_factor(entries, rank), compute_uv=False)
+    return s[-1] > 1e-3 * s[0]
+
+
+def _mp_gram(entries, rank):
+    """``G G^dagger / Tr`` for a 4 x rank complex G from 8 * rank reals."""
+    g = mpmath.matrix(_gram_factor(entries, rank).tolist())
+    m = g * g.H
+    return m / sum(m[i, i] for i in range(4))
+
+
+def _mp_local_unitary(params):
+    """``U_A x U_B``, each ``cos t I + i sin t (n . sigma)``: unitary to
+    working precision for any nonzero axis ``n``."""
+    factors = []
+    for t, *axis in (params[:4], params[4:]):
+        n = [mpmath.mpf(x) for x in axis]
+        norm = mpmath.sqrt(sum(x * x for x in n))
+        u = mpmath.cos(t) * mpmath.eye(2)
+        for x, s in zip(n, _PAULI):
+            u += 1j * mpmath.sin(t) * x / norm * mpmath.matrix(s)
+        factors.append(u)
+    a, b = factors
+    out = mpmath.matrix(4, 4)
+    for i in range(4):
+        for j in range(4):
+            out[i, j] = a[i // 2, j // 2] * b[i % 2, j % 2]
+    return out
+
+
+_local = st.lists(st.floats(0.1, 1.0), min_size=8, max_size=8).filter(
+    lambda p: sum(x * x for x in p[1:4]) > 0.01 and sum(x * x for x in p[5:]) > 0.01
+)
+
+
+def _rotate(m, params):
+    u = _mp_local_unitary(params)
+    return u * m * u.H
+
+
+def _rounded(m):
+    return np.array([[complex(m[i, j]) for j in range(4)] for i in range(4)])
+
+
+def _assert_matches_oracle(rho, rank_cut=0):
+    with mpmath.workdps(mp_oracle.DPS):
+        c, nu, n2 = mp_oracle.measures(complex_matrix_to_json(rho), rank_cut=rank_cut)
+        lam, t2 = nu / 2, (n2 - nu / 2) / 2
+        # the zero cut is part of the definition: a negative eigenvalue
+        # within ZERO_EIG_TOL of zero (||rho^G||_F <= 1 for a state) counts
+        # as zero, in rho^G and in the partial transpose of its negative part
+        if lam <= ZERO_EIG_TOL:
+            lam = t2 = 0
+        elif t2 <= ZERO_EIG_TOL:
+            t2 = 0
+        want = (c, 2 * lam, lam + 2 * t2)
+    got = measure_triple(rho)
+    for name, g, w in zip(("c", "nu", "n2"), (got.c, got.nu, got.n2), want):
+        assert abs(g - float(w)) <= ORACLE_ACCURACY, f"{name}: {g!r} vs {mpmath.nstr(w, 20)}"
+
+
+class TestOracleAccuracy:
+    @ORACLE_PROFILE
+    @given(
+        psi=st.lists(_unit, min_size=8, max_size=8).filter(
+            lambda v: sum(x * x for x in v) > 0.1
+        ),
+        sigma=st.lists(_unit, min_size=32, max_size=32).filter(
+            lambda v: sum(x * x for x in v) > 0.1
+        ),
+        log_eps=st.floats(-16.0, -8.0),
+    )
+    def test_near_pure(self, psi, sigma, log_eps):
+        # (1 - eps)|psi><psi| + eps sigma with sigma of full rank (mixed with
+        # I/4, so no eigenvalue below 1/8); C used to err by about eps here
+        with mpmath.workdps(mp_oracle.DPS):
+            eps = mpmath.mpf(10) ** log_eps
+            amps = [mpmath.mpc(psi[2 * k], psi[2 * k + 1]) for k in range(4)]
+            full = (_mp_gram(sigma, 4) + mpmath.eye(4) / 4) / 2
+            rho = _rounded((1 - eps) * _mp_projector(amps) + eps * full)
+        _assert_matches_oracle(rho)
+
+    @ORACLE_PROFILE
+    @given(p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), r=st.floats(0.0, 1.0))
+    def test_rank_deficient_sigma_pqr(self, p, q, r):
+        with mpmath.workdps(mp_oracle.DPS):
+            phi = _mp_projector([mpmath.sqrt(q), 0, 0, mpmath.sqrt(1 - mpmath.mpf(q))])
+            psi = _mp_projector([0, mpmath.sqrt(r), -mpmath.sqrt(1 - mpmath.mpf(r)), 0])
+            rho = _rounded(p * phi + (1 - mpmath.mpf(p)) * psi)
+        _assert_matches_oracle(rho, RESIDUE_CUT)
+
+    @ORACLE_PROFILE
+    @given(entries=st.lists(_unit, min_size=24, max_size=24), rank=st.sampled_from([2, 3]))
+    def test_rank_deficient_gram(self, entries, rank):
+        # a nonzero spectrum within a factor 1e6, so that every eigenvalue
+        # the oracle drops is rounding residue
+        assume(_well_conditioned(entries, rank))
+        with mpmath.workdps(mp_oracle.DPS):
+            rho = _rounded(_mp_gram(entries, rank))
+        _assert_matches_oracle(rho, RESIDUE_CUT)
+
+    @ORACLE_PROFILE
+    @given(
+        q=st.floats(0.05, 0.5),
+        side=st.sampled_from([-1, 1]),
+        log_offset=st.floats(-9.0, -2.0),
+        local=_local,
+    )
+    def test_near_ppt_werner_type(self, q, side, log_offset, local):
+        # p |phi_q><phi_q| + (1-p) I/4 at p = p*(1 + offset), p* the PPT
+        # boundary, under local unitaries; the negative eigenvalue is
+        # offset/4, so offsets of 1e-9 and up keep it 25x above the zero cut
+        # (1e-11), below which N and N2 read 0 by definition
+        with mpmath.workdps(mp_oracle.DPS):
+            q = mpmath.mpf(q)
+            p_star = 1 / (1 + 4 * mpmath.sqrt(q * (1 - q)))
+            p = p_star * (1 + side * mpmath.mpf(10) ** log_offset)
+            phi = _mp_projector([mpmath.sqrt(q), 0, 0, mpmath.sqrt(1 - q)])
+            rho = _rounded(_rotate(p * phi + (1 - p) * mpmath.eye(4) / 4, local))
+        assert (negativity(rho) > 0.0) == (side > 0)
+        _assert_matches_oracle(rho)
+
+    @ORACLE_PROFILE
+    @given(x=st.floats(0.0, 1.0), munro=st.booleans(), local=_local)
+    def test_mems_edges(self, x, munro, local):
+        # sigma_mems(x), the least-negativity edge, or the Munro MEMS with
+        # concurrence x (g = 1/3 below x = 2/3, x/2 above), both rank
+        # deficient and rotated out of the X form by local unitaries
+        with mpmath.workdps(mp_oracle.DPS):
+            x = mpmath.mpf(x)
+            m = mpmath.matrix(4, 4)
+            if munro:
+                g = mpmath.mpf(1) / 3 if x < mpmath.mpf(2) / 3 else x / 2
+                m[0, 0] = m[3, 3] = g
+                m[1, 1] = 1 - 2 * g
+                m[0, 3] = m[3, 0] = x / 2
+            else:
+                m[0, 0] = m[3, 3] = m[0, 3] = m[3, 0] = x / 2
+                m[2, 2] = 1 - x
+            rho = _rounded(_rotate(m, local))
+        _assert_matches_oracle(rho, RESIDUE_CUT)
+
+    def test_rank_four_gaussian_regression(self):
+        # a Gaussian rank-4 sample on which the squared-root concurrence
+        # erred by 1.8e-7
+        _assert_matches_oracle(random_mixed(4, 42, size=100_000)[825])

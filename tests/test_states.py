@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from bineg.errors import InfeasibleRegion, InvalidState, OutOfRange
 from bineg.linalg import dagger, frobenius_distance, partial_transpose
-from bineg.measures import negativity, nu_of_c
+from bineg.measures import boundary_p_range, concurrence, negativity, nu_of_c
 from bineg.states import (
     as_generator,
     boundary_family,
@@ -150,6 +150,16 @@ class TestBoundaryFamily:
             lo, hi = boundary_p_range(c, nu)
             for p in np.linspace(lo, hi, 9):
                 validate_density_matrix(boundary_family(c, nu, p))
+
+    def test_p_min_member_has_the_given_concurrence(self):
+        # q is exactly 1 at p_min; a rounded 1 - q of 1e-16 would put a
+        # corner entry of 1e-8 into the state and its concurrence 1e-8 low
+        for c in np.linspace(0.1, 0.95, 10):
+            floor = nu_of_c(c)
+            for frac in np.linspace(0.08, 0.92, 10):
+                nu = floor + frac * (c - floor)
+                p_min, _ = boundary_p_range(c, nu)
+                assert concurrence(boundary_family(c, nu, p_min)) == pytest.approx(c, abs=1e-12)
 
     def test_infeasible_when_nu_equals_c(self):
         with pytest.raises(InfeasibleRegion):
