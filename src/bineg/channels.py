@@ -11,7 +11,6 @@ Every product channel E_A (x) E_B passes that test and SWAP fails it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     OutOfRange,
     WrongDimension,
 )
-from .linalg import dagger, frobenius_norm, kron, trace, transpose_factors
+from .linalg import check_hermitian, dagger, frobenius_norm, kron, trace, transpose_factors
 from .states import _gaussian_matrices, as_generator
 
 COMPLETENESS_TOL = 1e-10
@@ -72,7 +71,7 @@ class KrausChannel:
 class ChoiMatrix:
     """Choi form of a channel, input factor first.
 
-    The constructor checks Hermiticity, positivity to 1e-10, and the
+    The constructor checks Hermiticity and positivity to 1e-10, and the
     trace-preserving condition (output partial trace = input identity) to
     1e-9.
     """
@@ -87,18 +86,21 @@ class ChoiMatrix:
         if j.shape != (d, d):
             raise WrongDimension(f"Choi matrix of shape {j.shape}, expected ({d}, {d})")
         object.__setattr__(self, "matrix", j)
-        if float(frobenius_norm(j - dagger(j))) > 1e-10:
-            raise NotTracePreserving("Choi matrix is not Hermitian")
-        low = float(np.linalg.eigvalsh(j)[0])
-        if low < -1e-10:
-            raise NotTracePreserving(f"Choi eigenvalue {low:.3e} below -1e-10")
-        defect = float(
-            np.abs(_trace_out(j, self.dim_in, self.dim_out) - np.eye(self.dim_in)).max()
-        )
-        if defect > 1e-9:
-            raise NotTracePreserving(
-                f"output partial trace deviates from identity by {defect:.3e}"
-            )
+        _check_choi(j, self.dim_in, self.dim_out)
+
+
+def _check_choi(j, dim_in, dim_out):
+    """Raise :class:`NotHermitian` unless every Choi matrix in a stack
+    ``(..., d, d)`` is Hermitian to 1e-10, and :class:`NotTracePreserving`
+    unless each is PSD to 1e-10 and its output partial trace is the input
+    identity to 1e-9."""
+    check_hermitian(j, 1e-10)
+    low = float(np.linalg.eigvalsh(j)[..., 0].min())
+    if low < -1e-10:
+        raise NotTracePreserving(f"Choi eigenvalue {low:.3e} below -1e-10")
+    defect = float(np.abs(_trace_out(j, dim_in, dim_out) - np.eye(dim_in)).max())
+    if defect > 1e-9:
+        raise NotTracePreserving(f"output partial trace deviates from identity by {defect:.3e}")
 
 
 def _check_complete(kraus):
@@ -257,15 +259,38 @@ def choi_from_kraus(ch):
 def kraus_from_choi(choi, cut=1e-12):
     """Kraus operators from the Choi eigendecomposition, discarding
     eigenvalues at or below ``cut``."""
-    j = choi.matrix
+    kraus, _ = _kraus_stack(choi.matrix[None], choi.dim_in, choi.dim_out, cut)
+    return KrausChannel(tuple(kraus[0]), choi.dim_in, choi.dim_out)
+
+
+def _kraus_stack(j, dim_in, dim_out, cut=1e-12):
+    """Kraus families of a stack of Choi matrices ``(n, d, d)``, from one
+    batched eigensolve.
+
+    Item i keeps its ``counts[i]`` eigenvalues above ``cut`` in ascending
+    order, each as ``sqrt(lam)`` times its eigenvector read as a
+    ``(dim_in, dim_out)`` matrix and transposed.  Returns ``(kraus,
+    counts)``: ``kraus`` has shape ``(n, K, dim_out, dim_in)`` with K the
+    largest count, zero-padded, and holds each operator column-major, the
+    layout the transpose gives it, since :func:`_apply_kraus` sums in an
+    order that follows the layout.  Raises :class:`NotTracePreserving` if
+    an item has no eigenvalue above ``cut``.
+    """
     w, v = np.linalg.eigh((j + dagger(j)) / 2.0)
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > cut:
-            ops.append(math.sqrt(lam) * vec.reshape(choi.dim_in, choi.dim_out).T)
-    if not ops:
+    counts = (w > cut).sum(axis=-1)
+    if not counts.all():
         raise NotTracePreserving("Choi matrix has no positive spectrum")
-    return KrausChannel(tuple(ops), choi.dim_in, choi.dim_out)
+    d = w.shape[-1]
+    slot = np.arange(counts.max(initial=0))
+    kept = slot < counts[:, None]
+    # the kept eigenvalues are the last counts[i]; padding slots repeat the top one
+    take = np.minimum(d - counts[:, None] + slot, d - 1)
+    lam = np.where(kept, np.take_along_axis(w, take, axis=-1), 0.0)
+    vecs = np.swapaxes(np.take_along_axis(v, take[:, None, :], axis=-1), -1, -2)
+    ops = np.where(kept[..., None], np.sqrt(lam)[..., None] * vecs, 0.0)
+    # C order first, so that each operator's transpose is column-major
+    ops = np.ascontiguousarray(ops).reshape(len(w), len(slot), dim_in, dim_out)
+    return np.swapaxes(ops, -1, -2), counts
 
 
 _PPT_DIMS = (2, 2, 2, 2)
@@ -283,22 +308,22 @@ def is_ppt_channel(choi, tol=1e-10):
 
 
 def _proj_psd(j):
+    """PSD projection of the Hermitian part of ``j``, and the eigenvectors
+    of that part."""
     w, v = np.linalg.eigh((j + dagger(j)) / 2.0)
     w = np.clip(w, 0.0, None)
-    return (v * w[..., None, :]) @ dagger(v)
+    return (v * w[..., None, :]) @ dagger(v), v
 
 
 def _proj_ppt(j):
-    g = transpose_factors(j, _PPT_DIMS, _PPT_FACTORS)
-    return transpose_factors(_proj_psd(g), _PPT_DIMS, _PPT_FACTORS)
+    """PPT projection of ``j``, and the eigenvectors of its PPT transform."""
+    p, v = _proj_psd(transpose_factors(j, _PPT_DIMS, _PPT_FACTORS))
+    return transpose_factors(p, _PPT_DIMS, _PPT_FACTORS), v
 
 
 def _proj_tp(j, dim_in=4, dim_out=4):
     delta = _trace_out(j, dim_in, dim_out) - np.eye(dim_in)
     return j - kron(delta, np.eye(dim_out)) / dim_out
-
-
-_PROJECTIONS = (_proj_psd, _proj_ppt, _proj_tp)
 
 
 def _cone_defects(j):
@@ -310,30 +335,60 @@ def _cone_defects(j):
     return np.maximum(0.0, -low), np.maximum(0.0, -low_g)
 
 
+# bound on the rounding of a Rayleigh quotient and of eigvalsh, relative
+# to max(1, ||g||_F): about 30 times the error of either, some 16 eps ||g||
+_CERTIFICATE_MARGIN = 1e-13
+
+
+def _fails_ppt(j, basis, tol):
+    """Items whose PPT transform surely has an eigenvalue below ``-tol``,
+    proved without an eigensolve.
+
+    Every Rayleigh quotient of a Hermitian matrix bounds its lowest
+    eigenvalue from above.  So if the least quotient over the orthonormal
+    columns of ``basis`` lies below ``-tol`` by more than the margin, the
+    exact test of :func:`_cone_defects` fails on that item as well.
+    """
+    g = transpose_factors(j, _PPT_DIMS, _PPT_FACTORS)
+    quotient = (basis.conj() * (g @ basis)).real.sum(axis=-2).min(axis=-1)
+    return quotient < -(tol + _CERTIFICATE_MARGIN * np.maximum(1.0, frobenius_norm(g)))
+
+
+def _feasible(j, basis, tol, trace_preserving):
+    """Per-item stopping test: both cone defects at most ``tol`` and, if
+    ``trace_preserving`` holds, the output partial trace within ``tol`` of
+    the identity.  The exact test runs only on the items that
+    :func:`_fails_ppt` does not reject on ``basis``."""
+    out = np.zeros(len(j), dtype=bool)
+    open_ = np.flatnonzero(~_fails_ppt(j, basis, tol))
+    rest = j[open_]
+    d_psd, d_ppt = _cone_defects(rest)
+    ok = (d_psd <= tol) & (d_ppt <= tol)
+    if trace_preserving:
+        ok &= np.abs(_trace_out(rest, 4, 4) - np.eye(4)).max(axis=(-2, -1)) <= tol
+    out[open_] = ok
+    return out
+
+
 def _dykstra_step(state):
-    # state is [iterate, one correction per projection], updated in place
-    for i, proj in enumerate(_PROJECTIONS, start=1):
-        shifted = state[0] + state[i]
-        state[0] = proj(shifted)
-        state[i] = shifted - state[0]
-
-
-def _dykstra_done(tol):
-    def done(j):
-        d_psd, d_ppt = _cone_defects(j)
-        d_tp = np.abs(_trace_out(j, 4, 4) - np.eye(4)).max(axis=(-2, -1))
-        return (d_psd <= tol) & (d_ppt <= tol) & (d_tp <= tol)
-
-    return done
+    # state is [iterate, one correction per projection], updated in place;
+    # returns the eigenvectors of the round's PPT transform
+    shifted = state[0] + state[1]
+    state[0], _ = _proj_psd(shifted)
+    state[1] = shifted - state[0]
+    shifted = state[0] + state[2]
+    state[0], basis = _proj_ppt(shifted)
+    state[2] = shifted - state[0]
+    shifted = state[0] + state[3]
+    state[0] = _proj_tp(shifted)
+    state[3] = shifted - state[0]
+    return basis
 
 
 def _polish_step(state):
-    state[0] = _proj_tp(_proj_ppt(_proj_psd(state[0])))
-
-
-def _polish_done(j):
-    d_psd, d_ppt = _cone_defects(j)
-    return (d_psd <= 1e-12) & (d_ppt <= 1e-12)
+    x, basis = _proj_ppt(_proj_psd(state[0])[0])
+    state[0] = _proj_tp(x)
+    return basis
 
 
 def _iterate_each(state, step, done, budget, failure):
@@ -341,9 +396,10 @@ def _iterate_each(state, step, done, budget, failure):
 
     ``state`` is a list of arrays sharing the leading item axis, the
     iterates first; ``step`` advances it in place, so that each array is
-    freed as soon as its successor exists, and ``done`` maps the iterates
-    to a boolean mask.  An item leaves the stack in the round its
-    test first passes, so it gets exactly the operations, eigensolves
+    freed as soon as its successor exists, and returns the eigenvectors of
+    its PPT eigensolve; ``done`` maps the iterates and those eigenvectors
+    to a boolean mask.  An item leaves the stack in the round
+    its test first passes, so it gets exactly the operations, eigensolves
     included, of a run on that item alone.  Returns the final iterates in
     input order; raises :class:`NoConvergence` with ``failure`` when an
     item is still running after ``budget`` rounds.
@@ -355,13 +411,35 @@ def _iterate_each(state, step, done, budget, failure):
         if rounds >= budget:
             raise NoConvergence(failure)
         rounds += 1
-        step(state)
-        finished = done(state[0])
+        basis = step(state)
+        finished = done(state[0], basis)
         out[active[finished]] = state[0][finished]
         keep = ~finished
         active = active[keep]
         state[:] = [s[keep] for s in state]
     return out
+
+
+def _ppt_choi(stack, max_iter=10000, tol=1e-9):
+    """Dykstra projection and 1e-12 polish of finite starts ``(n, 16, 16)``;
+    returns the Hermitian parts of the results.  See
+    :func:`project_to_ppt_channel`."""
+    zero = np.zeros_like(stack)
+    stack = _iterate_each(
+        [stack, zero, zero, zero],
+        _dykstra_step,
+        lambda j, basis: _feasible(j, basis, tol, True),
+        int(max_iter),
+        f"Dykstra did not reach tolerance {tol:.1e} in {max_iter} iterations",
+    )
+    stack = _iterate_each(
+        [stack],
+        _polish_step,
+        lambda j, basis: _feasible(j, basis, 1e-12, False),
+        200,
+        "polishing projections stalled above 1e-12",
+    )
+    return (stack + dagger(stack)) / 2.0
 
 
 def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
@@ -372,35 +450,29 @@ def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
     and the trace-preserving affine subspace.  A short plain-projection
     polish then drives the cone defects below 1e-12 and ends on the
     trace-preserving step, so the recovered Kraus family is complete to
-    machine precision.
+    machine precision.  A round's stopping test skips the eigensolves of
+    items that Rayleigh quotients prove infeasible (:func:`_fails_ppt`), so
+    the result is that of the exact test.
 
     ``start`` is one matrix or a stack ``(..., 16, 16)``.  A stack is
     projected in one pass with a convergence test per item, and each item
     comes out bit for bit as it would alone.  Returns ``(ChoiMatrix,
     KrausChannel)`` for one matrix and a list of such pairs, in C order of
-    the leading axes, for a stack.  Raises :class:`NoConvergence` if any
-    item runs out of iteration budget.
+    the leading axes, for a stack.  Raises :class:`OutOfRange` if a start
+    has a non-finite entry and :class:`NoConvergence` if any item runs out
+    of iteration budget.
     """
     j = np.asarray(start, dtype=complex)
     if j.shape[-2:] != (16, 16):
         raise WrongDimension(f"expected 16x16 start matrices, got {j.shape}")
-    stack = j.reshape((-1, 16, 16))
-    zero = np.zeros_like(stack)
-    stack = _iterate_each(
-        [stack, zero, zero, zero],
-        _dykstra_step,
-        _dykstra_done(tol),
-        int(max_iter),
-        f"Dykstra did not reach tolerance {tol:.1e} in {max_iter} iterations",
-    )
-    stack = _iterate_each(
-        [stack], _polish_step, _polish_done, 200, "polishing projections stalled above 1e-12"
-    )
-    stack = (stack + dagger(stack)) / 2.0
-    pairs = []
-    for m in stack:
-        choi = ChoiMatrix(m, 4, 4)
-        pairs.append((choi, kraus_from_choi(choi)))
+    if not np.isfinite(j).all():
+        raise OutOfRange("start matrices must be finite")
+    choi = _ppt_choi(j.reshape((-1, 16, 16)), max_iter, tol)
+    kraus, counts = _kraus_stack(choi, 4, 4)
+    pairs = [
+        (ChoiMatrix(m, 4, 4), KrausChannel(tuple(k[:c]), 4, 4))
+        for m, k, c in zip(choi, kraus, counts)
+    ]
     return pairs[0] if j.ndim == 2 else pairs
 
 

@@ -26,13 +26,15 @@ from . import serialize
 from .channels import (
     KrausChannel,
     _apply_kraus,
+    _check_choi,
     _check_complete,
+    _kraus_stack,
     _local_kraus,
     _local_unitary_kraus,
     _one_way_locc_kraus,
+    _ppt_choi,
     _ppt_start,
     apply,
-    project_to_ppt_channel,
 )
 from .errors import OutOfRange
 from .measures import (
@@ -364,20 +366,18 @@ def _build_pairs(kind, structures, state_raw, channel_raw):
     Returns ``(rho, kraus, counts)``: states ``(n, 4, 4)``, Kraus operators
     ``(n, K, 4, 4)`` with K the largest count, and each pair's own count.
     Raises :class:`NotTracePreserving` if any channel fails the completeness
-    check.
+    check, and for PPT channels also the error of a Choi matrix that fails
+    the checks of :class:`ChoiMatrix`.
     """
     n = len(structures)
     rank = state_raw.shape[-1] // 8
     rho = _gram_state(_gaussian_matrices(state_raw, (4, rank)))
     if kind == "ppt":
-        channels = [ch for _, ch in project_to_ppt_channel(_ppt_start(np.stack(channel_raw)))]
-        counts = [len(ch.kraus_ops) for ch in channels]
-        # kraus_from_choi's operators are column-major; keep that layout so
-        # the stacked einsum sums each pair as apply() does
-        kraus = np.zeros((n, max(counts), 4, 4), dtype=complex).swapaxes(-1, -2)
-        for i, ch in enumerate(channels):
-            kraus[i, : counts[i]] = ch.kraus_ops
-        return rho, kraus, counts
+        choi = _ppt_choi(_ppt_start(np.stack(channel_raw)))
+        _check_choi(choi, 4, 4)
+        kraus, counts = _kraus_stack(choi, 4, 4)
+        _check_complete(kraus)
+        return rho, kraus, counts.tolist()
     counts = [s[0] for s in structures]
     kraus = np.zeros((n, max(counts), 4, 4), dtype=complex)
     for count in sorted(set(counts)):

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bineg import channels
 from bineg.channels import (
     COMPLETENESS_TOL,
     ChoiMatrix,
     KrausChannel,
+    _check_choi,
     _check_complete,
+    _cone_defects,
+    _fails_ppt,
+    _kraus_stack,
     apply,
     choi_from_kraus,
     haar_isometry,
@@ -21,7 +26,13 @@ from bineg.channels import (
     random_local_unitary_pair,
     random_ppt_channel,
 )
-from bineg.errors import DimensionMismatch, NoConvergence, NotTracePreserving, OutOfRange
+from bineg.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotHermitian,
+    NotTracePreserving,
+    OutOfRange,
+)
 from bineg.linalg import dagger, frobenius_distance, kron, partial_transpose, transpose_factors
 from bineg.measures import binegativity, concurrence, negativity
 from bineg.states import is_ppt, random_mixed, sigma_pqr
@@ -228,6 +239,69 @@ class TestChoi:
         with pytest.raises(NotTracePreserving):
             ChoiMatrix(np.eye(16, dtype=complex), 4, 4)
 
+    def test_choi_rejects_non_hermitian(self):
+        j = choi_from_kraus(IDENTITY).matrix.copy()
+        j[0, 5] += 1e-9
+        with pytest.raises(NotHermitian):
+            ChoiMatrix(j, 4, 4)
+
+    def test_stacked_check_sees_one_spoiled_item(self):
+        # unitary channels have rank-1 Choi matrices, so each has a null
+        # space in which to plant a negative eigenvalue
+        rng = np.random.default_rng(531)
+        stack = np.stack([choi_from_kraus(random_local_unitary_pair(rng)).matrix for _ in range(5)])
+        _check_choi(stack, 4, 4)
+        null = np.linalg.eigh(stack[3])[1][:, 0]
+        negative = stack.copy()
+        negative[3] -= 1e-9 * np.outer(null, null.conj())
+        assert_allclose(np.linalg.eigvalsh(negative[3])[0], -1e-9, rtol=1e-6)
+        with pytest.raises(NotTracePreserving, match="eigenvalue"):
+            _check_choi(negative, 4, 4)
+        off_tp = stack.copy()
+        off_tp[3] *= 1.0 + 1e-8
+        with pytest.raises(NotTracePreserving, match="partial trace"):
+            _check_choi(off_tp, 4, 4)
+
+
+def reference_kraus(j, cut=1e-12):
+    """One-matrix Kraus extraction, written out plainly as the reference
+    for the stacked one."""
+    w, v = np.linalg.eigh((j + dagger(j)) / 2.0)
+    return [np.sqrt(lam) * vec.reshape(4, 4).T for lam, vec in zip(w, v.T) if lam > cut]
+
+
+def same_bits(a, b):
+    """Equal values, and equal signs of zero, in real and imaginary parts."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+class TestKrausStack:
+    def test_matches_one_matrix_extraction_bit_for_bit(self):
+        rng = np.random.default_rng(532)
+        chois = [choi_from_kraus(IDENTITY), choi_from_kraus(DEPOLARIZING)]
+        chois += [choi_from_kraus(one_way_locc_channel(m, rng)) for m in (2, 3, 4)]
+        chois += [choi for choi, _ in project_to_ppt_channel(ppt_starts(63, 4))]
+        kraus, counts = _kraus_stack(np.stack([c.matrix for c in chois]), 4, 4)
+        assert kraus.shape == (len(chois), 16, 4, 4)
+        assert len(set(counts.tolist())) > 3  # items padded by different amounts
+        for choi, ops, count in zip(chois, kraus, counts):
+            single = kraus_from_choi(choi).kraus_ops
+            reference = reference_kraus(choi.matrix)
+            assert len(single) == len(reference) == count
+            assert np.all(ops[count:] == 0)
+            for a, b, c in zip(ops, single, reference):
+                assert a.flags.f_contiguous and b.flags.f_contiguous
+                assert same_bits(a, b) and same_bits(a, c)
+
+    def test_rejects_an_item_without_positive_spectrum(self):
+        stack = np.stack([np.eye(16, dtype=complex) / 4.0, np.zeros((16, 16), dtype=complex)])
+        with pytest.raises(NotTracePreserving):
+            _kraus_stack(stack, 4, 4)
+
 
 class TestPptChannels:
     def test_product_channels_are_ppt(self):
@@ -348,3 +422,58 @@ class TestStackedProjection:
             project_to_ppt_channel(starts[0], max_iter=1)
         with pytest.raises(NoConvergence):
             project_to_ppt_channel(starts, max_iter=1)
+
+    def test_empty_stack_gives_no_channels(self):
+        assert project_to_ppt_channel(np.zeros((0, 16, 16), dtype=complex)) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_start(self, bad):
+        with pytest.raises(OutOfRange):
+            project_to_ppt_channel(np.full((16, 16), bad))
+        starts = np.stack([np.eye(16, dtype=complex) / 4.0] * 3)
+        starts[1, 2, 5] = bad
+        with pytest.raises(OutOfRange):
+            project_to_ppt_channel(starts)
+
+
+def boundary_items(tol, count, seed):
+    """Matrices whose PPT transform has lowest eigenvalue ``-tol``, with the
+    transform's eigenvectors: the certificate's quotient and the exact
+    eigenvalue then agree to rounding, on either side of ``-tol``."""
+    rng = np.random.default_rng(seed)
+    shape = (count, 16, 16)
+    u = channels._isometry(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    w = np.concatenate([np.full((count, 1), -tol), rng.uniform(0.0, 0.5, (count, 15))], axis=1)
+    g = (u * w[:, None, :]) @ dagger(u)
+    return transpose_factors(g, (2, 2, 2, 2), (1, 3)), np.linalg.eigh(g)[1]
+
+
+class TestStoppingCertificate:
+    def test_certified_failures_fail_the_exact_test(self, monkeypatch):
+        rounds = {"dykstra": [], "polish": []}
+
+        def recording(step, name):
+            def recorded(state):
+                basis = step(state)
+                rounds[name].append((state[0].copy(), basis))
+                return basis
+
+            return recorded
+
+        monkeypatch.setattr(channels, "_dykstra_step", recording(channels._dykstra_step, "dykstra"))
+        monkeypatch.setattr(channels, "_polish_step", recording(channels._polish_step, "polish"))
+        # I/4 is feasible from the first round on; the Ginibre starts cross
+        # the tolerance after 6 to about 30 rounds
+        starts = np.concatenate([ppt_starts(64, 63), np.eye(16, dtype=complex)[None] / 4.0])
+        project_to_ppt_channel(starts)
+        for tol in (1e-9, 1e-12):
+            items = rounds["dykstra"] + rounds["polish"] + [boundary_items(tol, 256, 65)]
+            for j, basis in items:
+                flagged = _fails_ppt(j, basis, tol)
+                assert np.all(_cone_defects(j[flagged])[1] > tol)
+        # the certificate settles most rounds: that is what it is for
+        for name, tol, share in (("dykstra", 1e-9, 0.7), ("polish", 1e-12, 0.5)):
+            flagged = np.concatenate([_fails_ppt(j, b, tol) for j, b in rounds[name]])
+            assert flagged.mean() > share
+        first_j, first_basis = rounds["dykstra"][0]
+        assert not _fails_ppt(first_j, first_basis, 1e-9)[-1]  # I/4

@@ -247,6 +247,20 @@ class TestMonotonicitySweep:
         with pytest.raises(NotTracePreserving):
             monotonicity_sweep(40, channel_kind="one_way_locc", seed=8)
 
+    def test_spoiled_ppt_choi_in_a_block_raises(self, monkeypatch):
+        project = harness._ppt_choi
+
+        def spoiled(starts):
+            choi = project(starts)
+            choi[1] *= 1.0 + 1e-8
+            return choi
+
+        # the Choi check names the partial trace; the completeness check,
+        # which this spoil also fails, would name sum K^dagger K
+        monkeypatch.setattr(harness, "_ppt_choi", spoiled)
+        with pytest.raises(NotTracePreserving, match="partial trace"):
+            monotonicity_sweep(5, channel_kind="ppt", seed=8)
+
 
 class TestCounterexampleSearch:
     def test_sample_count_and_clean_result(self):
