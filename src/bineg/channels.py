@@ -109,7 +109,7 @@ def _check_complete(kraus):
     ``(..., count, dim_out, dim_in)``.  Zero padding adds nothing to the sum."""
     comp = (dagger(kraus) @ kraus).sum(axis=-3)
     defect = float(np.abs(comp - np.eye(kraus.shape[-1])).max())
-    if defect > COMPLETENESS_TOL:
+    if not defect <= COMPLETENESS_TOL:
         raise NotTracePreserving(f"sum K^dagger K deviates from identity by {defect:.3e}")
 
 
@@ -303,6 +303,8 @@ def is_ppt_channel(choi, tol=1e-10):
     j = choi.matrix if isinstance(choi, ChoiMatrix) else np.asarray(choi, dtype=complex)
     if j.shape != (16, 16):
         raise WrongDimension(f"expected a 16x16 Choi matrix, got {j.shape}")
+    if not np.isfinite(j).all():
+        raise OutOfRange("Choi matrix entries must be finite")
     g = transpose_factors(j, _PPT_DIMS, _PPT_FACTORS)
     return bool(np.linalg.eigvalsh(g)[0] >= -tol)
 
@@ -370,18 +372,62 @@ def _feasible(j, basis, tol, trace_preserving):
     return out
 
 
+# Anderson memory: how many past residual differences a round combines
+AA_MEMORY = 2
+_UPPER = np.triu(np.ones((16, 16), dtype=bool))
+_PACK_WEIGHT = np.where(np.eye(16, dtype=bool), 1.0, 2.0)  # packed Re tr(A^dagger B)
+
+
+def _pack(h):
+    """Real parts of Hermitian matrices on and above the diagonal, imaginary parts below."""
+    return np.where(_UPPER, h.real, h.imag)
+
+
+def _unpack(r):
+    """The Hermitian matrices whose packing is ``r``."""
+    im = np.where(_UPPER, 0.0, r)
+    return np.where(_UPPER, r, np.swapaxes(r, -1, -2)) + 1j * (im - np.swapaxes(im, -1, -2))
+
+
 def _dykstra_step(state):
-    # state is [iterate, one correction per projection], updated in place;
-    # returns the eigenvectors of the round's PPT transform
-    shifted = state[0] + state[1]
-    state[0], _ = _proj_psd(shifted)
-    state[1] = shifted - state[0]
-    shifted = state[0] + state[2]
-    state[0], basis = _proj_ppt(shifted)
-    state[2] = shifted - state[0]
-    shifted = state[0] + state[3]
-    state[0] = _proj_tp(shifted)
-    state[3] = shifted - state[0]
+    """One Dykstra round, Anderson-accelerated (type II, Walker & Ni 2011).
+
+    ``state`` is ``[x, start, pair, ring, gram, rounds]``, updated in place.
+    The plain round ``G`` maps the packed PSD and PPT corrections ``pair``
+    through ``x = P_tp(start - p - q)``, the two cone projections and P_tp.
+    The new pair is ``G - dG gamma``, ``gamma`` the least-squares fit of ``f
+    = G - pair`` by the differences ``df`` in ``ring``, from their Gram matrix
+    ``gram``; if its determinant is at most 1e-12 times its diagonal's
+    product, or ``gamma`` is not finite, the item takes the plain step.
+    """
+    start, pair, ring, gram, rounds = state[1:]
+    state[0] = None  # the last iterate, freed for the round's peak memory
+    fg = np.empty_like(ring[:, :, 0])  # this round's f and G
+    shifted = _unpack(pair[:, 0])
+    shifted += _proj_tp(start - shifted - _unpack(pair[:, 1]))
+    x, _ = _proj_psd(shifted)
+    fg[:, 1, 0] = _pack(np.subtract(shifted, x, out=shifted))
+    shifted = x
+    shifted += _unpack(pair[:, 1])
+    x, basis = _proj_ppt(shifted)
+    fg[:, 1, 1] = _pack(np.subtract(shifted, x, out=shifted))
+    state[0] = _proj_tp(x)
+    np.subtract(fg[:, 1], pair, out=fg[:, 0])
+    n, k = len(fg), int(rounds[0])
+    d_f = ring[:, 0].reshape(n, AA_MEMORY, -1)
+    if k:  # the last round's slot holds its f and G
+        slot = (k - 1) % AA_MEMORY
+        np.subtract(fg, ring[:, :, slot], out=ring[:, :, slot])
+        row = (d_f @ (ring[:, 0, slot] * _PACK_WEIGHT).reshape(n, -1, 1))[..., 0]
+        gram[:, slot] = gram[:, :, slot] = row
+    ok = np.linalg.det(gram) > 1e-12 * np.diagonal(gram, 0, 1, 2).prod(axis=1)
+    rhs = d_f @ (fg[:, 0] * _PACK_WEIGHT).reshape(n, -1, 1)
+    gamma = np.linalg.solve(np.where(ok[:, None, None], gram, np.eye(AA_MEMORY)), rhs)[..., 0]
+    step = gamma[:, None, :] @ ring[:, 1].reshape(n, AA_MEMORY, -1)
+    step[~(ok & np.isfinite(gamma).all(axis=-1))] = 0.0
+    np.subtract(fg[:, 1], step.reshape(pair.shape), out=pair)
+    ring[:, :, k % AA_MEMORY] = fg
+    rounds += 1
     return basis
 
 
@@ -421,12 +467,15 @@ def _iterate_each(state, step, done, budget, failure):
 
 
 def _ppt_choi(stack, max_iter=10000, tol=1e-9):
-    """Dykstra projection and 1e-12 polish of finite starts ``(n, 16, 16)``;
+    """Accelerated Dykstra projection and 1e-12 polish of finite starts ``(n, 16, 16)``;
     returns the Hermitian parts of the results.  See
     :func:`project_to_ppt_channel`."""
-    zero = np.zeros_like(stack)
+    n, m = len(stack), AA_MEMORY
+    # one list, so that no name keeps the arrays the loop has replaced
+    state = [stack, stack, np.zeros((n, 2, 16, 16)), np.zeros((n, 2, m, 2, 16, 16))]
+    state += [np.tile(np.eye(m), (n, 1, 1)), np.zeros(n, dtype=int)]
     stack = _iterate_each(
-        [stack, zero, zero, zero],
+        state,
         _dykstra_step,
         lambda j, basis: _feasible(j, basis, tol, True),
         int(max_iter),
@@ -447,7 +496,8 @@ def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
     two-qubit PPT-channel Choi matrices.
 
     The constraint set is the intersection of the PSD cone, the PPT cone,
-    and the trace-preserving affine subspace.  A short plain-projection
+    and the trace-preserving affine subspace; the Dykstra rounds are
+    Anderson-accelerated (:func:`_dykstra_step`).  A short plain-projection
     polish then drives the cone defects below 1e-12 and ends on the
     trace-preserving step, so the recovered Kraus family is complete to
     machine precision.  A round's stopping test skips the eigensolves of

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, WrongDimension
+from .errors import NotHermitian, OutOfRange, WrongDimension
 
 HERMITICITY_TOL = 1e-12
 ZERO_EIG_TOL = 1e-11
@@ -59,8 +59,10 @@ def kron(a, b):
 
 
 def check_hermitian(m, tol=HERMITICITY_TOL):
-    """Raise :class:`NotHermitian` unless ``||M - M^dagger||_F <= tol``
-    for every matrix in the stack."""
+    """Raise :class:`OutOfRange` on a non-finite entry and :class:`NotHermitian`
+    unless ``||M - M^dagger||_F <= tol`` for every matrix in the stack."""
+    if not np.isfinite(m).all():
+        raise OutOfRange("matrix entries must be finite")
     worst = float(np.max(frobenius_distance(m, dagger(m))))
     if worst > tol:
         raise NotHermitian(

@@ -93,11 +93,12 @@ def write_csv(path, header, rows):
     """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_cell(x) for x in row) + "\n")
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _cell(x):
+    if type(x) is float:
+        return format(x, ".17g")
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bineg.errors import NotHermitian, WrongDimension
+from bineg.errors import NotHermitian, OutOfRange, WrongDimension
 from bineg.linalg import (
     HERMITICITY_TOL,
     dagger,
@@ -138,6 +138,13 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotHermitian):
+            hermitian_eig(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(OutOfRange):
             hermitian_eig(m)
 
     def test_check_false_skips_validation(self):
