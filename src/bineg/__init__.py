@@ -52,7 +52,6 @@ from .harness import (
     verify_region,
 )
 from .linalg import (
-    HermitianEigenSystem,
     dagger,
     frobenius_distance,
     hermitian_eig,
@@ -80,7 +79,6 @@ from .measures import (
     region_bounds,
 )
 from .states import (
-    SchmidtForm,
     boundary_family,
     is_ppt,
     phi_plus,

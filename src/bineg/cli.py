@@ -23,7 +23,7 @@ import sys
 
 from . import harness, serialize
 from .errors import BinegError, ParseError
-from .measures import _measure_all
+from .measures import measure_triple, negative_eigvec_mu
 from .states import (
     boundary_family,
     is_ppt,
@@ -150,7 +150,7 @@ def _emit_report(report, args):
 def _cmd_compute(args):
     rho, echo = parse_state_spec(args.state)
     rho = validate_density_matrix(rho)
-    triple, mu = _measure_all(rho)
+    triple, mu = measure_triple(rho), negative_eigvec_mu(rho)
     ppt = is_ppt(rho)
     result = dict(echo)
     result.update(

@@ -6,11 +6,16 @@ region, and channel monotonicity are conjectures: violations are findings to
 report, not test failures.  Reports keep that distinction through the
 ``HARD_KINDS`` / ``CONJECTURE_KINDS`` split.
 
-All randomness flows from one root seed through ``SeedSequence.spawn`` in
-fixed-size chunks, processed one after another, so a report is
-byte-identical for a given seed.  Channel sweeps draw the raw Gaussians of
-each pair in the samplers' order, then build, apply and measure a block of
-pairs in stacked calls that give each pair the bits of a one-pair run.
+Every sampling sweep (``verify_ordering``, ``verify_region``,
+``monotonicity_sweep``) runs through one path, ``_sweep``: fixed-size chunks,
+each on its own ``SeedSequence.spawn`` substream and processed one after
+another, become gaps per kind, every gap above ``tol`` becomes a record, and
+``_report`` sorts the records into a ``SweepReport``, so a report is
+byte-identical for a given seed.  Each gap kind is defined once, and
+``recompute_gap`` uses the same definitions.  Channel sweeps draw the raw
+Gaussians of each pair in the samplers' order, then build, apply and measure
+a block of pairs in stacked calls that give each pair the bits of a one-pair
+run.
 """
 
 from __future__ import annotations
@@ -147,78 +152,74 @@ class SweepReport:
         }
 
 
-def _chunk_sizes(n):
-    sizes = [CHUNK] * (n // CHUNK)
-    if n % CHUNK:
-        sizes.append(n % CHUNK)
-    return sizes
+def _chunks(seed, n):
+    """``(rng, size)`` per fixed-size chunk of ``n`` draws, each chunk on its
+    own substream of ``seed``."""
+    sizes = [CHUNK] * (n // CHUNK) + ([n % CHUNK] if n % CHUNK else [])
+    for child, size in zip(np.random.SeedSequence(int(seed)).spawn(len(sizes)), sizes):
+        yield np.random.default_rng(child), size
 
 
-def _run_chunks(work, seed, n):
-    """Run ``work(rng, size)`` over fixed-size chunks with independent
-    substreams; results come back in chunk order."""
-    sizes = _chunk_sizes(int(n))
-    children = np.random.SeedSequence(int(seed)).spawn(len(sizes))
-    return [work(np.random.default_rng(child), size) for child, size in zip(children, sizes)]
+def _report(op, n_samples, max_gap, seed, config, violations, t0):
+    """The report of a sweep begun at ``t0``, its records sorted so that the
+    bytes do not depend on the order they were found in."""
+    violations.sort(key=lambda v: (v.seed, v.index, v.kind))
+    runtime = time.perf_counter() - t0
+    return SweepReport(op, n_samples, len(violations), max_gap, int(seed), config, violations, runtime)
 
 
-def _finish(report, t0):
-    report.violations.sort(key=lambda v: (v.seed, v.index, v.kind))
-    report.n_violations = len(report.violations)
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
-
-
-def verify_ordering(n, rank=2, seed=42, tol=1e-9):
-    """Sample ``n`` random states of the given rank and flag any break of
-    ``n2 <= nu <= c`` beyond ``tol``.  Expected violations: zero; any hit is
-    an implementation bug, not a finding."""
+def _sweep(op, n, seed, config, tol, work):
+    """The loop of every sampling sweep.  ``work(rng, size)`` samples one
+    chunk and returns ``(states, {kind: gaps}, channel_of)``, where
+    ``channel_of`` maps the chunk index of each pair whose gap exceeds ``tol``
+    to its serialized channel (empty for state sweeps).  Each gap above
+    ``tol`` becomes a record; ``max_gap`` is the largest gap, skipping NaN."""
     n = int(n)
     if n < 1:
         raise OutOfRange("n must be >= 1")
     t0 = time.perf_counter()
-
-    def work(rng, size):
-        rho = random_mixed(rank, rng, size=size)
-        t = measure_triple(rho)
-        return rho, np.maximum(t.n2 - t.nu, t.nu - t.c)
-
-    results = _run_chunks(work, seed, n)
-    violations = []
-    max_gap = -math.inf
-    offset = 0
-    for rho, gap in results:
-        max_gap = max(max_gap, float(gap.max()))
-        for j in np.flatnonzero(gap > tol):
-            violations.append(
-                ViolationRecord(
-                    "ordering",
-                    float(gap[j]),
-                    int(seed),
-                    offset + int(j),
-                    serialize.complex_matrix_to_json(rho[j]),
+    violations, max_gap, offset = [], -math.inf, 0
+    for rng, size in _chunks(seed, n):
+        states, gaps, channel_of = work(rng, size)
+        for kind, gap in gaps.items():
+            max_gap = float(np.fmax.reduce(gap, initial=max_gap))
+            for j in np.flatnonzero(gap > tol):
+                violations.append(
+                    ViolationRecord(
+                        kind,
+                        float(gap[j]),
+                        int(seed),
+                        offset + int(j),
+                        serialize.complex_matrix_to_json(states[j]),
+                        channel=channel_of.get(int(j)),
+                    )
                 )
-            )
-        offset += len(gap)
-    report = SweepReport(
-        "verify_ordering",
-        n,
-        len(violations),
-        max_gap,
-        int(seed),
-        {"rank": int(rank), "tol": tol},
-        violations,
+        offset += size
+    return _report(op, n, max_gap, seed, config, violations, t0)
+
+
+def _ordering_gap(t):
+    """``max(n2 - nu, nu - c)`` of a measure triple: positive where the
+    proven ``n2 <= nu <= c`` breaks."""
+    return np.maximum(t.n2 - t.nu, t.nu - t.c)
+
+
+def _closed_form_gap(got, want):
+    """Largest disagreement of the three measures between two triples."""
+    return np.maximum(
+        np.abs(got.c - want.c),
+        np.maximum(np.abs(got.nu - want.nu), np.abs(got.n2 - want.n2)),
     )
-    return _finish(report, t0)
 
 
-def _bound_gaps(c, nu, n2):
-    """Signed conjecture gaps per bound family; a positive entry beyond
-    tolerance means the state escapes that bound.  Non-entangled states are
-    masked out (every bound concerns entangled states only)."""
-    c = np.clip(np.asarray(c, dtype=float), 0.0, 1.0)
-    nu = np.clip(np.asarray(nu, dtype=float), 0.0, 1.0)
-    n2 = np.asarray(n2, dtype=float)
+def _bound_gaps(t):
+    """Signed conjecture gaps of a measure triple per bound family; a
+    positive entry beyond tolerance means the state escapes that bound.
+    Non-entangled states are masked out (every bound concerns entangled
+    states only)."""
+    c = np.clip(np.asarray(t.c, dtype=float), 0.0, 1.0)
+    nu = np.clip(np.asarray(t.nu, dtype=float), 0.0, 1.0)
+    n2 = np.asarray(t.n2, dtype=float)
     lower9, upper9 = region_bounds(c, nu, validate=False)
     gaps = {
         "bound_eq4": nu_of_c(c) - nu,
@@ -230,50 +231,28 @@ def _bound_gaps(c, nu, n2):
     return {k: np.where(entangled, g, -math.inf) for k, g in gaps.items()}
 
 
+def verify_ordering(n, rank=2, seed=42, tol=1e-9):
+    """Sample ``n`` random states of the given rank and flag any break of
+    ``n2 <= nu <= c`` beyond ``tol``.  Expected violations: zero; any hit is
+    an implementation bug, not a finding."""
+
+    def work(rng, size):
+        rho = random_mixed(rank, rng, size=size)
+        return rho, {"ordering": _ordering_gap(measure_triple(rho))}, {}
+
+    return _sweep("verify_ordering", n, seed, {"rank": int(rank), "tol": tol}, tol, work)
+
+
 def verify_region(n, rank=2, seed=42, tol=1e-9):
     """Check every sampled entangled state against the conjectured bounds:
     the least-negativity curve, both binegativity lower curves, and the
     two-sided (c, nu, n2) region.  Violations are findings."""
-    n = int(n)
-    if n < 1:
-        raise OutOfRange("n must be >= 1")
-    t0 = time.perf_counter()
 
     def work(rng, size):
         rho = random_mixed(rank, rng, size=size)
-        t = measure_triple(rho)
-        return rho, _bound_gaps(t.c, t.nu, t.n2)
+        return rho, _bound_gaps(measure_triple(rho)), {}
 
-    results = _run_chunks(work, seed, n)
-    violations = []
-    max_gap = -math.inf
-    offset = 0
-    for rho, gaps in results:
-        for kind, gap in gaps.items():
-            finite = gap[np.isfinite(gap)]
-            if finite.size:
-                max_gap = max(max_gap, float(finite.max()))
-            for j in np.flatnonzero(gap > tol):
-                violations.append(
-                    ViolationRecord(
-                        kind,
-                        float(gap[j]),
-                        int(seed),
-                        offset + int(j),
-                        serialize.complex_matrix_to_json(rho[j]),
-                    )
-                )
-        offset += rho.shape[0]
-    report = SweepReport(
-        "verify_region",
-        n,
-        len(violations),
-        max_gap,
-        int(seed),
-        {"rank": int(rank), "tol": tol},
-        violations,
-    )
-    return _finish(report, t0)
+    return _sweep("verify_region", n, seed, {"rank": int(rank), "tol": tol}, tol, work)
 
 
 def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
@@ -293,11 +272,7 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     r = np.concatenate([rg, extra[:, 2]])
     rho = sigma_pqr(p, q, r)
     want, _ = closed_form_pqr(p, q, r)
-    got = measure_triple(rho)
-    diff = np.maximum(
-        np.abs(got.c - want.c),
-        np.maximum(np.abs(got.nu - want.nu), np.abs(got.n2 - want.n2)),
-    )
+    diff = _closed_form_gap(measure_triple(rho), want)
     violations = []
     for j in np.flatnonzero(diff > tol):
         violations.append(
@@ -310,16 +285,8 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
                 params={"p": float(p[j]), "q": float(q[j]), "r": float(r[j])},
             )
         )
-    report = SweepReport(
-        "verify_closed_forms",
-        int(p.size),
-        len(violations),
-        float(diff.max()),
-        int(seed),
-        {"grid_density": g, "tol": tol},
-        violations,
-    )
-    return _finish(report, t0)
+    config = {"grid_density": g, "tol": tol}
+    return _report("verify_closed_forms", int(p.size), float(diff.max()), seed, config, violations, t0)
 
 
 def _draw_structure(kind, rng):
@@ -410,18 +377,14 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
     report's ``max_gap`` tracks the largest signed increase even when it
     stays below tolerance.
     """
-    n_pairs = int(n_pairs)
-    if n_pairs < 1:
-        raise OutOfRange("n_pairs must be >= 1")
     if channel_kind not in CHANNEL_KINDS:
         raise OutOfRange(
             f"unknown channel kind {channel_kind!r}; choose from {CHANNEL_KINDS}"
         )
     rank = _check_rank(rank)
-    t0 = time.perf_counter()
 
     def work(rng, size):
-        gaps, found = [], []
+        states, gaps, channel_of = [], [], {}
         for first in range(0, size, PAIR_BLOCK):
             count = min(PAIR_BLOCK, size - first)
             state_raw, structures, channel_raw = _draw_pairs(channel_kind, rank, rng, count)
@@ -429,39 +392,13 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
             gap = _gaps(rho, kraus)
             for j in np.flatnonzero(gap > tol):
                 ch = KrausChannel(tuple(kraus[j, : counts[j]]), 4, 4)
-                found.append((first + int(j), float(gap[j]), rho[j], ch))
+                channel_of[first + int(j)] = ch.to_json_dict()
+            states.append(rho)
             gaps.append(gap)
-        return np.concatenate(gaps), found
+        return np.concatenate(states), {"monotonicity": np.concatenate(gaps)}, channel_of
 
-    results = _run_chunks(work, seed, n_pairs)
-    violations = []
-    max_gap = -math.inf
-    offset = 0
-    for gaps, found in results:
-        # fmax skips NaN as the per-pair max() of a Python loop would
-        max_gap = float(np.fmax.reduce(gaps, initial=max_gap))
-        for j, gap, rho, ch in found:
-            violations.append(
-                ViolationRecord(
-                    "monotonicity",
-                    gap,
-                    int(seed),
-                    offset + j,
-                    serialize.complex_matrix_to_json(rho),
-                    channel=ch.to_json_dict(),
-                )
-            )
-        offset += len(gaps)
-    report = SweepReport(
-        "monotonicity_sweep",
-        n_pairs,
-        len(violations),
-        max_gap,
-        int(seed),
-        {"channel_kind": channel_kind, "rank": int(rank), "tol": tol},
-        violations,
-    )
-    return _finish(report, t0)
+    config = {"channel_kind": channel_kind, "rank": int(rank), "tol": tol}
+    return _sweep("monotonicity_sweep", n_pairs, seed, config, tol, work)
 
 
 def counterexample_search(
@@ -524,35 +461,20 @@ def counterexample_search(
                 channel=KrausChannel(tuple(kraus[0, : counts[0]]), 4, 4).to_json_dict(),
             )
         )
-    report = SweepReport(
-        "counterexample_search",
-        restarts * (steps + 1),
-        len(violations),
-        best_f,
-        int(seed),
-        {
-            "channel_kind": channel_kind,
-            "restarts": restarts,
-            "steps": steps,
-            "step_size": float(step_size),
-            "rank": int(rank),
-            "tol": tol,
-        },
-        violations,
-    )
-    return _finish(report, t0)
+    config = {
+        "channel_kind": channel_kind,
+        "restarts": restarts,
+        "steps": steps,
+        "step_size": float(step_size),
+        "rank": int(rank),
+        "tol": tol,
+    }
+    return _report("counterexample_search", restarts * (steps + 1), best_f, seed, config, violations, t0)
 
 
 def _scatter_triples(n, rank, seed):
-    def work(rng, size):
-        t = measure_triple(random_mixed(rank, rng, size=size))
-        return t.c, t.nu, t.n2
-
-    results = _run_chunks(work, seed, int(n))
-    c = np.concatenate([r[0] for r in results])
-    nu = np.concatenate([r[1] for r in results])
-    n2 = np.concatenate([r[2] for r in results])
-    return c, nu, n2
+    triples = [measure_triple(random_mixed(rank, rng, size=size)) for rng, size in _chunks(seed, int(n))]
+    return (np.concatenate([getattr(t, k) for t in triples]) for k in ("c", "nu", "n2"))
 
 
 def figure_data(which, n, rank=2, seed=42, out_dir="."):
@@ -624,12 +546,11 @@ def recompute_gap(record):
         want, _ = closed_form_pqr(
             float(record.params["p"]), float(record.params["q"]), float(record.params["r"])
         )
-        got = measure_triple(rho)
-        return float(max(abs(got.c - want.c), abs(got.nu - want.nu), abs(got.n2 - want.n2)))
+        return float(_closed_form_gap(measure_triple(rho), want))
     t = measure_triple(rho)
     if kind == "ordering":
-        return float(max(t.n2 - t.nu, t.nu - t.c))
-    gaps = _bound_gaps(t.c, t.nu, t.n2)
+        return float(_ordering_gap(t))
+    gaps = _bound_gaps(t)
     if kind in gaps:
         return float(gaps[kind])
     raise OutOfRange(f"cannot recompute gap for record kind {record.kind!r}")

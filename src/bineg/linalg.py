@@ -13,8 +13,6 @@ to a spurious negative eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotHermitian, OutOfRange, WrongDimension
@@ -78,42 +76,20 @@ def zero_threshold(m):
     return ZERO_EIG_TOL * np.maximum(1.0, frobenius_norm(m))
 
 
-@dataclass(frozen=True)
-class HermitianEigenSystem:
-    """Spectral decomposition with eigenvalues sorted ascending.
+def hermitian_eig(m):
+    """Diagonalize a Hermitian matrix or a stack of them, after checking it
+    with :func:`check_hermitian`.
 
-    ``eigenvalues`` has shape ``(..., n)``; ``eigenvectors`` has shape
-    ``(..., n, n)`` with column ``[..., :, k]`` the unit eigenvector for
-    ``eigenvalues[..., k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m, check=True):
-    """Diagonalize a Hermitian matrix or a stack of them.
-
-    Parameters
-    ----------
-    m : array_like, shape (..., n, n)
-        Hermitian input.
-    check : bool
-        Verify Hermiticity first; disable only on matrices that are
-        Hermitian by construction.
-
-    Returns
-    -------
-    HermitianEigenSystem
+    Returns ``(w, v)``: eigenvalues ``(..., n)`` in ascending order, and
+    ``(..., n, n)`` eigenvectors with column ``[..., :, k]`` the unit
+    eigenvector for ``w[..., k]``.
     """
     m = np.asarray(m, dtype=complex)
-    if check:
-        check_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    return HermitianEigenSystem(w, v)
+    check_hermitian(m)
+    return np.linalg.eigh(m)
 
 
-def negative_part(m, check=True):
+def negative_part(m):
     """PSD matrix collecting the negative spectrum of a Hermitian input.
 
     Satisfies ``m = negative_part(-m) - negative_part(m)`` up to the dropped
@@ -123,10 +99,9 @@ def negative_part(m, check=True):
     negativity 0.0 rather than 1e-17.
     """
     m = np.asarray(m, dtype=complex)
-    es = hermitian_eig(m, check=check)
+    w, v = hermitian_eig(m)
     cut = np.asarray(zero_threshold(m))
-    w = np.where(es.eigenvalues < -cut[..., None], -es.eigenvalues, 0.0)
-    v = es.eigenvectors
+    w = np.where(w < -cut[..., None], -w, 0.0)
     return (v * w[..., None, :]) @ dagger(v)
 
 

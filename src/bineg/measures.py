@@ -167,19 +167,12 @@ class MeasureTriple:
         return {"c": self.c, "nu": self.nu, "n2": self.n2}
 
 
-def _measure_all(rho):
-    """``(MeasureTriple, negative_eigvec_mu(rho))`` from one eigensolve of
-    ``rho`` and one of ``rho^G``."""
-    rho, single = _as_batch(rho)
-    lam, a = _negative_branch(rho)
-    nu, n2 = (_maybe_float(x, single) for x in _nu_n2(lam, a))
-    return MeasureTriple(concurrence(rho), nu, n2), _mu(lam, a, single)
-
-
 def measure_triple(rho):
     """All three measures of a state or stack, from one eigensolve of
     ``rho`` and one of its partial transpose."""
-    return _measure_all(rho)[0]
+    rho, single = _as_batch(rho)
+    nu, n2 = (_maybe_float(x, single) for x in _nu_n2(*_negative_branch(rho)))
+    return MeasureTriple(concurrence(rho), nu, n2)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ density matrices.  Samplers accept either an integer seed or an existing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidState, OutOfRange
-from .linalg import dagger, frobenius_distance, kron, partial_transpose, trace
+from .linalg import dagger, frobenius_distance, partial_transpose, trace
 from .measures import boundary_p_range
 
 
@@ -139,30 +138,10 @@ def boundary_family(c, nu, p):
     return sigma_pqr(p, _into_unit("q_p", q), _into_unit("r_p", r))
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Schmidt data of a two-qubit pure state: the larger coefficient ``mu``
-    and local unitaries with
-    ``psi = kron(local_a, local_b) @ (sqrt(mu)|00> + sqrt(1-mu)|11>)``."""
-
-    mu: float
-    local_a: np.ndarray
-    local_b: np.ndarray
-
-    def reconstruct(self):
-        core = np.array(
-            [math.sqrt(self.mu), 0.0, 0.0, math.sqrt(1.0 - self.mu)], dtype=complex
-        )
-        return kron(self.local_a, self.local_b) @ core
-
-
 def schmidt(psi):
-    """Schmidt decomposition of a unit vector, with ``mu >= 1/2``."""
-    psi = np.asarray(psi, dtype=complex)
-    amp = psi.reshape(2, 2)
-    u, s, vh = np.linalg.svd(amp)
-    mu = min(float(s[0] ** 2), 1.0)
-    return SchmidtForm(mu, u, vh.T)
+    """Larger Schmidt coefficient ``mu >= 1/2`` of a two-qubit unit vector."""
+    s = np.linalg.svd(np.asarray(psi, dtype=complex).reshape(2, 2), compute_uv=False)
+    return min(float(s[0] ** 2), 1.0)
 
 
 def as_generator(seed):

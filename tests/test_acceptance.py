@@ -338,8 +338,8 @@ def test_criterion_6_inverse_and_structural_checks():
     rng = np.random.default_rng(SEED)
     g = rng.normal(size=(10_000, 4, 4)) + 1j * rng.normal(size=(10_000, 4, 4))
     m = (g + dagger(g)) / 2.0
-    es = hermitian_eig(m)
-    recon = (es.eigenvectors * es.eigenvalues[..., None, :]) @ dagger(es.eigenvectors)
+    w, v = hermitian_eig(m)
+    recon = (v * w[..., None, :]) @ dagger(v)
     worst = float(frobenius_distance(recon, m).max())
     if worst > 1e-12:
         failures.append(f"eigensolver reconstruction error {worst:.2e} > 1e-12")

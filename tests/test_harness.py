@@ -27,9 +27,11 @@ from bineg.harness import (
     HARD_KINDS,
     SweepReport,
     ViolationRecord,
+    _bound_gaps,
     _build_pairs,
     _draw_pairs,
     _draw_structure,
+    _ordering_gap,
     counterexample_search,
     figure_data,
     monotonicity_sweep,
@@ -38,7 +40,7 @@ from bineg.harness import (
     verify_ordering,
     verify_region,
 )
-from bineg.measures import bineg_lower_given_nu, bineg_mems, binegativity, nu_of_c
+from bineg.measures import bineg_lower_given_nu, bineg_mems, binegativity, measure_triple, nu_of_c
 from bineg.serialize import complex_matrix_to_json, dumps
 from bineg.states import random_mixed
 
@@ -133,6 +135,34 @@ class TestVerifyRegion:
         assert "region_eq9" in CONJECTURE_KINDS
         assert "ordering" in HARD_KINDS
         assert CONJECTURE_KINDS.isdisjoint(HARD_KINDS)
+
+
+class TestStateSweepChunks:
+    @pytest.mark.parametrize("sweep", [verify_ordering, verify_region])
+    def test_records_run_across_the_chunk_boundary(self, sweep):
+        # CHUNK + 6 states: a full chunk, then a chunk of 6, each drawn whole
+        # from its own substream; tol=-1 records every gap of every state
+        n, seed = CHUNK + 6, 12
+        rep = sweep(n, rank=2, seed=seed, tol=-1.0)
+        children = np.random.SeedSequence(seed).spawn(2)
+        chunks = [random_mixed(2, np.random.default_rng(c), size=k) for c, k in zip(children, (CHUNK, 6))]
+        states = np.concatenate(chunks)
+        # gaps of each chunk as one stack: a lone state may differ in the last bit
+        gaps = {}
+        for chunk in chunks:
+            t = measure_triple(chunk)
+            found = {"ordering": _ordering_gap(t)} if sweep is verify_ordering else _bound_gaps(t)
+            for kind, g in found.items():
+                gaps.setdefault(kind, []).extend(g.tolist())
+        want = sorted((i, kind, g[i]) for kind, g in gaps.items() for i in range(n) if g[i] > -1.0)
+        got = [(v.index, v.kind, v.observed_gap) for v in rep.violations]
+        assert got == want
+        assert all(v.state == complex_matrix_to_json(states[v.index]) for v in rep.violations)
+        # region records only entangled states, ordering records all of them
+        indices = sorted({v.index for v in rep.violations})
+        assert indices[0] < CHUNK <= indices[-1]
+        if sweep is verify_ordering:
+            assert indices == list(range(n))
 
 
 class TestVerifyClosedForms:

@@ -141,7 +141,7 @@ class TestConcurrence:
 
     def test_pure_state_closed_form(self):
         for v in random_pure(303, size=200):
-            mu = schmidt(v).mu
+            mu = schmidt(v)
             want = 2.0 * np.sqrt(mu * (1.0 - mu))
             assert concurrence(projector(v)) == pytest.approx(want, abs=1e-10)
 

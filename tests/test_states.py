@@ -177,28 +177,20 @@ class TestBoundaryFamily:
 class TestSchmidt:
     def test_product_state(self):
         v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        assert schmidt(v).mu == pytest.approx(1.0, abs=1e-15)
+        assert schmidt(v) == pytest.approx(1.0, abs=1e-15)
 
     def test_bell_state(self):
-        assert schmidt(phi_plus()).mu == pytest.approx(0.5, abs=1e-15)
+        assert schmidt(phi_plus()) == pytest.approx(0.5, abs=1e-15)
 
     def test_known_weights(self):
         v = np.zeros(4, dtype=complex)
         v[1], v[2] = np.sqrt(0.7), -np.sqrt(0.3)
-        assert schmidt(v).mu == pytest.approx(0.7, abs=1e-14)
+        assert schmidt(v) == pytest.approx(0.7, abs=1e-14)
 
     def test_mu_is_larger_weight(self):
         rng = np.random.default_rng(200)
         for v in random_pure(rng, size=50):
-            assert schmidt(v).mu >= 0.5 - 1e-12
-
-    def test_reconstruct_round_trip(self):
-        rng = np.random.default_rng(201)
-        for v in random_pure(rng, size=100):
-            form = schmidt(v)
-            w = form.reconstruct()
-            # global phase is fixed by the decomposition, so vectors match
-            assert np.linalg.norm(w - v) <= 1e-10
+            assert schmidt(v) >= 0.5 - 1e-12
 
 
 class TestRandomSampling:
