@@ -492,17 +492,20 @@ def _ppt_choi(stack, max_iter=10000, tol=1e-9):
 
 
 def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
-    """Dykstra-project Hermitian 16x16 start matrices onto the set of
-    two-qubit PPT-channel Choi matrices.
+    """Map Hermitian 16x16 start matrices into the set of two-qubit
+    PPT-channel Choi matrices by Dykstra's projection algorithm.
 
     The constraint set is the intersection of the PSD cone, the PPT cone,
     and the trace-preserving affine subspace; the Dykstra rounds are
-    Anderson-accelerated (:func:`_dykstra_step`).  A short plain-projection
-    polish then drives the cone defects below 1e-12 and ends on the
-    trace-preserving step, so the recovered Kraus family is complete to
-    machine precision.  A round's stopping test skips the eigensolves of
-    items that Rayleigh quotients prove infeasible (:func:`_fails_ppt`), so
-    the result is that of the exact test.
+    Anderson-accelerated (:func:`_dykstra_step`).  The rounds stop at the
+    first iterate feasible to ``tol``: the test checks feasibility only, not
+    the distance to the projection, so the result is a feasible point near
+    the Euclidean projection of the start, not that projection to ``tol``.
+    A short plain-projection polish then drives the cone defects below 1e-12
+    and ends on the trace-preserving step, so the recovered Kraus family is
+    complete to machine precision.  A round's stopping test skips the
+    eigensolves of items that Rayleigh quotients prove infeasible
+    (:func:`_fails_ppt`), so the result is that of the exact test.
 
     ``start`` is one matrix or a stack ``(..., 16, 16)``.  A stack is
     projected in one pass with a convergence test per item, and each item
@@ -540,8 +543,9 @@ def _ppt_start(raw):
 
 
 def random_ppt_channel(seed, max_iter=10000, tol=1e-9):
-    """Sample a PPT channel: project a random PSD matrix of trace 4 (a
-    normalized Ginibre square) onto the PPT-channel set.
+    """Sample a PPT channel: :func:`project_to_ppt_channel` of a random PSD
+    matrix of trace 4 (a normalized Ginibre square), which is a feasible
+    point near the projection of that start, not the projection to ``tol``.
 
     Returns ``(ChoiMatrix, KrausChannel)``.
     """

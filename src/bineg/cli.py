@@ -7,11 +7,15 @@ monotonicity sweep), ``search`` (hill-climb counterexample search),
 the options it reads, so an option that would have no effect is a usage
 error.
 
-Exit codes: 0 clean, 1 hard failure (bad input, IO trouble, or a violated
-proven property), 2 conjecture finding.  All randomness flows from the seed
-(flag ``--seed``, else the ``BINEG_SEED`` environment variable, else 42), so
-rerunning a command with the same seed reproduces its output files byte for
-byte; wall-clock timings go to stderr only.
+Each subcommand that emits a violation report (``verify``, ``monotonic``,
+``search``) registers its harness call with ``set_defaults(sweep=...)``
+beside its options, and one handler, ``_cmd_report``, runs it and sets the
+exit code.  Exit codes: 0 clean, 1 hard failure (bad input, IO trouble, or a
+report holding a hard kind: a proven relation broken), 2 a conjecture finding
+and no hard kind.  All randomness flows from the seed (flag ``--seed``, else
+the ``BINEG_SEED`` environment variable, else 42), so rerunning a command
+with the same seed reproduces its output files byte for byte; wall-clock
+timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(text):
-    # a NaN tolerance would make every "gap > tol" test false
+    # a NaN tolerance would make every "gap > tol" test false, and a
+    # non-finite step size sends every search candidate to NaN
     try:
         value = float(text)
     except ValueError:
@@ -63,7 +68,12 @@ def _named_state(name):
     return None
 
 
-_FAMILY_ARITY = {"sigma_pqr": 3, "mems": 1, "boundary": 3}
+# family name -> (constructor, parameter names in spec order)
+_FAMILIES = {
+    "sigma_pqr": (sigma_pqr, ("p", "q", "r")),
+    "mems": (sigma_mems, ("c",)),
+    "boundary": (boundary_family, ("c", "nu", "p")),
+}
 
 
 def parse_state_spec(text):
@@ -78,28 +88,16 @@ def parse_state_spec(text):
         return named, {"state": text}
     if ":" in text:
         name, _, rest = text.partition(":")
-        if name not in _FAMILY_ARITY:
-            raise ParseError(
-                f"unknown family {name!r}; expected one of {sorted(_FAMILY_ARITY)}"
-            )
+        if name not in _FAMILIES:
+            raise ParseError(f"unknown family {name!r}; expected one of {sorted(_FAMILIES)}")
+        make, names = _FAMILIES[name]
         try:
             args = [float(x) for x in rest.split(",")]
         except ValueError as exc:
             raise ParseError(f"bad family parameters {rest!r}: {exc}") from exc
-        if len(args) != _FAMILY_ARITY[name]:
-            raise ParseError(
-                f"family {name!r} takes {_FAMILY_ARITY[name]} parameters, got {len(args)}"
-            )
-        if name == "sigma_pqr":
-            rho = sigma_pqr(*args)
-            echo = {"family": name, "p": args[0], "q": args[1], "r": args[2]}
-        elif name == "mems":
-            rho = sigma_mems(args[0])
-            echo = {"family": name, "c": args[0]}
-        else:
-            rho = boundary_family(*args)
-            echo = {"family": name, "c": args[0], "nu": args[1], "p": args[2]}
-        return rho, echo
+        if len(args) != len(names):
+            raise ParseError(f"family {name!r} takes {len(names)} parameters, got {len(args)}")
+        return make(*args), {"family": name, **dict(zip(names, args))}
     if os.path.exists(text):
         import json
 
@@ -172,51 +170,17 @@ def _cmd_compute(args):
     return EXIT_OK
 
 
-def _cmd_verify(args):
-    seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else 1e-9
-    if args.which == "ordering":
-        report = harness.verify_ordering(args.samples, rank=args.rank, seed=seed, tol=tol)
-    elif args.which == "region":
-        report = harness.verify_region(args.samples, rank=args.rank, seed=seed, tol=tol)
-    else:
-        report = harness.verify_closed_forms(grid_density=args.grid, seed=seed, tol=tol)
+def _cmd_report(args):
+    """Run the sweep the subcommand registered as ``sweep(args, seed)``,
+    emit its report, and map it to an exit code: a proven relation broken
+    is a hard failure, a conjecture finding exits 2."""
+    report = args.sweep(args, _resolve_seed(args))
     _emit_report(report, args)
     if report.has_hard_failure():
         return EXIT_HARD
     if report.has_finding():
         return EXIT_FINDING
     return EXIT_OK
-
-
-def _cmd_monotonic(args):
-    seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = harness.monotonicity_sweep(
-        args.samples,
-        channel_kind=args.channel,
-        rank=args.rank,
-        seed=seed,
-        tol=tol,
-    )
-    _emit_report(report, args)
-    return EXIT_FINDING if report.has_finding() else EXIT_OK
-
-
-def _cmd_search(args):
-    seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = harness.counterexample_search(
-        channel_kind=args.channel,
-        restarts=args.restarts,
-        steps=args.steps,
-        step_size=args.step_size,
-        seed=seed,
-        rank=args.rank,
-        tol=tol,
-    )
-    _emit_report(report, args)
-    return EXIT_FINDING if report.has_finding() else EXIT_OK
 
 
 def _cmd_figure(args):
@@ -233,20 +197,22 @@ def _cmd_figure(args):
     return EXIT_OK
 
 
-def _add_common(sub, samples=None, rank=True, report=True):
+def _add_common(sub, samples=None, rank=True, tol=1e-9):
     """Register the shared options that a subcommand reads: ``samples`` is
-    the default of ``--samples`` (None: no such option); ``report`` adds
-    ``--tol`` and ``--format`` for commands that emit a violation report,
-    whose ``--out`` is a file; otherwise ``--out`` is a directory."""
+    the default of ``--samples`` (None: no such option); ``tol``, the default
+    of ``--tol``, marks a command that emits a violation report through
+    :func:`_cmd_report` and adds ``--format``, with ``--out`` a file; with
+    ``tol=None`` ``--out`` is a directory."""
     sub.add_argument("--seed", type=int, default=None, help="root RNG seed (default: BINEG_SEED or 42)")
     if samples is not None:
         sub.add_argument("--samples", type=int, default=samples, help="number of random samples")
     if rank:
         sub.add_argument("--rank", type=int, default=2, choices=(1, 2, 3, 4), help="rank of sampled states")
-    if report:
-        sub.add_argument("--tol", type=_finite_float, default=None, help="violation tolerance override")
+    if tol is not None:
+        sub.add_argument("--tol", type=_finite_float, default=tol, help="violation tolerance (default: %(default)g)")
         sub.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
         sub.add_argument("--out", default=None, help="output path (default: stdout)")
+        sub.set_defaults(func=_cmd_report)
     else:
         sub.add_argument("--out", default=".", help="output directory (default: .)")
 
@@ -274,12 +240,15 @@ def build_parser():
         description="ordering and closed-forms violations are hard failures (exit 1); region violations are findings (exit 2).",
     )
     variants = verify.add_subparsers(dest="which", required=True)
-    for which in ("ordering", "region"):
-        _add_common(variants.add_parser(which), samples=100000)
+    for which, sweep in (("ordering", harness.verify_ordering), ("region", harness.verify_region)):
+        state_sweep = variants.add_parser(which)
+        _add_common(state_sweep, samples=100000)
+        state_sweep.set_defaults(sweep=lambda a, seed, f=sweep: f(a.samples, rank=a.rank, seed=seed, tol=a.tol))
     closed_forms = variants.add_parser("closed-forms")
     _add_common(closed_forms, rank=False)
     closed_forms.add_argument("--grid", type=int, default=20, help="grid density")
-    verify.set_defaults(func=_cmd_verify)
+    closed_forms.set_defaults(sweep=lambda a, seed: harness.verify_closed_forms(
+        grid_density=a.grid, seed=seed, tol=a.tol))
 
     monotonic = commands.add_parser(
         "monotonic",
@@ -290,19 +259,22 @@ def build_parser():
     monotonic.add_argument(
         "--channel", choices=harness.CHANNEL_KINDS, default="local", help="channel ensemble"
     )
-    monotonic.set_defaults(func=_cmd_monotonic)
+    monotonic.set_defaults(sweep=lambda a, seed: harness.monotonicity_sweep(
+        a.samples, channel_kind=a.channel, rank=a.rank, seed=seed, tol=a.tol))
 
     search = commands.add_parser(
         "search",
         help="hill-climb counterexample search",
         description="Maximize n2(E(rho)) - n2(rho); exit 2 if the best value exceeds tolerance.",
     )
-    _add_common(search)
+    _add_common(search, tol=1e-8)
     search.add_argument("--channel", choices=harness.CHANNEL_KINDS, default="one_way_locc")
     search.add_argument("--restarts", type=int, default=10)
     search.add_argument("--steps", type=int, default=200)
-    search.add_argument("--step-size", type=float, default=0.1, dest="step_size")
-    search.set_defaults(func=_cmd_search)
+    search.add_argument("--step-size", type=_finite_float, default=0.1, dest="step_size")
+    search.set_defaults(sweep=lambda a, seed: harness.counterexample_search(
+        channel_kind=a.channel, restarts=a.restarts, steps=a.steps, step_size=a.step_size,
+        seed=seed, rank=a.rank, tol=a.tol))
 
     figure = commands.add_parser(
         "figure",
@@ -310,7 +282,7 @@ def build_parser():
         description="Write the CSV data behind the three standard plots; --out names the output directory.",
     )
     figure.add_argument("which", choices=("fig1", "fig2", "fig3"))
-    _add_common(figure, samples=100000, report=False)
+    _add_common(figure, samples=100000, tol=None)
     figure.set_defaults(func=_cmd_figure)
     return parser
 

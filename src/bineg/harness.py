@@ -332,10 +332,15 @@ def _build_pairs(kind, structures, state_raw, channel_raw):
 
     Returns ``(rho, kraus, counts)``: states ``(n, 4, 4)``, Kraus operators
     ``(n, K, 4, 4)`` with K the largest count, and each pair's own count.
-    Raises :class:`NotTracePreserving` if any channel fails the completeness
-    check, and for PPT channels also the error of a Choi matrix that fails
-    the checks of :class:`ChoiMatrix`.
+    Raises :class:`OutOfRange` if the raw Gaussians' sum of squares is not
+    finite (a climb that overflowed; a finite sum keeps the Gram products of
+    states and PPT starts finite), :class:`NotTracePreserving` if any channel
+    fails the completeness check, and for PPT channels also the error of a
+    Choi matrix that fails the checks of :class:`ChoiMatrix`.
     """
+    raw = np.concatenate([state_raw.ravel(), *channel_raw])
+    if not np.isfinite(raw @ raw):
+        raise OutOfRange("raw Gaussians of the pairs must have a finite sum of squares")
     n = len(structures)
     rank = state_raw.shape[-1] // 8
     rho = _gram_state(_gaussian_matrices(state_raw, (4, rank)))
@@ -534,23 +539,26 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
 
 def recompute_gap(record):
     """Recompute a violation record's observed gap from its serialized state
-    (and channel), for audit round-trips."""
+    (and channel), for audit round-trips; it equals the sweep's gap bit for
+    bit."""
     rho = serialize.complex_matrix_from_json(record.state)
     kind = record.kind
     if kind == "monotonicity":
         ch = KrausChannel.from_json_dict(record.channel)
         return float(binegativity(apply(ch, rho)) - binegativity(rho))
+    # a stack of one, so that the gap takes the sweeps' array path: numpy's
+    # scalar path rounds some bound curves differently in the last bit
+    t = measure_triple(rho[None])
     if kind == "closed_form":
         if record.params is None:
             raise OutOfRange("a closed_form record needs its (p, q, r) params")
         want, _ = closed_form_pqr(
             float(record.params["p"]), float(record.params["q"]), float(record.params["r"])
         )
-        return float(_closed_form_gap(measure_triple(rho), want))
-    t = measure_triple(rho)
+        return float(_closed_form_gap(t, want)[0])
     if kind == "ordering":
-        return float(_ordering_gap(t))
+        return float(_ordering_gap(t)[0])
     gaps = _bound_gaps(t)
     if kind in gaps:
-        return float(gaps[kind])
+        return float(gaps[kind][0])
     raise OutOfRange(f"cannot recompute gap for record kind {record.kind!r}")

@@ -189,9 +189,11 @@ class PqrDerived:
 
 
 def _unit_interval(name, x):
+    # every entry must lie inside [0, 1], so NaN is rejected
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise OutOfRange(f"{name} must lie in [0, 1]")
+    ok = (arr >= 0.0) & (arr <= 1.0)
+    if not ok.all():
+        raise OutOfRange(f"{name} must lie in [0, 1], got {float(arr[~ok].flat[0])!r}")
     return arr
 
 
@@ -342,7 +344,7 @@ def _check_family(c, nu):
     between nu_of_c(c) and c."""
     c = np.asarray(c, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    if np.any(c <= 0.0) or np.any(c > 1.0) or np.any(nu <= 0.0):
+    if not ((c > 0.0) & (c <= 1.0) & (nu > 0.0)).all():
         raise InfeasibleRegion("need 0 < nu <= c <= 1")
     if np.any(c - nu <= 1e-12):
         raise InfeasibleRegion(
@@ -372,7 +374,7 @@ def boundary_bineg(c, nu, p, tol=1e-12):
     c, nu = _check_family(c, nu)
     p = np.asarray(p, dtype=float)
     p_min, p_max = _p_range(c, nu)
-    if np.any(p < p_min - tol) or np.any(p > p_max + tol):
+    if not ((p >= p_min - tol) & (p <= p_max + tol)).all():
         raise OutOfRange("p outside [p_min, p_max] for this (c, nu)")
     out = nu * (c + nu) / (4.0 * c) * (2.0 + (c - nu) / (p + nu))
     return _maybe_float(out, np.ndim(out) == 0)

@@ -14,16 +14,7 @@ import numpy as np
 
 from .errors import InvalidState, OutOfRange
 from .linalg import dagger, frobenius_distance, partial_transpose, trace
-from .measures import boundary_p_range
-
-
-def _check_unit(name, value):
-    # a float for scalar input, an array for array input; NaN is rejected
-    arr = np.asarray(value, dtype=float)
-    ok = (arr >= 0.0) & (arr <= 1.0)
-    if not ok.all():
-        raise OutOfRange(f"{name} must lie in [0, 1], got {float(arr[~ok].flat[0])!r}")
-    return float(arr) if arr.ndim == 0 else arr
+from .measures import _unit_interval, boundary_p_range
 
 
 def projector(psi):
@@ -34,13 +25,13 @@ def projector(psi):
 
 def phi_q(q):
     """``sqrt(q)|00> + sqrt(1-q)|11>``."""
-    q = _check_unit("q", q)
+    q = _unit_interval("q", q)
     return np.array([math.sqrt(q), 0.0, 0.0, math.sqrt(1.0 - q)], dtype=complex)
 
 
 def psi_r(r):
     """``sqrt(r)|01> - sqrt(1-r)|10>``."""
-    r = _check_unit("r", r)
+    r = _unit_interval("r", r)
     return np.array([0.0, math.sqrt(r), -math.sqrt(1.0 - r), 0.0], dtype=complex)
 
 
@@ -67,7 +58,7 @@ def sigma_pqr(p, q, r):
     ``(..., 4, 4)``; each item equals the scalar call bit for bit.
     """
     p, q, r = np.broadcast_arrays(
-        _check_unit("p", p), _check_unit("q", q), _check_unit("r", r)
+        _unit_interval("p", p), _unit_interval("q", q), _unit_interval("r", r)
     )
     v1 = np.zeros(p.shape + (4,), dtype=complex)
     v1[..., 0] = np.sqrt(q)
@@ -84,7 +75,7 @@ def sigma_mems(c):
     Among all states of concurrence ``c`` this family attains the least
     possible negativity, and conjecturally the least binegativity.
     """
-    c = _check_unit("c", c)
+    c = _unit_interval("c", c)
     ten = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
     return c * projector(phi_plus()) + (1.0 - c) * projector(ten)
 

@@ -302,6 +302,24 @@ class TestNumericFlags:
         assert exc.value.code == EXIT_HARD
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step_size", ["nan", "inf", "-inf"])
+    def test_non_finite_step_size_is_usage_error(self, capsys, tmp_path, step_size):
+        # a NaN step made every candidate NaN, and the search ended in a
+        # LinAlgError traceback from the eigensolver
+        argv = SWEEP_COMMANDS["search"] + ["--channel", "ppt", f"--step-size={step_size}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_HARD
+        assert "--step-size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_step_size_is_an_error_line(self, capsys, tmp_path):
+        argv = SWEEP_COMMANDS["search"] + ["--channel", "ppt", "--step-size", "1e308"]
+        with np.errstate(over="ignore"):
+            code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == EXIT_HARD
+        assert err.startswith("bineg: error:")
+
     @pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_usage_error(self, capsys, tmp_path, command, threads):
@@ -321,6 +339,52 @@ class TestNumericFlags:
         assert "unrecognized arguments" in err
         assert argv[-2] in err
         assert not (tmp_path / "out").exists()
+
+
+# every option a report subcommand registers, each at a value that is not its
+# default and differs from the others, with the config the harness must echo
+WIRED = {
+    "ordering": (
+        ["verify", "ordering", "--samples", "7", "--rank", "3", "--tol", "0.5"],
+        7,
+        {"rank": 3, "tol": 0.5},
+    ),
+    "region": (
+        ["verify", "region", "--samples", "7", "--rank", "4", "--tol", "0.5"],
+        7,
+        {"rank": 4, "tol": 0.5},
+    ),
+    "closed-forms": (
+        ["verify", "closed-forms", "--grid", "3", "--tol", "0.5"],
+        3**3 + 100,
+        {"grid_density": 3, "tol": 0.5},
+    ),
+    "monotonic": (
+        ["monotonic", "--samples", "7", "--rank", "3", "--channel", "local_unitary", "--tol", "0.5"],
+        7,
+        {"channel_kind": "local_unitary", "rank": 3, "tol": 0.5},
+    ),
+    "search": (
+        [
+            "search", "--channel", "local", "--restarts", "2", "--steps", "4",
+            "--step-size", "0.25", "--rank", "3", "--tol", "0.5",
+        ],
+        2 * (4 + 1),
+        {"channel_kind": "local", "restarts": 2, "steps": 4, "step_size": 0.25, "rank": 3, "tol": 0.5},
+    ),
+}
+
+
+class TestReportWiring:
+    @pytest.mark.parametrize("case", sorted(WIRED))
+    def test_every_option_reaches_the_harness(self, capsys, case):
+        # --format and --out are read by the report writer, not the harness,
+        # and have tests of their own
+        argv, n_samples, config = WIRED[case]
+        code, out, _ = run_cli(capsys, *argv, "--seed", "5")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["config"], report["n_samples"], report["seed"]) == (config, n_samples, 5)
 
 
 class TestFigure:

@@ -131,6 +131,14 @@ class TestVerifyRegion:
         for v in rep.violations:
             assert recompute_gap(v) == pytest.approx(v.observed_gap, abs=1e-12)
 
+    def test_every_record_recomputes_bit_for_bit(self):
+        # tol=-1 records every bound gap of 1030 states across a chunk
+        # boundary, among them the bound_eq7 record at index 462 that the
+        # scalar path once read 5.6e-17 off
+        rep = verify_region(1030, seed=12, tol=-1.0)
+        assert any(v.kind == "bound_eq7" and v.index == 462 for v in rep.violations)
+        assert [recompute_gap(v) for v in rep.violations] == [v.observed_gap for v in rep.violations]
+
     def test_kinds_are_conjecture_findings(self):
         assert "region_eq9" in CONJECTURE_KINDS
         assert "ordering" in HARD_KINDS
@@ -327,6 +335,14 @@ class TestCounterexampleSearch:
     def test_rejects_bad_rank(self, rank):
         with pytest.raises(OutOfRange):
             counterexample_search(channel_kind="local", restarts=1, steps=2, seed=1, rank=rank)
+
+    @pytest.mark.parametrize("step_size", [1e308, 1e200])
+    @pytest.mark.parametrize("kind", ["ppt", "local_unitary"])
+    def test_overflowing_steps_are_out_of_range(self, kind, step_size):
+        # 1e308 steps overflow to inf, 1e200 steps square to inf in the Gram
+        # products; both used to end in a LinAlgError from the eigensolver
+        with np.errstate(over="ignore"), pytest.raises(OutOfRange, match="sum of squares"):
+            counterexample_search(channel_kind=kind, restarts=2, steps=2, step_size=step_size, seed=8)
 
     @pytest.mark.parametrize("kind", ["one_way_locc", "local"])
     def test_lockstep_equals_independent_climbs(self, kind):

@@ -7,6 +7,8 @@ for the Schmidt weight).  ``TestOracleAccuracy`` compares all three measures
 with the 40-digit mpmath oracle of ``mp_oracle.py`` on adversarial families.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bineg.errors import InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
+from bineg.errors import BinegError, InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
 from bineg.linalg import ZERO_EIG_TOL, kron, negative_part, partial_transpose, trace
 from bineg.measures import (
     MeasureTriple,
@@ -299,6 +301,30 @@ class TestMemsBounds:
             nu_of_c(1.1)
         with pytest.raises(OutOfRange):
             c_of_nu(-0.2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: region_bounds(math.nan, 0.3),
+        lambda: closed_form_pqr(math.nan, 0.5, 0.5),
+        lambda: nu_of_c(math.nan),
+        lambda: c_of_nu(math.nan),
+        lambda: bineg_mems(math.nan),
+        lambda: bineg_lower_given_nu(math.nan),
+        lambda: boundary_p_range(0.5, math.nan),
+        lambda: boundary_bineg(0.5, 0.375, math.nan),
+    ],
+    ids=[
+        "region_bounds", "closed_form_pqr", "nu_of_c", "c_of_nu", "bineg_mems",
+        "bineg_lower_given_nu", "boundary_p_range", "boundary_bineg",
+    ],
+)
+def test_nan_argument_is_rejected(call):
+    # NaN fails every comparison, so a range test written as "x < 0 or x > 1"
+    # let it through and these returned NaN or a plausible number
+    with pytest.raises(BinegError):
+        call()
 
 
 class TestRegionBounds:
