@@ -23,8 +23,8 @@ from .errors import (
     OutOfRange,
     WrongDimension,
 )
-from .linalg import check_hermitian, dagger, frobenius_norm, kron, trace, transpose_factors
-from .states import _gaussian_matrices, as_generator
+from .linalg import check_hermitian, dagger, frobenius_norm, kron, transpose_factors
+from .states import _gaussian_matrices, _gram_state, as_generator
 
 COMPLETENESS_TOL = 1e-10
 
@@ -159,14 +159,6 @@ def _stinespring_kraus(v, count):
     return np.swapaxes(v.reshape(v.shape[:-2] + (2, count, 2)), -3, -2)
 
 
-def _local_unitary_kraus(raw):
-    """Kraus stack ``(..., 1, 4, 4)`` of ``U_A (x) U_B`` from 16 real
-    Gaussians per item: 8 for ``U_A``, then 8 for ``U_B``."""
-    raw = np.asarray(raw, dtype=float)
-    u = _isometry(_gaussian_matrices(raw.reshape(raw.shape[:-1] + (2, 8)), (2, 2)))
-    return kron(u[..., 0, :, :], u[..., 1, :, :])[..., None, :, :]
-
-
 def _local_kraus(raw, env_dim, on_a):
     """Kraus stack ``(..., env_dim, 4, 4)`` of ``E (x) id`` where ``on_a``
     holds, else ``id (x) E``, from ``8 env_dim`` real Gaussians per item:
@@ -181,7 +173,8 @@ def _local_kraus(raw, env_dim, on_a):
 def _one_way_locc_kraus(raw, n_outcomes):
     """Kraus stack ``(..., n_outcomes, 4, 4)`` of ``{M_i (x) V_i}`` from
     ``16 n_outcomes`` real Gaussians per item: ``8 n_outcomes`` for the
-    isometry behind A's instrument, then 8 for each outcome's unitary on B."""
+    isometry behind A's instrument, then 8 for each outcome's unitary on B.
+    One outcome gives the local unitary pair ``U_A (x) U_B``."""
     raw = np.asarray(raw, dtype=float)
     m = n_outcomes
     v = _isometry(_gaussian_matrices(raw[..., : 8 * m], (2 * m, 2)))
@@ -209,9 +202,9 @@ def haar_isometry(dim_in, dim_out, seed):
 
 
 def random_local_unitary_pair(seed):
-    """Single-Kraus channel ``U_A (x) U_B`` with independent Haar factors."""
-    raw = as_generator(seed).standard_normal(16)
-    return KrausChannel(tuple(_local_unitary_kraus(raw)), 4, 4)
+    """Single-Kraus channel ``U_A (x) U_B`` with independent Haar factors:
+    the one-outcome :func:`one_way_locc_channel`."""
+    return one_way_locc_channel(1, seed)
 
 
 def random_local_channel(side, env_dim, seed):
@@ -237,7 +230,8 @@ def one_way_locc_channel(n_outcomes, seed):
     The A instruments ``{M_i}`` are the ``n_outcomes`` Kraus operators of a
     Haar-random isometry, and each outcome triggers an independent Haar
     unitary ``V_i`` on B; the joint Kraus family is ``{M_i (x) V_i}``.
-    ``n_outcomes=1`` degenerates to a local channel on A alone.
+    ``n_outcomes=1`` gives a product of independent Haar unitaries
+    ``U_A (x) U_B``, which is :func:`random_local_unitary_pair`.
     """
     n_outcomes = int(n_outcomes)
     if n_outcomes < 1:
@@ -491,6 +485,19 @@ def _ppt_choi(stack, max_iter=10000, tol=1e-9):
     return (stack + dagger(stack)) / 2.0
 
 
+def _ppt_kraus(starts, max_iter=10000, tol=1e-9):
+    """``(choi, kraus, counts)`` of :func:`_ppt_choi` and :func:`_kraus_stack`
+    on finite starts ``(n, 16, 16)``, each item checked as :class:`ChoiMatrix`
+    and :class:`KrausChannel` check it."""
+    choi = _ppt_choi(starts, max_iter, tol)
+    if len(choi):  # the stacked checks need an item
+        _check_choi(choi, 4, 4)
+    kraus, counts = _kraus_stack(choi, 4, 4)
+    if len(choi):
+        _check_complete(kraus)
+    return choi, kraus, counts
+
+
 def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
     """Map Hermitian 16x16 start matrices into the set of two-qubit
     PPT-channel Choi matrices by Dykstra's projection algorithm.
@@ -507,6 +514,11 @@ def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
     eigensolves of items that Rayleigh quotients prove infeasible
     (:func:`_fails_ppt`), so the result is that of the exact test.
 
+    Any finite start is accepted, but convergence is known only near the set:
+    PSD starts of trace about 4e-3 to 8 converge within 400 rounds (the
+    sampler's have trace 4), while a Ginibre start of trace 4000 is still
+    infeasible after 10000 rounds and raises :class:`NoConvergence`.
+
     ``start`` is one matrix or a stack ``(..., 16, 16)``.  A stack is
     projected in one pass with a convergence test per item, and each item
     comes out bit for bit as it would alone.  Returns ``(ChoiMatrix,
@@ -520,8 +532,7 @@ def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
         raise WrongDimension(f"expected 16x16 start matrices, got {j.shape}")
     if not np.isfinite(j).all():
         raise OutOfRange("start matrices must be finite")
-    choi = _ppt_choi(j.reshape((-1, 16, 16)), max_iter, tol)
-    kraus, counts = _kraus_stack(choi, 4, 4)
+    choi, kraus, counts = _ppt_kraus(j.reshape((-1, 16, 16)), max_iter, tol)
     pairs = [
         (ChoiMatrix(m, 4, 4), KrausChannel(tuple(k[:c]), 4, 4))
         for m, k, c in zip(choi, kraus, counts)
@@ -530,16 +541,10 @@ def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
 
 
 def _ppt_start(raw):
-    """Start of the PPT sampler: a normalized Ginibre square, a random PSD
-    16x16 matrix of trace 4, from 512 real Gaussians per item.  An input
-    whose square has trace below 1e-30 starts from ``I / 4``."""
-    g = _gaussian_matrices(raw, (16, 16))
-    j = g @ dagger(g)
-    tr = np.asarray(trace(j).real)
-    tiny = tr <= 1e-30
-    start = 4.0 * j / np.where(tiny, 1.0, tr)[..., None, None]
-    start[tiny] = np.eye(16) / 4.0
-    return start
+    """Start of the PPT sampler: the Gram state of a 16x16 Ginibre matrix
+    scaled to trace 4, a random PSD matrix, from 512 real Gaussians per
+    item.  An input whose square has trace below 1e-30 starts from ``I / 4``."""
+    return 4.0 * _gram_state(_gaussian_matrices(raw, (16, 16)))
 
 
 def random_ppt_channel(seed, max_iter=10000, tol=1e-9):

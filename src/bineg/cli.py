@@ -130,6 +130,11 @@ def _write_text(out, text):
             f.write(text)
 
 
+def _csv_row(fields):
+    """A header line of the keys of ``fields`` and one line of its values."""
+    return ",".join(fields) + "\n" + ",".join(serialize._cell(x) for x in fields.values()) + "\n"
+
+
 def _emit_report(report, args):
     summary = (
         f"{report.op}: n={report.n_samples} violations={report.n_violations} "
@@ -137,10 +142,8 @@ def _emit_report(report, args):
     )
     print(summary, file=sys.stderr)
     if args.format == "csv":
-        header = ["op", "n_samples", "n_violations", "max_gap", "seed"]
-        row = [report.op, report.n_samples, report.n_violations, report.max_gap, report.seed]
-        lines = ",".join(header) + "\n" + ",".join(serialize._cell(x) for x in row) + "\n"
-        _write_text(args.out, lines)
+        keys = ("op", "n_samples", "n_violations", "max_gap", "seed")
+        _write_text(args.out, _csv_row({k: getattr(report, k) for k in keys}))
     else:
         _write_text(args.out, serialize.dumps(report.to_json_dict()))
 
@@ -148,25 +151,12 @@ def _emit_report(report, args):
 def _cmd_compute(args):
     rho, echo = parse_state_spec(args.state)
     rho = validate_density_matrix(rho)
-    triple, mu = measure_triple(rho), negative_eigvec_mu(rho)
-    ppt = is_ppt(rho)
-    result = dict(echo)
-    result.update(
-        {
-            "c": triple.c,
-            "nu": triple.nu,
-            "n2": triple.n2,
-            "mu": mu,
-            "is_ppt": ppt,
-        }
-    )
+    mu = negative_eigvec_mu(rho)
+    result = {**measure_triple(rho).to_json_dict(), "mu": mu, "is_ppt": is_ppt(rho)}
     if args.format == "csv":
-        header = ["c", "nu", "n2", "mu", "is_ppt"]
-        row = [triple.c, triple.nu, triple.n2, math.nan if mu is None else mu, ppt]
-        text = ",".join(header) + "\n" + ",".join(serialize._cell(x) for x in row) + "\n"
-        _write_text(args.out, text)
+        _write_text(args.out, _csv_row({**result, "mu": math.nan if mu is None else mu}))
     else:
-        _write_text(args.out, serialize.dumps(result))
+        _write_text(args.out, serialize.dumps({**echo, **result}))
     return EXIT_OK
 
 

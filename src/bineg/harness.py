@@ -8,8 +8,9 @@ report, not test failures.  Reports keep that distinction through the
 
 Every sampling sweep (``verify_ordering``, ``verify_region``,
 ``monotonicity_sweep``) runs through one path, ``_sweep``: fixed-size chunks,
-each on its own ``SeedSequence.spawn`` substream and processed one after
-another, become gaps per kind, every gap above ``tol`` becomes a record, and
+each on its own substream of the seed (``_spawn``) and processed one after
+another, become blocks of gaps per kind; ``_records``, which also checks the
+closed-form grid, turns every gap above ``tol`` into a record, and
 ``_report`` sorts the records into a ``SweepReport``, so a report is
 byte-identical for a given seed.  Each gap kind is defined once, and
 ``recompute_gap`` uses the same definitions.  Channel sweeps draw the raw
@@ -31,13 +32,10 @@ from . import serialize
 from .channels import (
     KrausChannel,
     _apply_kraus,
-    _check_choi,
     _check_complete,
-    _kraus_stack,
     _local_kraus,
-    _local_unitary_kraus,
     _one_way_locc_kraus,
-    _ppt_choi,
+    _ppt_kraus,
     _ppt_start,
     apply,
 )
@@ -152,12 +150,20 @@ class SweepReport:
         }
 
 
+def _spawn(seed, count):
+    """Generators on ``count`` substreams of ``seed``, each built only when
+    it is reached.  Raises :class:`OutOfRange` for a negative seed."""
+    seed = int(seed)
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
+    return map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count))
+
+
 def _chunks(seed, n):
     """``(rng, size)`` per fixed-size chunk of ``n`` draws, each chunk on its
     own substream of ``seed``."""
     sizes = [CHUNK] * (n // CHUNK) + ([n % CHUNK] if n % CHUNK else [])
-    for child, size in zip(np.random.SeedSequence(int(seed)).spawn(len(sizes)), sizes):
-        yield np.random.default_rng(child), size
+    return zip(_spawn(seed, len(sizes)), sizes)
 
 
 def _report(op, n_samples, max_gap, seed, config, violations, t0):
@@ -168,34 +174,33 @@ def _report(op, n_samples, max_gap, seed, config, violations, t0):
     return SweepReport(op, n_samples, len(violations), max_gap, int(seed), config, violations, runtime)
 
 
+def _records(op, seed, config, tol, blocks):
+    """The report of a check run over ``blocks``, an iterable of ``(states,
+    {kind: gaps}, extra_of)``.  Each gap above ``tol`` becomes a record whose
+    index counts the states of the blocks before it; ``extra_of`` maps the
+    record's index within its block to its ``channel`` or ``params``
+    keyword.  ``max_gap`` is the largest gap, skipping NaN, and the runtime
+    covers the iteration, so a lazy ``blocks`` is timed with its work."""
+    t0 = time.perf_counter()
+    violations, max_gap, offset = [], -math.inf, 0
+    for states, gaps, extra_of in blocks:
+        for kind, gap in gaps.items():
+            max_gap = float(np.fmax.reduce(gap, initial=max_gap))
+            for j in map(int, np.flatnonzero(gap > tol)):
+                state = serialize.complex_matrix_to_json(states[j])
+                violations.append(ViolationRecord(kind, float(gap[j]), int(seed), offset + j, state, **extra_of(j)))
+        offset += len(states)
+    return _report(op, offset, max_gap, seed, config, violations, t0)
+
+
 def _sweep(op, n, seed, config, tol, work):
-    """The loop of every sampling sweep.  ``work(rng, size)`` samples one
-    chunk and returns ``(states, {kind: gaps}, channel_of)``, where
-    ``channel_of`` maps the chunk index of each pair whose gap exceeds ``tol``
-    to its serialized channel (empty for state sweeps).  Each gap above
-    ``tol`` becomes a record; ``max_gap`` is the largest gap, skipping NaN."""
+    """The loop of every sampling sweep: ``work(rng, size)`` samples one
+    chunk and yields its blocks for :func:`_records`."""
     n = int(n)
     if n < 1:
         raise OutOfRange("n must be >= 1")
-    t0 = time.perf_counter()
-    violations, max_gap, offset = [], -math.inf, 0
-    for rng, size in _chunks(seed, n):
-        states, gaps, channel_of = work(rng, size)
-        for kind, gap in gaps.items():
-            max_gap = float(np.fmax.reduce(gap, initial=max_gap))
-            for j in np.flatnonzero(gap > tol):
-                violations.append(
-                    ViolationRecord(
-                        kind,
-                        float(gap[j]),
-                        int(seed),
-                        offset + int(j),
-                        serialize.complex_matrix_to_json(states[j]),
-                        channel=channel_of.get(int(j)),
-                    )
-                )
-        offset += size
-    return _report(op, n, max_gap, seed, config, violations, t0)
+    blocks = (block for rng, size in _chunks(seed, n) for block in work(rng, size))
+    return _records(op, seed, config, tol, blocks)
 
 
 def _ordering_gap(t):
@@ -231,28 +236,28 @@ def _bound_gaps(t):
     return {k: np.where(entangled, g, -math.inf) for k, g in gaps.items()}
 
 
+def _state_sweep(op, gaps_of, n, rank, seed, tol):
+    """Sweep of ``n`` random states of ``rank``, with gaps ``gaps_of(triple)``."""
+
+    def work(rng, size):
+        rho = random_mixed(rank, rng, size=size)
+        yield rho, gaps_of(measure_triple(rho)), lambda j: {}
+
+    return _sweep(op, n, seed, {"rank": int(rank), "tol": tol}, tol, work)
+
+
 def verify_ordering(n, rank=2, seed=42, tol=1e-9):
     """Sample ``n`` random states of the given rank and flag any break of
     ``n2 <= nu <= c`` beyond ``tol``.  Expected violations: zero; any hit is
     an implementation bug, not a finding."""
-
-    def work(rng, size):
-        rho = random_mixed(rank, rng, size=size)
-        return rho, {"ordering": _ordering_gap(measure_triple(rho))}, {}
-
-    return _sweep("verify_ordering", n, seed, {"rank": int(rank), "tol": tol}, tol, work)
+    return _state_sweep("verify_ordering", lambda t: {"ordering": _ordering_gap(t)}, n, rank, seed, tol)
 
 
 def verify_region(n, rank=2, seed=42, tol=1e-9):
     """Check every sampled entangled state against the conjectured bounds:
     the least-negativity curve, both binegativity lower curves, and the
     two-sided (c, nu, n2) region.  Violations are findings."""
-
-    def work(rng, size):
-        rho = random_mixed(rank, rng, size=size)
-        return rho, _bound_gaps(measure_triple(rho)), {}
-
-    return _sweep("verify_region", n, seed, {"rank": int(rank), "tol": tol}, tol, work)
+    return _state_sweep("verify_region", _bound_gaps, n, rank, seed, tol)
 
 
 def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
@@ -262,31 +267,17 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     g = int(grid_density)
     if g < 2:
         raise OutOfRange("grid density must be >= 2")
-    t0 = time.perf_counter()
-    axis = np.linspace(0.0, 1.0, g)
-    pg, qg, rg = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)).spawn(1)[0])
-    extra = rng.uniform(size=(100, 3))
-    p = np.concatenate([pg, extra[:, 0]])
-    q = np.concatenate([qg, extra[:, 1]])
-    r = np.concatenate([rg, extra[:, 2]])
-    rho = sigma_pqr(p, q, r)
-    want, _ = closed_form_pqr(p, q, r)
-    diff = _closed_form_gap(measure_triple(rho), want)
-    violations = []
-    for j in np.flatnonzero(diff > tol):
-        violations.append(
-            ViolationRecord(
-                "closed_form",
-                float(diff[j]),
-                int(seed),
-                int(j),
-                serialize.complex_matrix_to_json(rho[j]),
-                params={"p": float(p[j]), "q": float(q[j]), "r": float(r[j])},
-            )
-        )
-    config = {"grid_density": g, "tol": tol}
-    return _report("verify_closed_forms", int(p.size), float(diff.max()), seed, config, violations, t0)
+    rng = next(_spawn(seed, 1))
+
+    def grid():
+        axis = np.linspace(0.0, 1.0, g)
+        cube = np.meshgrid(axis, axis, axis, indexing="ij")
+        pqr = [np.concatenate([a.ravel(), e]) for a, e in zip(cube, rng.uniform(size=(100, 3)).T)]
+        rho = sigma_pqr(*pqr)
+        gap = _closed_form_gap(measure_triple(rho), closed_form_pqr(*pqr)[0])
+        yield rho, {"closed_form": gap}, lambda j: {"params": {k: float(v[j]) for k, v in zip("pqr", pqr)}}
+
+    return _records("verify_closed_forms", seed, {"grid_density": g, "tol": tol}, tol, grid())
 
 
 def _draw_structure(kind, rng):
@@ -345,19 +336,14 @@ def _build_pairs(kind, structures, state_raw, channel_raw):
     rank = state_raw.shape[-1] // 8
     rho = _gram_state(_gaussian_matrices(state_raw, (4, rank)))
     if kind == "ppt":
-        choi = _ppt_choi(_ppt_start(np.stack(channel_raw)))
-        _check_choi(choi, 4, 4)
-        kraus, counts = _kraus_stack(choi, 4, 4)
-        _check_complete(kraus)
+        _, kraus, counts = _ppt_kraus(_ppt_start(np.stack(channel_raw)))
         return rho, kraus, counts.tolist()
     counts = [s[0] for s in structures]
     kraus = np.zeros((n, max(counts), 4, 4), dtype=complex)
     for count in sorted(set(counts)):
         idx = [i for i in range(n) if counts[i] == count]
         raw = np.stack([channel_raw[i] for i in idx])
-        if kind == "local_unitary":
-            ops = _local_unitary_kraus(raw)
-        elif kind == "local":
+        if kind == "local":
             ops = _local_kraus(raw, count, np.array([structures[i][1] for i in idx]))
         else:
             ops = _one_way_locc_kraus(raw, count)
@@ -373,6 +359,11 @@ def _gaps(rho, kraus):
     return n2[: len(rho)] - n2[len(rho) :]
 
 
+def _channel_of(kraus, counts):
+    """Map of a pair's index in a block to its serialized channel, padding dropped."""
+    return lambda j: {"channel": KrausChannel(tuple(kraus[j, : counts[j]]), 4, 4).to_json_dict()}
+
+
 def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9):
     """Sample (state, channel) pairs and flag every pair where the channel
     RAISES the binegativity by more than ``tol``.
@@ -382,25 +373,14 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
     report's ``max_gap`` tracks the largest signed increase even when it
     stays below tolerance.
     """
-    if channel_kind not in CHANNEL_KINDS:
-        raise OutOfRange(
-            f"unknown channel kind {channel_kind!r}; choose from {CHANNEL_KINDS}"
-        )
     rank = _check_rank(rank)
 
     def work(rng, size):
-        states, gaps, channel_of = [], [], {}
         for first in range(0, size, PAIR_BLOCK):
             count = min(PAIR_BLOCK, size - first)
             state_raw, structures, channel_raw = _draw_pairs(channel_kind, rank, rng, count)
             rho, kraus, counts = _build_pairs(channel_kind, structures, state_raw, channel_raw)
-            gap = _gaps(rho, kraus)
-            for j in np.flatnonzero(gap > tol):
-                ch = KrausChannel(tuple(kraus[j, : counts[j]]), 4, 4)
-                channel_of[first + int(j)] = ch.to_json_dict()
-            states.append(rho)
-            gaps.append(gap)
-        return np.concatenate(states), {"monotonicity": np.concatenate(gaps)}, channel_of
+            yield rho, {"monotonicity": _gaps(rho, kraus)}, _channel_of(kraus, counts)
 
     config = {"channel_kind": channel_kind, "rank": int(rank), "tol": tol}
     return _sweep("monotonicity_sweep", n_pairs, seed, config, tol, work)
@@ -432,7 +412,7 @@ def counterexample_search(
         raise OutOfRange("need restarts >= 1 and steps >= 0")
     rank = _check_rank(rank)
     t0 = time.perf_counter()
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(int(seed)).spawn(restarts)]
+    rngs = list(_spawn(seed, restarts))
     structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
     split = 8 * int(rank)  # a parameter vector is the state's Gaussians, then the channel's
 
@@ -463,7 +443,7 @@ def counterexample_search(
                 int(seed),
                 best_idx,
                 serialize.complex_matrix_to_json(rho[0]),
-                channel=KrausChannel(tuple(kraus[0, : counts[0]]), 4, 4).to_json_dict(),
+                **_channel_of(kraus, counts)(0),
             )
         )
     config = {

@@ -81,11 +81,6 @@ def dumps(obj):
     return _emit(obj, 0) + "\n"
 
 
-def write_json(path, obj):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps(obj))
-
-
 def write_csv(path, header, rows):
     """Comma-separated file with a header row and LF line endings.
 

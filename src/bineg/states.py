@@ -173,13 +173,14 @@ def _check_rank(rank):
 
 
 def _gram_state(g):
-    """Density matrices ``G G^dagger / Tr`` of complex matrices ``(..., 4,
-    k)``; the maximally mixed state where the trace is below 1e-30."""
+    """Density matrices ``G G^dagger / Tr`` of complex matrices ``(..., d,
+    k)``; the maximally mixed state ``I / d`` where the trace is below 1e-30."""
     m = g @ dagger(g)
     tr = np.asarray(trace(m).real)
     tiny = tr <= 1e-30
     rho = m / np.where(tiny, 1.0, tr)[..., None, None]
-    rho[tiny] = np.eye(4) / 4.0
+    d = m.shape[-1]
+    rho[tiny] = np.eye(d) / d
     return rho
 
 

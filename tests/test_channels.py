@@ -13,7 +13,10 @@ from bineg.channels import (
     _check_complete,
     _cone_defects,
     _fails_ppt,
+    _isometry,
     _kraus_stack,
+    _one_way_locc_kraus,
+    _ppt_start,
     apply,
     choi_from_kraus,
     haar_isometry,
@@ -35,7 +38,7 @@ from bineg.errors import (
 )
 from bineg.linalg import dagger, frobenius_distance, kron, partial_transpose, transpose_factors
 from bineg.measures import binegativity, concurrence, negativity
-from bineg.states import is_ppt, random_mixed, sigma_pqr
+from bineg.states import _gaussian_matrices, is_ppt, random_mixed, sigma_pqr
 
 IDENTITY = KrausChannel((np.eye(4, dtype=complex),), 4, 4)
 
@@ -206,6 +209,14 @@ class TestOneWayLocc:
         assert len(ch.kraus_ops) == 1
         u = ch.kraus_ops[0]
         assert_allclose(u @ dagger(u), np.eye(4), atol=1e-12)
+
+    def test_single_outcome_kraus_is_the_local_unitary_pair(self):
+        # the identity that builds local unitary pairs as one-outcome LOCC
+        # channels: 8 Gaussians make U_A, the next 8 make U_B
+        raw = np.random.default_rng(517).standard_normal((64, 16))
+        u_a = _isometry(_gaussian_matrices(raw[:, :8], (2, 2)))
+        u_b = _isometry(_gaussian_matrices(raw[:, 8:], (2, 2)))
+        assert np.array_equal(_one_way_locc_kraus(raw, 1)[:, 0], kron(u_a, u_b))
 
     def test_outcome_count(self):
         for m in (1, 2, 3, 4):
@@ -443,6 +454,18 @@ def reference_projection(start, tol=1e-9):
         if cone_defect(j) <= 1e-12:
             break
     return (j + dagger(j)) / 2.0
+
+
+class TestPptStart:
+    def test_gram_state_scaled_to_trace_four_with_identity_fallback(self):
+        raw = np.random.default_rng(519).standard_normal((3, 512))
+        raw[1] = 0.0
+        starts = _ppt_start(raw)
+        assert np.array_equal(starts[1], np.eye(16) / 4.0)
+        for i in (0, 2):
+            g = _gaussian_matrices(raw[i], (16, 16))
+            j = g @ dagger(g)
+            assert np.array_equal(starts[i], 4.0 * j / np.trace(j).real)
 
 
 class TestStackedProjection:

@@ -257,6 +257,26 @@ class TestSeedResolution:
         )
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "ordering", "--samples", "5"],
+            ["search", "--restarts", "1", "--steps", "1"],
+        ],
+    )
+    def test_negative_seed_flag_is_an_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == EXIT_HARD
+        assert err.startswith("bineg: error:") and "seed" in err
+        assert out == ""
+        assert run_cli(capsys, *argv, "--seed", "0")[0] == EXIT_OK
+
+    def test_negative_env_seed_is_an_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BINEG_SEED", "-3")
+        code, _, err = run_cli(capsys, "figure", "fig1", "--samples", "5", "--out", str(tmp_path))
+        assert code == EXIT_HARD
+        assert err.startswith("bineg: error:") and "seed" in err
+
     def test_bad_env_seed_is_parse_error(self, capsys, monkeypatch):
         monkeypatch.setenv("BINEG_SEED", "not-a-number")
         code, _, err = run_cli(capsys, "verify", "ordering", "--samples", "10")

@@ -7,7 +7,7 @@ counts are frozen from high-precision audits of the same seeds.
 import numpy as np
 import pytest
 
-from bineg import harness
+from bineg import channels, harness
 from bineg.channels import (
     KrausChannel,
     _apply_kraus,
@@ -188,11 +188,40 @@ class TestVerifyClosedForms:
         assert set(v.params) == {"p", "q", "r"}
         assert recompute_gap(v) == pytest.approx(v.observed_gap, abs=1e-12)
 
+    def test_max_gap_skips_nan(self, monkeypatch):
+        gap = harness._closed_form_gap
+
+        def with_nan(got, want):
+            out = gap(got, want)
+            out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(harness, "_closed_form_gap", with_nan)
+        rep = verify_closed_forms(grid_density=3, seed=8)
+        assert np.isfinite(rep.max_gap) and rep.max_gap <= 1e-13
+        assert rep.n_violations == 0
+
     def test_record_without_params_cannot_be_recomputed(self):
         v = verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0]
         bare = ViolationRecord(v.kind, v.observed_gap, v.seed, v.index, v.state)
         with pytest.raises(OutOfRange, match="params"):
             recompute_gap(bare)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda seed: verify_ordering(5, seed=seed),
+            lambda seed: verify_closed_forms(grid_density=2, seed=seed),
+            lambda seed: counterexample_search(restarts=1, steps=1, seed=seed),
+            lambda seed: monotonicity_sweep(2, seed=seed),
+        ],
+    )
+    def test_negative_seed_raises_and_zero_runs(self, run):
+        with pytest.raises(OutOfRange, match="seed"):
+            run(-1)
+        assert run(0).seed == 0
 
 
 class TestMonotonicitySweep:
@@ -286,16 +315,16 @@ class TestMonotonicitySweep:
             monotonicity_sweep(40, channel_kind="one_way_locc", seed=8)
 
     def test_spoiled_ppt_choi_in_a_block_raises(self, monkeypatch):
-        project = harness._ppt_choi
+        project = channels._ppt_choi
 
-        def spoiled(starts):
-            choi = project(starts)
+        def spoiled(starts, *budget):
+            choi = project(starts, *budget)
             choi[1] *= 1.0 + 1e-8
             return choi
 
         # the Choi check names the partial trace; the completeness check,
         # which this spoil also fails, would name sum K^dagger K
-        monkeypatch.setattr(harness, "_ppt_choi", spoiled)
+        monkeypatch.setattr(channels, "_ppt_choi", spoiled)
         with pytest.raises(NotTracePreserving, match="partial trace"):
             monotonicity_sweep(5, channel_kind="ppt", seed=8)
 

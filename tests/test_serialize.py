@@ -12,7 +12,6 @@ from bineg.serialize import (
     dumps,
     fmt_float,
     write_csv,
-    write_json,
 )
 
 
@@ -75,13 +74,6 @@ class TestDumps:
 
 
 class TestFiles:
-    def test_write_json_bytes_stable(self, tmp_path):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        payload = {"m": complex_matrix_to_json(np.eye(2, dtype=complex))}
-        write_json(p1, payload)
-        write_json(p2, payload)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_write_csv_unix_line_endings(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, ["x", "y"], [[0.5, "a"], [1.5, "b"]])

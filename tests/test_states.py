@@ -8,6 +8,7 @@ from bineg.errors import InfeasibleRegion, InvalidState, OutOfRange
 from bineg.linalg import dagger, frobenius_distance, partial_transpose
 from bineg.measures import boundary_p_range, concurrence, negativity, nu_of_c
 from bineg.states import (
+    _gram_state,
     as_generator,
     boundary_family,
     is_ppt,
@@ -227,6 +228,10 @@ class TestRandomSampling:
         nu = negativity(random_mixed(4, 19, size=10_000))
         frac = np.mean(nu > 0)
         assert 0.0 < frac < 1.0
+
+    def test_gram_state_of_zero_matrix_is_maximally_mixed(self):
+        for k in (1, 3):
+            assert np.array_equal(_gram_state(np.zeros((4, k), dtype=complex)), np.eye(4) / 4.0)
 
     def test_rank_out_of_range(self):
         with pytest.raises(OutOfRange):
