@@ -7,20 +7,27 @@ report, not test failures.  Reports keep that distinction through the
 ``HARD_KINDS`` / ``CONJECTURE_KINDS`` split.
 
 Every sampling sweep (``verify_ordering``, ``verify_region``,
-``monotonicity_sweep``) runs through one path, ``_sweep``: fixed-size chunks,
-each on its own substream of the seed (``_spawn``) and processed one after
-another, become blocks of gaps per kind; ``_records``, which also checks the
-closed-form grid, turns every gap above ``tol`` into a record, and
-``_report`` sorts the records into a ``SweepReport``, so a report is
-byte-identical for a given seed.  Each gap kind is defined once, and
-``recompute_gap`` uses the same definitions.  Channel sweeps draw the raw
-Gaussians of each pair in the samplers' order, then build, apply and measure
-a block of pairs in stacked calls that give each pair the bits of a one-pair
-run.
+``monotonicity_sweep``) runs through one path, ``_sweep``: the draws are cut
+into fixed-size chunks, each on its own substream of the seed (``_chunks``);
+``_sweep_chunk`` turns a chunk into blocks of gaps per kind and serializes
+the states that will become records; ``_records``, which also checks the
+closed-form grid, turns every gap above ``tol`` into a record; and
+``_report`` sorts the records into a ``SweepReport``.  No chunk depends on
+another, so ``_chunk_map`` spreads the chunks of a sweep, and of the
+``figure_data`` scatter, over the usable CPUs in forked workers and reads
+the results back in chunk order: a report is byte-identical for a given
+seed, and to a one-process run.  There is no option for it; a sweep of one
+chunk, or on one CPU, runs in the calling process.  Each gap kind is
+defined once, and ``recompute_gap`` uses the same definitions.  Channel
+sweeps draw the raw Gaussians of each pair in the samplers' order, then
+build, apply and measure a block of pairs in stacked calls that give each
+pair the bits of a one-pair run.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 import time
@@ -151,19 +158,104 @@ class SweepReport:
 
 
 def _spawn(seed, count):
-    """Generators on ``count`` substreams of ``seed``, each built only when
-    it is reached.  Raises :class:`OutOfRange` for a negative seed."""
+    """``count`` substreams of ``seed``, as ``SeedSequence`` children.
+    Raises :class:`OutOfRange` for a negative seed."""
     seed = int(seed)
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
-    return map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count))
+    return np.random.SeedSequence(seed).spawn(count)
 
 
 def _chunks(seed, n):
-    """``(rng, size)`` per fixed-size chunk of ``n`` draws, each chunk on its
-    own substream of ``seed``."""
+    """``(substream, size)`` per fixed-size chunk of ``n`` draws, each chunk
+    on its own substream of ``seed``.  Raises :class:`OutOfRange` for
+    ``n < 1``."""
+    n = int(n)
+    if n < 1:
+        raise OutOfRange("n must be >= 1")
     sizes = [CHUNK] * (n // CHUNK) + ([n % CHUNK] if n % CHUNK else [])
-    return zip(_spawn(seed, len(sizes)), sizes)
+    return list(zip(_spawn(seed, len(sizes)), sizes))
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _serve(task, chunks, recv, conn):
+    """The work of one forked worker of :func:`_chunk_map`: send ``(True,
+    task(chunk))`` for each of ``chunks`` in order, or ``(False, error)``
+    for the first that raises, and stop there."""
+    # the caller is then the pipe's only reader: should it die, the next
+    # send fails and this worker ends, which frees the earlier workers' pipes
+    recv.close()
+    try:
+        for chunk in chunks:
+            conn.send((True, task(chunk)))
+    except BrokenPipeError:  # the caller has died; there is no one to tell
+        return
+    except Exception as exc:  # the caller raises it in its own process
+        conn.send((False, exc))
+
+
+def _results(conns, count):
+    """The ``count`` results of :func:`_serve` workers that share out the
+    chunks in turn, read back in chunk order.  Raises ChildProcessError if
+    a worker ends without sending its next result."""
+    for i in range(count):
+        try:
+            ok, value = conns[i % len(conns)].recv()
+        except EOFError:
+            raise ChildProcessError(f"a worker ended before sending the result of chunk {i}") from None
+        if not ok:
+            raise value
+        yield value
+
+
+@contextlib.contextmanager
+def _chunk_map(task, chunks):
+    """``task(chunk)`` for each of ``chunks``, as an iterator in chunk order.
+
+    With more than one chunk and more than one usable CPU, forked workers,
+    one per CPU up to one per chunk, compute them, worker ``k`` the chunks
+    ``k, k + workers, ...``; otherwise builtin ``map`` does, in this
+    process, as it does where ``fork`` does not exist and in a daemonic
+    process, which may not have children.  Forked workers inherit ``task``,
+    which may be a closure, and the loaded modules; spawned ones would
+    import numpy again for every sweep.  Their results are read in this
+    thread, so they are allocated where a serial run allocates them, and a
+    worker that runs ahead of the reader waits once its pipe is full.  The
+    workers are stopped and joined when the ``with`` block exits, whether
+    it returns or raises; an error of a worker reaches the caller with its
+    type and message.
+    """
+    workers = min(_usable_cpus(), len(chunks))
+    if workers > 1 and hasattr(os, "fork"):
+        import multiprocessing
+
+        if not multiprocessing.current_process().daemon:
+            context = multiprocessing.get_context("fork")
+            conns, procs = [], []
+            try:
+                for k in range(workers):
+                    recv, send = context.Pipe(duplex=False)
+                    conns.append(recv)
+                    proc = context.Process(target=_serve, args=(task, chunks[k::workers], recv, send), daemon=True)
+                    proc.start()
+                    procs.append(proc)
+                    send.close()  # the worker has its own copy; its exit then ends the pipe
+                yield _results(conns, len(chunks))
+            finally:
+                for proc in procs:
+                    proc.terminate()  # a worker that is done has exited or is exiting
+                    proc.join()
+                for recv in conns:
+                    recv.close()
+            return
+    yield map(task, chunks)
 
 
 def _report(op, n_samples, max_gap, seed, config, violations, t0):
@@ -174,33 +266,50 @@ def _report(op, n_samples, max_gap, seed, config, violations, t0):
     return SweepReport(op, n_samples, len(violations), max_gap, int(seed), config, violations, runtime)
 
 
+def _block(tol, states, gaps, extra_of):
+    """A block of ``states`` with ``{kind: gaps}`` in the form that
+    :func:`_records` takes: ``(count, gaps, rows)``, where ``rows`` maps each
+    index whose gap exceeds ``tol`` in any kind to its serialized state and
+    its ``extra_of(j)`` keywords, the record's ``channel`` or ``params``.
+    Only those states are serialized, and only they leave a worker."""
+    over = np.flatnonzero(np.logical_or.reduce([gap > tol for gap in gaps.values()]))
+    rows = {j: (serialize.complex_matrix_to_json(states[j]), extra_of(j)) for j in map(int, over)}
+    return len(states), gaps, rows
+
+
 def _records(op, seed, config, tol, blocks):
-    """The report of a check run over ``blocks``, an iterable of ``(states,
-    {kind: gaps}, extra_of)``.  Each gap above ``tol`` becomes a record whose
-    index counts the states of the blocks before it; ``extra_of`` maps the
-    record's index within its block to its ``channel`` or ``params``
-    keyword.  ``max_gap`` is the largest gap, skipping NaN, and the runtime
-    covers the iteration, so a lazy ``blocks`` is timed with its work."""
+    """The report of a check run over ``blocks``, an iterable of
+    :func:`_block` results.  Each gap above ``tol`` becomes a record whose
+    index counts the states of the blocks before it.  ``max_gap`` is the
+    largest gap, skipping NaN, and the runtime covers the iteration, so a
+    lazy ``blocks`` is timed with its work."""
     t0 = time.perf_counter()
     violations, max_gap, offset = [], -math.inf, 0
-    for states, gaps, extra_of in blocks:
+    for count, gaps, rows in blocks:
         for kind, gap in gaps.items():
             max_gap = float(np.fmax.reduce(gap, initial=max_gap))
             for j in map(int, np.flatnonzero(gap > tol)):
-                state = serialize.complex_matrix_to_json(states[j])
-                violations.append(ViolationRecord(kind, float(gap[j]), int(seed), offset + j, state, **extra_of(j)))
-        offset += len(states)
+                state, extra = rows[j]
+                violations.append(ViolationRecord(kind, float(gap[j]), int(seed), offset + j, state, **extra))
+        offset += count
     return _report(op, offset, max_gap, seed, config, violations, t0)
+
+
+def _sweep_chunk(work, tol, chunk):
+    """The :func:`_block` results of one chunk: ``work(rng, size)`` on the
+    chunk's substream yields its blocks of ``(states, {kind: gaps},
+    extra_of)``."""
+    seq, size = chunk
+    return [_block(tol, *block) for block in work(np.random.default_rng(seq), size)]
 
 
 def _sweep(op, n, seed, config, tol, work):
     """The loop of every sampling sweep: ``work(rng, size)`` samples one
-    chunk and yields its blocks for :func:`_records`."""
-    n = int(n)
-    if n < 1:
-        raise OutOfRange("n must be >= 1")
-    blocks = (block for rng, size in _chunks(seed, n) for block in work(rng, size))
-    return _records(op, seed, config, tol, blocks)
+    chunk, the chunks map through :func:`_chunk_map`, and their blocks reach
+    :func:`_records` in chunk order."""
+    task = functools.partial(_sweep_chunk, work, tol)
+    with _chunk_map(task, _chunks(seed, n)) as results:
+        return _records(op, seed, config, tol, (block for blocks in results for block in blocks))
 
 
 def _ordering_gap(t):
@@ -267,7 +376,7 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     g = int(grid_density)
     if g < 2:
         raise OutOfRange("grid density must be >= 2")
-    rng = next(_spawn(seed, 1))
+    rng = np.random.default_rng(_spawn(seed, 1)[0])
 
     def grid():
         axis = np.linspace(0.0, 1.0, g)
@@ -275,7 +384,11 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
         pqr = [np.concatenate([a.ravel(), e]) for a, e in zip(cube, rng.uniform(size=(100, 3)).T)]
         rho = sigma_pqr(*pqr)
         gap = _closed_form_gap(measure_triple(rho), closed_form_pqr(*pqr)[0])
-        yield rho, {"closed_form": gap}, lambda j: {"params": {k: float(v[j]) for k, v in zip("pqr", pqr)}}
+
+        def params(j):
+            return {"params": {k: float(v[j]) for k, v in zip("pqr", pqr)}}
+
+        yield _block(tol, rho, {"closed_form": gap}, params)
 
     return _records("verify_closed_forms", seed, {"grid_density": g, "tol": tol}, tol, grid())
 
@@ -330,7 +443,9 @@ def _build_pairs(kind, structures, state_raw, channel_raw):
     Choi matrix that fails the checks of :class:`ChoiMatrix`.
     """
     raw = np.concatenate([state_raw.ravel(), *channel_raw])
-    if not np.isfinite(raw @ raw):
+    # a ufunc sum, not ``raw @ raw``: a BLAS dot this long wakes a second
+    # OpenBLAS thread, which then spins on another core
+    if not np.isfinite(np.square(raw).sum()):
         raise OutOfRange("raw Gaussians of the pairs must have a finite sum of squares")
     n = len(structures)
     rank = state_raw.shape[-1] // 8
@@ -412,7 +527,7 @@ def counterexample_search(
         raise OutOfRange("need restarts >= 1 and steps >= 0")
     rank = _check_rank(rank)
     t0 = time.perf_counter()
-    rngs = list(_spawn(seed, restarts))
+    rngs = list(map(np.random.default_rng, _spawn(seed, restarts)))
     structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
     split = 8 * int(rank)  # a parameter vector is the state's Gaussians, then the channel's
 
@@ -457,9 +572,17 @@ def counterexample_search(
     return _report("counterexample_search", restarts * (steps + 1), best_f, seed, config, violations, t0)
 
 
+def _scatter_chunk(rank, chunk):
+    """``(c, nu, n2)`` of one chunk of random states of ``rank``."""
+    seq, size = chunk
+    t = measure_triple(random_mixed(rank, np.random.default_rng(seq), size=size))
+    return t.c, t.nu, t.n2
+
+
 def _scatter_triples(n, rank, seed):
-    triples = [measure_triple(random_mixed(rank, rng, size=size)) for rng, size in _chunks(seed, int(n))]
-    return (np.concatenate([getattr(t, k) for t in triples]) for k in ("c", "nu", "n2"))
+    with _chunk_map(functools.partial(_scatter_chunk, rank), _chunks(seed, n)) as triples:
+        columns = list(zip(*triples))
+    return (np.concatenate(column) for column in columns)
 
 
 def figure_data(which, n, rank=2, seed=42, out_dir="."):
@@ -475,8 +598,8 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
     """
     if which not in ("fig1", "fig2", "fig3"):
         raise OutOfRange(f"unknown figure {which!r}; choose fig1, fig2 or fig3")
-    os.makedirs(out_dir, exist_ok=True)
     c, nu, n2 = _scatter_triples(n, rank, seed)
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
 
     def emit(name, header, *columns):

@@ -273,9 +273,11 @@ class TestSeedResolution:
 
     def test_negative_env_seed_is_an_error(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("BINEG_SEED", "-3")
-        code, _, err = run_cli(capsys, "figure", "fig1", "--samples", "5", "--out", str(tmp_path))
+        out = tmp_path / "newdir"
+        code, _, err = run_cli(capsys, "figure", "fig1", "--samples", "5", "--out", str(out))
         assert code == EXIT_HARD
         assert err.startswith("bineg: error:") and "seed" in err
+        assert not out.exists()
 
     def test_bad_env_seed_is_parse_error(self, capsys, monkeypatch):
         monkeypatch.setenv("BINEG_SEED", "not-a-number")
@@ -432,6 +434,14 @@ class TestFigure:
         ]
         for name in files:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_an_error(self, capsys, tmp_path, samples):
+        out = tmp_path / "newdir"
+        code, _, err = run_cli(capsys, "figure", "fig1", "--samples", samples, "--out", str(out))
+        assert code == EXIT_HARD
+        assert err.startswith("bineg: error:") and "n must be >= 1" in err
+        assert not out.exists()
 
 
 class TestInstalledEntryPoint:

@@ -4,6 +4,11 @@ Sweeps run on reduced sample counts with fixed seeds; expected finding
 counts are frozen from high-precision audits of the same seeds.
 """
 
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -171,6 +176,137 @@ class TestStateSweepChunks:
         assert indices[0] < CHUNK <= indices[-1]
         if sweep is verify_ordering:
             assert indices == list(range(n))
+
+
+def serial(monkeypatch):
+    """Make every sweep take the one-process path, as on a one-CPU host."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+
+
+def forked(monkeypatch):
+    """Make every sweep of more than one chunk fork two workers, whatever
+    the host's CPU count."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+
+class TestChunkWorkers:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_mapping_is_chosen_by_cpus_and_chunks(self, monkeypatch, cpus):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        for chunks in ([0], [0, 1, 2]):
+            with harness._chunk_map(lambda chunk: (chunk, os.getpid()), chunks) as results:
+                got = list(results)
+            assert [chunk for chunk, _ in got] == chunks  # in chunk order
+            forked = cpus > 1 and len(chunks) > 1
+            assert all((pid != os.getpid()) == forked for _, pid in got)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda: verify_region(CHUNK + 6, seed=12, tol=-1.0),
+            lambda: verify_ordering(CHUNK + 6, seed=12, tol=-1.0),
+            lambda: monotonicity_sweep(CHUNK + 6, channel_kind="local", seed=12, tol=-1.0),
+        ],
+        ids=["verify_region", "verify_ordering", "monotonicity_local"],
+    )
+    def test_workers_give_the_serial_report_bytes(self, monkeypatch, sweep):
+        # compared line by line: a diff of two whole reports would take minutes
+        forked(monkeypatch)
+        got = dumps(sweep().to_json_dict()).splitlines()
+        assert multiprocessing.active_children() == []
+        serial(monkeypatch)
+        assert got == dumps(sweep().to_json_dict()).splitlines()
+
+    def test_workers_give_the_serial_figure_sheets(self, monkeypatch, tmp_path):
+        sheets = {}
+        for name, force in (("forked", forked), ("serial", serial)):
+            force(monkeypatch)
+            paths = figure_data("fig3", 2 * CHUNK + 6, seed=12, out_dir=str(tmp_path / name))
+            assert multiprocessing.active_children() == []
+            sheets[name] = [open(p, "rb").read().splitlines() for p in paths]
+        assert len(sheets["forked"][0]) == 2 * CHUNK + 7  # header and every state
+        assert sheets["forked"] == sheets["serial"]
+
+    def test_block_ships_only_the_states_over_tol_in_any_kind(self):
+        states = random_mixed(2, 3, size=4)
+        gaps = {"first": np.array([1.0, 0.0, np.nan, 0.0]), "last": np.array([0.0, 0.0, 0.0, 1.0])}
+        count, got, rows = harness._block(0.5, states, gaps, lambda j: {"params": {"j": j}})
+        assert count == 4 and got is gaps
+        assert rows == {j: (complex_matrix_to_json(states[j]), {"params": {"j": j}}) for j in (0, 3)}
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        build = harness._one_way_locc_kraus
+
+        def spoiled(raw, m):
+            ops = build(raw, m)
+            ops[-1] *= 1.0 + 1e-9
+            return ops
+
+        monkeypatch.setattr(harness, "_one_way_locc_kraus", spoiled)
+        errors = []
+        for force in (forked, serial):
+            force(monkeypatch)
+            with pytest.raises(NotTracePreserving) as info:
+                monotonicity_sweep(CHUNK + 40, channel_kind="one_way_locc", seed=8)
+            assert multiprocessing.active_children() == []
+            errors.append(info.value)
+        assert [type(e) for e in errors] == [NotTracePreserving] * 2
+        assert str(errors[0]) == str(errors[1])
+
+    @staticmethod
+    def run_fresh(body):
+        """stdout of ``body`` run with two forced CPUs in a fresh interpreter,
+        which bounds a wait that broken workers would not end."""
+        code = "import multiprocessing, os\nfrom bineg import harness\nharness._usable_cpus = lambda: 2\n" + body
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True).stdout
+
+    def test_leaving_early_stops_the_workers(self):
+        # results larger than a pipe's buffer keep the workers blocked in
+        # send, so the workers must be stopped, not waited for
+        out = self.run_fresh(
+            "try:\n"
+            "    with harness._chunk_map(lambda chunk: bytes(1 << 20), list(range(8))) as results:\n"
+            "        next(results)\n"
+            "        raise KeyError('stop')\n"
+            "except KeyError:\n"
+            "    print(len(multiprocessing.active_children()))\n"
+        )
+        assert out.strip() == "0"
+
+    def test_worker_that_dies_is_an_error_not_a_hang(self):
+        out = self.run_fresh(
+            "try:\n"
+            "    with harness._chunk_map(lambda chunk: os._exit(3) if chunk == 3 else chunk, list(range(6))) as results:\n"
+            "        print(list(results))\n"
+            "except ChildProcessError as exc:\n"
+            "    print(exc, len(multiprocessing.active_children()))\n"
+        )
+        assert out.strip() == "a worker ended before sending the result of chunk 3 0"
+
+    def test_daemonic_process_runs_serially(self, monkeypatch):
+        # a daemonic process may not have children, so its sweeps do not fork
+        forked(monkeypatch)
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+
+        def child():
+            queue.put(dumps(verify_ordering(CHUNK + 6, seed=12, tol=-1.0).to_json_dict()))
+
+        proc = context.Process(target=child, daemon=True)
+        proc.start()
+        got = queue.get(timeout=60)
+        proc.join(timeout=60)
+        assert not proc.is_alive() and proc.exitcode == 0
+        assert got.splitlines() == dumps(verify_ordering(CHUNK + 6, seed=12, tol=-1.0).to_json_dict()).splitlines()
+
+    def test_import_loads_no_process_machinery(self):
+        code = (
+            "import sys, bineg, bineg.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestVerifyClosedForms:
@@ -365,11 +501,12 @@ class TestCounterexampleSearch:
         with pytest.raises(OutOfRange):
             counterexample_search(channel_kind="local", restarts=1, steps=2, seed=1, rank=rank)
 
-    @pytest.mark.parametrize("step_size", [1e308, 1e200])
+    @pytest.mark.parametrize("step_size", [1e308, 1e200, 1e160])
     @pytest.mark.parametrize("kind", ["ppt", "local_unitary"])
     def test_overflowing_steps_are_out_of_range(self, kind, step_size):
-        # 1e308 steps overflow to inf, 1e200 steps square to inf in the Gram
-        # products; both used to end in a LinAlgError from the eigensolver
+        # 1e308 steps overflow to inf, 1e200 and 1e160 steps square to inf in
+        # the Gram products; both used to end in a LinAlgError from the
+        # eigensolver
         with np.errstate(over="ignore"), pytest.raises(OutOfRange, match="sum of squares"):
             counterexample_search(channel_kind=kind, restarts=2, steps=2, step_size=step_size, seed=8)
 
@@ -476,3 +613,10 @@ class TestFigureData:
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(OutOfRange):
             figure_data("fig4", 10, out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_empty_run_before_creating_the_directory(self, tmp_path, n):
+        out = tmp_path / "new"
+        with pytest.raises(OutOfRange, match="n must be >= 1"):
+            figure_data("fig1", n, out_dir=str(out))
+        assert not out.exists()
