@@ -84,7 +84,6 @@ from .states import (
     phi_plus,
     phi_q,
     projector,
-    psi_minus_0011,
     psi_r,
     random_mixed,
     random_pure,

@@ -219,7 +219,6 @@ def build_parser():
         required=True,
         help="rho1 | rho2 | mems:c | sigma_pqr:p,q,r | boundary:c,nu,p | path to JSON matrix",
     )
-    compute.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     compute.add_argument("--format", choices=("json", "csv"), default="json")
     compute.add_argument("--out", default=None, help="output path (default: stdout)")
     compute.set_defaults(func=_cmd_compute)
@@ -227,7 +226,8 @@ def build_parser():
     verify = commands.add_parser(
         "verify",
         help="property and bound sweeps",
-        description="ordering and closed-forms violations are hard failures (exit 1); region violations are findings (exit 2).",
+        description="ordering, closed-forms and least-negativity (bound_eq4) violations are hard failures (exit 1); "
+        "the other region violations are findings (exit 2).",
     )
     variants = verify.add_subparsers(dest="which", required=True)
     for which, sweep in (("ordering", harness.verify_ordering), ("region", harness.verify_region)):

@@ -1,32 +1,33 @@
 """Verification sweeps for the measure properties and conjectures.
 
-Proven facts (the measure ordering, the closed forms) are hard checks: a
-violation means an implementation bug.  The bound curves, the (c, nu, n2)
-region, and channel monotonicity are conjectures: violations are findings to
-report, not test failures.  Reports keep that distinction through the
-``HARD_KINDS`` / ``CONJECTURE_KINDS`` split.
+Proven facts (the measure ordering, the closed forms, the least negativity
+at fixed concurrence) are hard checks: a violation means an implementation
+bug.  The binegativity bound curves, the (c, nu, n2) region, and channel
+monotonicity are conjectures: violations are findings to report, not test
+failures.  Reports keep that distinction through the ``HARD_KINDS`` /
+``CONJECTURE_KINDS`` split.
 
-Every sampling sweep (``verify_ordering``, ``verify_region``,
-``monotonicity_sweep``) runs through one path, ``_sweep``: the draws are cut
-into fixed-size chunks, each on its own substream of the seed (``_chunks``);
-``_sweep_chunk`` turns a chunk into blocks of gaps per kind and serializes
-the states that will become records; ``_records``, which also checks the
-closed-form grid, turns every gap above ``tol`` into a record; and
-``_report`` sorts the records into a ``SweepReport``.  No chunk depends on
-another, so ``_chunk_map`` spreads the chunks of a sweep, and of the
-``figure_data`` scatter, over the usable CPUs in forked workers and reads
-the results back in chunk order: a report is byte-identical for a given
-seed, and to a one-process run.  There is no option for it; a sweep of one
-chunk, or on one CPU, runs in the calling process.  Each gap kind is
-defined once, and ``recompute_gap`` uses the same definitions.  Channel
-sweeps draw the raw Gaussians of each pair in the samplers' order, then
-build, apply and measure a block of pairs in stacked calls that give each
-pair the bits of a one-pair run.
+Every report has one path.  The sampling sweeps (``verify_ordering``,
+``verify_region``, ``monotonicity_sweep``) run through ``_sweep``: the draws
+are cut into fixed-size chunks, each on its own substream of the seed
+(``_chunks``), and ``_sweep_chunk`` turns a chunk into blocks of gaps per
+kind.  ``_block`` applies the threshold once: it keeps a block's largest gap
+and one hit per gap above ``tol``, with only the hit states serialized.
+``_records`` turns the blocks of any check, the closed-form grid and the
+search's best climb included, into a sorted ``SweepReport``.  No chunk
+depends on another, so ``_chunk_map`` spreads the chunks of a sweep, and of
+the ``figure_data`` scatter, over the usable CPUs in forked workers and
+returns their results as a list in chunk order: a report is byte-identical
+for a given seed, and to a one-process run.  There is no option for it; a
+sweep of one chunk, or on one CPU, runs in the calling process.  Each gap
+kind is defined once, and ``recompute_gap`` uses the same definitions.
+Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
+then build, apply and measure a block of pairs in stacked calls that give
+each pair the bits of a one-pair run.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -67,10 +68,8 @@ CHUNK = 1024
 # per item and draws no randomness, so this sets speed and memory, not streams.
 PAIR_BLOCK = 32
 
-HARD_KINDS = frozenset({"ordering", "closed_form"})
-CONJECTURE_KINDS = frozenset(
-    {"bound_eq4", "bound_eq5_lower", "bound_eq7", "region_eq9", "monotonicity"}
-)
+HARD_KINDS = frozenset({"ordering", "closed_form", "bound_eq4"})
+CONJECTURE_KINDS = frozenset({"bound_eq5_lower", "bound_eq7", "region_eq9", "monotonicity"})
 
 CHANNEL_KINDS = ("local_unitary", "local", "one_way_locc", "ppt")
 
@@ -201,23 +200,8 @@ def _serve(task, chunks, recv, conn):
         conn.send((False, exc))
 
 
-def _results(conns, count):
-    """The ``count`` results of :func:`_serve` workers that share out the
-    chunks in turn, read back in chunk order.  Raises ChildProcessError if
-    a worker ends without sending its next result."""
-    for i in range(count):
-        try:
-            ok, value = conns[i % len(conns)].recv()
-        except EOFError:
-            raise ChildProcessError(f"a worker ended before sending the result of chunk {i}") from None
-        if not ok:
-            raise value
-        yield value
-
-
-@contextlib.contextmanager
 def _chunk_map(task, chunks):
-    """``task(chunk)`` for each of ``chunks``, as an iterator in chunk order.
+    """The list of ``task(chunk)`` for each of ``chunks``, in chunk order.
 
     With more than one chunk and more than one usable CPU, forked workers,
     one per CPU up to one per chunk, compute them, worker ``k`` the chunks
@@ -226,11 +210,12 @@ def _chunk_map(task, chunks):
     process, which may not have children.  Forked workers inherit ``task``,
     which may be a closure, and the loaded modules; spawned ones would
     import numpy again for every sweep.  Their results are read in this
-    thread, so they are allocated where a serial run allocates them, and a
-    worker that runs ahead of the reader waits once its pipe is full.  The
-    workers are stopped and joined when the ``with`` block exits, whether
-    it returns or raises; an error of a worker reaches the caller with its
-    type and message.
+    thread, one worker's pipe at a time in chunk order, so they are
+    allocated where a serial run allocates them, and a worker that runs
+    ahead of the reader waits once its pipe is full.  The workers are
+    stopped and joined before this returns or raises; an error of a worker
+    reaches the caller with its type and message, and a worker that ends
+    without sending its next result raises ChildProcessError.
     """
     workers = min(_usable_cpus(), len(chunks))
     if workers > 1 and hasattr(os, "fork"):
@@ -238,7 +223,7 @@ def _chunk_map(task, chunks):
 
         if not multiprocessing.current_process().daemon:
             context = multiprocessing.get_context("fork")
-            conns, procs = [], []
+            conns, procs, results = [], [], []
             try:
                 for k in range(workers):
                     recv, send = context.Pipe(duplex=False)
@@ -247,52 +232,56 @@ def _chunk_map(task, chunks):
                     proc.start()
                     procs.append(proc)
                     send.close()  # the worker has its own copy; its exit then ends the pipe
-                yield _results(conns, len(chunks))
+                for i in range(len(chunks)):
+                    try:
+                        ok, value = conns[i % workers].recv()
+                    except EOFError:
+                        raise ChildProcessError(f"a worker ended before sending the result of chunk {i}") from None
+                    if not ok:
+                        raise value
+                    results.append(value)
+                return results
             finally:
                 for proc in procs:
                     proc.terminate()  # a worker that is done has exited or is exiting
                     proc.join()
                 for recv in conns:
                     recv.close()
-            return
-    yield map(task, chunks)
-
-
-def _report(op, n_samples, max_gap, seed, config, violations, t0):
-    """The report of a sweep begun at ``t0``, its records sorted so that the
-    bytes do not depend on the order they were found in."""
-    violations.sort(key=lambda v: (v.seed, v.index, v.kind))
-    runtime = time.perf_counter() - t0
-    return SweepReport(op, n_samples, len(violations), max_gap, int(seed), config, violations, runtime)
+    return list(map(task, chunks))
 
 
 def _block(tol, states, gaps, extra_of):
     """A block of ``states`` with ``{kind: gaps}`` in the form that
-    :func:`_records` takes: ``(count, gaps, rows)``, where ``rows`` maps each
-    index whose gap exceeds ``tol`` in any kind to its serialized state and
-    its ``extra_of(j)`` keywords, the record's ``channel`` or ``params``.
-    Only those states are serialized, and only they leave a worker."""
-    over = np.flatnonzero(np.logical_or.reduce([gap > tol for gap in gaps.values()]))
-    rows = {j: (serialize.complex_matrix_to_json(states[j]), extra_of(j)) for j in map(int, over)}
-    return len(states), gaps, rows
+    :func:`_records` takes: ``(count, top, hits)``.  ``top`` is the largest
+    gap of any kind, skipping NaN, and ``hits`` holds ``(kind, j, gap,
+    state, extra)`` for each gap above ``tol``: the serialized state and its
+    ``extra_of(j)`` keywords, the record's ``channel`` or ``params``.  Only
+    those states are serialized, each once, and only they leave a worker."""
+    top, hits, rows = -math.inf, [], {}
+    for kind, gap in gaps.items():
+        top = float(np.fmax.reduce(gap, initial=top))
+        for j in map(int, np.flatnonzero(gap > tol)):
+            if j not in rows:
+                rows[j] = serialize.complex_matrix_to_json(states[j]), extra_of(j)
+            hits.append((kind, j, float(gap[j]), *rows[j]))
+    return len(states), top, hits
 
 
-def _records(op, seed, config, tol, blocks):
-    """The report of a check run over ``blocks``, an iterable of
-    :func:`_block` results.  Each gap above ``tol`` becomes a record whose
-    index counts the states of the blocks before it.  ``max_gap`` is the
-    largest gap, skipping NaN, and the runtime covers the iteration, so a
-    lazy ``blocks`` is timed with its work."""
-    t0 = time.perf_counter()
+def _records(op, seed, config, blocks, t0):
+    """The report of a check begun at ``t0``, from ``blocks``, a list of
+    :func:`_block` results in order.  Each hit becomes a record whose index
+    counts the states of the blocks before it, ``max_gap`` is the largest
+    ``top``, and the records are sorted so that the bytes do not depend on
+    the order they were found in."""
     violations, max_gap, offset = [], -math.inf, 0
-    for count, gaps, rows in blocks:
-        for kind, gap in gaps.items():
-            max_gap = float(np.fmax.reduce(gap, initial=max_gap))
-            for j in map(int, np.flatnonzero(gap > tol)):
-                state, extra = rows[j]
-                violations.append(ViolationRecord(kind, float(gap[j]), int(seed), offset + j, state, **extra))
+    for count, top, hits in blocks:
+        max_gap = max(max_gap, top)
+        for kind, j, gap, state, extra in hits:
+            violations.append(ViolationRecord(kind, gap, int(seed), offset + j, state, **extra))
         offset += count
-    return _report(op, offset, max_gap, seed, config, violations, t0)
+    violations.sort(key=lambda v: (v.seed, v.index, v.kind))
+    runtime = time.perf_counter() - t0
+    return SweepReport(op, offset, len(violations), max_gap, int(seed), config, violations, runtime)
 
 
 def _sweep_chunk(work, tol, chunk):
@@ -307,9 +296,9 @@ def _sweep(op, n, seed, config, tol, work):
     """The loop of every sampling sweep: ``work(rng, size)`` samples one
     chunk, the chunks map through :func:`_chunk_map`, and their blocks reach
     :func:`_records` in chunk order."""
-    task = functools.partial(_sweep_chunk, work, tol)
-    with _chunk_map(task, _chunks(seed, n)) as results:
-        return _records(op, seed, config, tol, (block for blocks in results for block in blocks))
+    t0 = time.perf_counter()
+    results = _chunk_map(functools.partial(_sweep_chunk, work, tol), _chunks(seed, n))
+    return _records(op, seed, config, [block for blocks in results for block in blocks], t0)
 
 
 def _ordering_gap(t):
@@ -376,21 +365,19 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     g = int(grid_density)
     if g < 2:
         raise OutOfRange("grid density must be >= 2")
+    t0 = time.perf_counter()
     rng = np.random.default_rng(_spawn(seed, 1)[0])
+    axis = np.linspace(0.0, 1.0, g)
+    cube = np.meshgrid(axis, axis, axis, indexing="ij")
+    pqr = [np.concatenate([a.ravel(), e]) for a, e in zip(cube, rng.uniform(size=(100, 3)).T)]
+    rho = sigma_pqr(*pqr)
+    gap = _closed_form_gap(measure_triple(rho), closed_form_pqr(*pqr)[0])
 
-    def grid():
-        axis = np.linspace(0.0, 1.0, g)
-        cube = np.meshgrid(axis, axis, axis, indexing="ij")
-        pqr = [np.concatenate([a.ravel(), e]) for a, e in zip(cube, rng.uniform(size=(100, 3)).T)]
-        rho = sigma_pqr(*pqr)
-        gap = _closed_form_gap(measure_triple(rho), closed_form_pqr(*pqr)[0])
+    def params(j):
+        return {"params": {k: float(v[j]) for k, v in zip("pqr", pqr)}}
 
-        def params(j):
-            return {"params": {k: float(v[j]) for k, v in zip("pqr", pqr)}}
-
-        yield _block(tol, rho, {"closed_form": gap}, params)
-
-    return _records("verify_closed_forms", seed, {"grid_density": g, "tol": tol}, tol, grid())
+    block = _block(tol, rho, {"closed_form": gap}, params)
+    return _records("verify_closed_forms", seed, {"grid_density": g, "tol": tol}, [block], t0)
 
 
 def _draw_structure(kind, rng):
@@ -548,19 +535,11 @@ def counterexample_search(
         thetas = [c if b else t for c, t, b in zip(cands, thetas, better)]
     best_idx = max(every, key=lambda i: best[i])
     best_f = float(best[best_idx])
-    violations = []
+    hits = []
     if best_f > tol:
         rho, kraus, counts = build([best_idx], [thetas[best_idx]])
-        violations.append(
-            ViolationRecord(
-                "monotonicity",
-                best_f,
-                int(seed),
-                best_idx,
-                serialize.complex_matrix_to_json(rho[0]),
-                **_channel_of(kraus, counts)(0),
-            )
-        )
+        state = serialize.complex_matrix_to_json(rho[0])
+        hits.append(("monotonicity", best_idx, best_f, state, _channel_of(kraus, counts)(0)))
     config = {
         "channel_kind": channel_kind,
         "restarts": restarts,
@@ -569,7 +548,7 @@ def counterexample_search(
         "rank": int(rank),
         "tol": tol,
     }
-    return _report("counterexample_search", restarts * (steps + 1), best_f, seed, config, violations, t0)
+    return _records("counterexample_search", seed, config, [(restarts * (steps + 1), best_f, hits)], t0)
 
 
 def _scatter_chunk(rank, chunk):
@@ -577,12 +556,6 @@ def _scatter_chunk(rank, chunk):
     seq, size = chunk
     t = measure_triple(random_mixed(rank, np.random.default_rng(seq), size=size))
     return t.c, t.nu, t.n2
-
-
-def _scatter_triples(n, rank, seed):
-    with _chunk_map(functools.partial(_scatter_chunk, rank), _chunks(seed, n)) as triples:
-        columns = list(zip(*triples))
-    return (np.concatenate(column) for column in columns)
 
 
 def figure_data(which, n, rank=2, seed=42, out_dir="."):
@@ -598,7 +571,9 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
     """
     if which not in ("fig1", "fig2", "fig3"):
         raise OutOfRange(f"unknown figure {which!r}; choose fig1, fig2 or fig3")
-    c, nu, n2 = _scatter_triples(n, rank, seed)
+    # no name holds the chunks' triples, so they are freed once concatenated
+    task = functools.partial(_scatter_chunk, rank)
+    c, nu, n2 = (np.concatenate(column) for column in zip(*_chunk_map(task, _chunks(seed, n))))
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 

@@ -40,13 +40,6 @@ def phi_plus():
     return phi_q(0.5)
 
 
-def psi_minus_0011():
-    """``(|00> - |11>)/sqrt(2)``: a Bell state supported on ``|00>, |11>``
-    (not the singlet, which lives on ``|01>, |10>``)."""
-    s = 1.0 / math.sqrt(2.0)
-    return np.array([s, 0.0, 0.0, -s], dtype=complex)
-
-
 def sigma_pqr(p, q, r):
     """Rank-(at most)-2 mixture ``p |phi_q><phi_q| + (1-p) |psi_r><psi_r|``.
 

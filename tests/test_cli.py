@@ -5,6 +5,7 @@ can be asserted exactly; one subprocess test covers the installed entry
 point.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -182,6 +183,14 @@ class TestVerify:
         assert report["n_violations"] == 6
         assert all(v["kind"] == "region_eq9" for v in report["violations"])
 
+    def test_region_least_negativity_record_is_hard(self, capsys):
+        # a forced bound_eq4 record breaks a proven relation: exit 1, not 2
+        code, out, _ = run_cli(
+            capsys, "verify", "region", "--samples", "50", "--seed", "8", "--tol", "-1"
+        )
+        assert code == EXIT_HARD
+        assert "bound_eq4" in {v["kind"] for v in json.loads(out)["violations"]}
+
     def test_csv_report_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -298,6 +307,7 @@ SWEEP_COMMANDS = {
 # options a subcommand would ignore are not registered, so passing one is
 # a usage error rather than a silent no-op
 UNREAD_OPTIONS = {
+    "compute-seed": ["compute", "--state", "rho1", "--seed", "5"],
     "verify-threads": ["verify", "region", "--samples", "20", "--threads", "2"],
     "monotonic-threads": ["monotonic", "--samples", "2", "--threads", "2"],
     "search-threads": ["search", "--restarts", "1", "--steps", "1", "--threads", "2"],
@@ -453,3 +463,49 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["n2"] == pytest.approx(77.0 / 216.0, abs=1e-10)
+
+
+class TestPinnedReports:
+    """Report bytes and exit codes of fixed commands, as SHA-256 prefixes of
+    their ``--out`` files.  Any change to a sampled stream, a gap, a record
+    or the serializer moves a hash, so a change that must keep every byte
+    shows here.  The hashes were taken with numpy 2.4.6 and its OpenBLAS on
+    x86_64; another numpy or BLAS may round the last bit differently."""
+
+    REPORTS = {
+        "region-csv": ("verify region --samples 2000 --seed 8 --format csv", "49b967bc6264915d", EXIT_FINDING),
+        # three chunks, so forked workers on a host with more than one CPU
+        "ordering": ("verify ordering --samples 3000 --seed 42 --tol -1", "34b968a81b48eb05", EXIT_HARD),
+        "closed-forms": ("verify closed-forms --grid 4 --tol -1", "e75cb9a5764d31ac", EXIT_HARD),
+        "monotonic-local": (
+            "monotonic --channel local --samples 2100 --seed 7 --tol -1", "8e600f3bb96e43ae", EXIT_FINDING
+        ),
+        "monotonic-ppt": (
+            "monotonic --channel ppt --rank 3 --samples 70 --seed 9 --tol -1", "58f3bca8a9aff6e2", EXIT_FINDING
+        ),
+        "search-ppt": (
+            "search --channel ppt --restarts 2 --steps 10 --seed 8 --tol -1", "d71a62a21046cb7b", EXIT_FINDING
+        ),
+    }
+
+    FIG3_SHEETS = {
+        "fig3_mems.csv": "baf1355e970a1827",
+        "fig3_region.csv": "201897d6c929c779",
+        "fig3_scatter.csv": "6abe5c1c44322d49",
+        "fig3_segment.csv": "697bf06a7e5d02eb",
+    }
+
+    @staticmethod
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("case", sorted(REPORTS))
+    def test_report_bytes(self, capsys, tmp_path, case):
+        command, digest, exit_code = self.REPORTS[case]
+        code, _, _ = run_cli(capsys, *command.split(), "--out", str(tmp_path / "report"))
+        assert (code, self.sha(tmp_path / "report")) == (exit_code, digest)
+
+    def test_fig3_sheets(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "figure", "fig3", "--samples", "5000", "--seed", "42", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        assert {p.name: self.sha(p) for p in tmp_path.iterdir()} == self.FIG3_SHEETS

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,14 @@ class TestVerifyRegion:
         assert any(v.kind == "bound_eq7" and v.index == 462 for v in rep.violations)
         assert [recompute_gap(v) for v in rep.violations] == [v.observed_gap for v in rep.violations]
 
+    def test_least_negativity_is_a_proven_relation(self):
+        # nu >= nu_of_c(c) is proven (Verstraete et al. 2001), so a forced
+        # bound_eq4 record is a hard failure, not a finding
+        assert "bound_eq4" in HARD_KINDS
+        rep = verify_region(50, seed=8, tol=-1.0)
+        assert any(v.kind == "bound_eq4" for v in rep.violations)
+        assert rep.has_hard_failure()
+
     def test_kinds_are_conjecture_findings(self):
         assert "region_eq9" in CONJECTURE_KINDS
         assert "ordering" in HARD_KINDS
@@ -194,8 +203,8 @@ class TestChunkWorkers:
     def test_mapping_is_chosen_by_cpus_and_chunks(self, monkeypatch, cpus):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         for chunks in ([0], [0, 1, 2]):
-            with harness._chunk_map(lambda chunk: (chunk, os.getpid()), chunks) as results:
-                got = list(results)
+            got = harness._chunk_map(lambda chunk: (chunk, os.getpid()), chunks)
+            assert isinstance(got, list)
             assert [chunk for chunk, _ in got] == chunks  # in chunk order
             forked = cpus > 1 and len(chunks) > 1
             assert all((pid != os.getpid()) == forked for _, pid in got)
@@ -229,11 +238,22 @@ class TestChunkWorkers:
         assert sheets["forked"] == sheets["serial"]
 
     def test_block_ships_only_the_states_over_tol_in_any_kind(self):
+        # state 3 is above tol in both kinds, state 2 is NaN, which top skips
         states = random_mixed(2, 3, size=4)
-        gaps = {"first": np.array([1.0, 0.0, np.nan, 0.0]), "last": np.array([0.0, 0.0, 0.0, 1.0])}
-        count, got, rows = harness._block(0.5, states, gaps, lambda j: {"params": {"j": j}})
-        assert count == 4 and got is gaps
-        assert rows == {j: (complex_matrix_to_json(states[j]), {"params": {"j": j}}) for j in (0, 3)}
+        gaps = {"first": np.array([2.0, 0.0, np.nan, 0.75]), "last": np.array([0.0, 0.0, 0.0, 1.0])}
+        asked = []
+
+        def extra_of(j):
+            asked.append(j)
+            return {"params": {"j": j}}
+
+        count, top, hits = harness._block(0.5, states, gaps, extra_of)
+        assert count == 4 and top == 2.0
+        row = {j: (complex_matrix_to_json(states[j]), {"params": {"j": j}}) for j in (0, 3)}
+        assert hits == [("first", 0, 2.0, *row[0]), ("first", 3, 0.75, *row[3]), ("last", 3, 1.0, *row[3])]
+        assert asked == [0, 3] and hits[1][3] is hits[2][3]  # state 3 serialized once
+        assert all(type(x) in (int, float) for hit in hits for x in hit[1:3])
+        assert harness._block(0.5, states[:1], {"first": np.array([np.nan])}, extra_of) == (1, -np.inf, [])
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         build = harness._one_way_locc_kraus
@@ -261,24 +281,26 @@ class TestChunkWorkers:
         code = "import multiprocessing, os\nfrom bineg import harness\nharness._usable_cpus = lambda: 2\n" + body
         return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True).stdout
 
-    def test_leaving_early_stops_the_workers(self):
-        # results larger than a pipe's buffer keep the workers blocked in
-        # send, so the workers must be stopped, not waited for
+    def test_worker_error_stops_the_blocked_workers(self):
+        # worker 1 raises on its first chunk while worker 0 is blocked in
+        # send of a result larger than a pipe's buffer, which no one will
+        # read: worker 0 must be stopped, not waited for
         out = self.run_fresh(
-            "try:\n"
-            "    with harness._chunk_map(lambda chunk: bytes(1 << 20), list(range(8))) as results:\n"
-            "        next(results)\n"
+            "def task(chunk):\n"
+            "    if chunk == 1:\n"
             "        raise KeyError('stop')\n"
-            "except KeyError:\n"
-            "    print(len(multiprocessing.active_children()))\n"
+            "    return bytes(1 << 20)\n"
+            "try:\n"
+            "    harness._chunk_map(task, list(range(8)))\n"
+            "except KeyError as exc:\n"
+            "    print(repr(exc), multiprocessing.active_children())\n"
         )
-        assert out.strip() == "0"
+        assert out.strip() == "KeyError('stop') []"
 
     def test_worker_that_dies_is_an_error_not_a_hang(self):
         out = self.run_fresh(
             "try:\n"
-            "    with harness._chunk_map(lambda chunk: os._exit(3) if chunk == 3 else chunk, list(range(6))) as results:\n"
-            "        print(list(results))\n"
+            "    print(harness._chunk_map(lambda chunk: os._exit(3) if chunk == 3 else chunk, list(range(6))))\n"
             "except ChildProcessError as exc:\n"
             "    print(exc, len(multiprocessing.active_children()))\n"
         )
@@ -545,6 +567,28 @@ class TestReportSerialization:
         rep = verify_ordering(10, seed=8)
         assert rep.runtime_seconds is not None
         assert rep.to_json_dict()["runtime_seconds"] is None
+
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("_closed_form_gap", lambda: verify_closed_forms(grid_density=2, seed=8)),
+            ("measure_triple", lambda: verify_region(CHUNK + 6, seed=8)),
+            ("_gaps", lambda: counterexample_search(restarts=1, steps=0, seed=8)),
+        ],
+        ids=["closed_forms", "state_sweep", "search"],
+    )
+    def test_runtime_covers_the_work(self, monkeypatch, name, run):
+        # the clock starts before the work, so a 50 ms kernel shows in it,
+        # in forked workers too
+        forked(monkeypatch)
+        kernel = getattr(harness, name)
+
+        def slow(*args):
+            time.sleep(0.05)
+            return kernel(*args)
+
+        monkeypatch.setattr(harness, name, slow)
+        assert run().runtime_seconds >= 0.05
 
     def test_violation_record_round_trip(self):
         rep = monotonicity_sweep(3, channel_kind="local", seed=8, tol=-10.0)
