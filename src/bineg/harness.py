@@ -18,17 +18,21 @@ search's best climb included, into a sorted ``SweepReport``.  No chunk
 depends on another, so ``_chunk_map`` spreads the chunks of a sweep, and of
 the ``figure_data`` scatter, over the usable CPUs in forked workers and
 returns their results as a list in chunk order: a report is byte-identical
-for a given seed, and to a one-process run.  There is no option for it; a
-sweep of one chunk, or on one CPU, runs in the calling process.  Each gap
-kind is defined once, and ``recompute_gap`` uses the same definitions.
-Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
-then build, apply and measure a block of pairs in stacked calls that give
-each pair the bits of a one-pair run.
+for a given seed, and to a one-process run.  A PPT sweep maps ``_spans``
+instead, each chunk cut into one span of pairs per CPU, since one PPT pair
+costs milliseconds: a span first draws the chunk's earlier pairs to move
+its stream past them.  There is no option for it; a sweep of one item, or
+on one CPU, runs in the calling process.  Each gap kind is defined once,
+and ``recompute_gap`` uses the same definitions.  Channel sweeps draw the
+raw Gaussians of each pair in the samplers' order, then build, apply and
+measure a block of pairs in stacked calls that give each pair the bits of a
+one-pair run, so a span's pairs come out as its chunk's would.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import time
@@ -201,7 +205,8 @@ def _serve(task, chunks, recv, conn):
 
 
 def _chunk_map(task, chunks):
-    """The list of ``task(chunk)`` for each of ``chunks``, in chunk order.
+    """The list of ``task(chunk)`` for each of ``chunks``, in chunk order;
+    a chunk here is any independent item of work, a PPT sweep's span too.
 
     With more than one chunk and more than one usable CPU, forked workers,
     one per CPU up to one per chunk, compute them, worker ``k`` the chunks
@@ -284,20 +289,34 @@ def _records(op, seed, config, blocks, t0):
     return SweepReport(op, offset, len(violations), max_gap, int(seed), config, violations, runtime)
 
 
-def _sweep_chunk(work, tol, chunk):
-    """The :func:`_block` results of one chunk: ``work(rng, size)`` on the
-    chunk's substream yields its blocks of ``(states, {kind: gaps},
+def _spans(chunks, parts):
+    """Each ``(substream, size)`` of ``chunks`` cut into ``parts`` contiguous
+    spans ``(substream, begin, length)`` of its draws, the k-th beginning at
+    ``size * k // parts``, in order and with the empty spans dropped."""
+    return [
+        (seq, begin, end - begin)
+        for seq, size in chunks
+        for begin, end in itertools.pairwise(size * k // parts for k in range(parts + 1))
+        if end > begin
+    ]
+
+
+def _sweep_chunk(work, tol, item):
+    """The :func:`_block` results of one item, a chunk ``(substream, size)``
+    or a span ``(substream, begin, length)``: ``work(rng, *rest)`` on the
+    item's substream yields its blocks of ``(states, {kind: gaps},
     extra_of)``."""
-    seq, size = chunk
-    return [_block(tol, *block) for block in work(np.random.default_rng(seq), size)]
+    seq, *rest = item
+    return [_block(tol, *block) for block in work(np.random.default_rng(seq), *rest)]
 
 
-def _sweep(op, n, seed, config, tol, work):
-    """The loop of every sampling sweep: ``work(rng, size)`` samples one
-    chunk, the chunks map through :func:`_chunk_map`, and their blocks reach
-    :func:`_records` in chunk order."""
+def _sweep(op, seed, config, tol, work, items):
+    """The loop of every sampling sweep: ``work`` samples one of ``items``,
+    the chunks of :func:`_chunks` or their :func:`_spans`, the items map
+    through :func:`_chunk_map`, and their blocks reach :func:`_records` in
+    item order."""
     t0 = time.perf_counter()
-    results = _chunk_map(functools.partial(_sweep_chunk, work, tol), _chunks(seed, n))
+    results = _chunk_map(functools.partial(_sweep_chunk, work, tol), items)
     return _records(op, seed, config, [block for blocks in results for block in blocks], t0)
 
 
@@ -341,7 +360,7 @@ def _state_sweep(op, gaps_of, n, rank, seed, tol):
         rho = random_mixed(rank, rng, size=size)
         yield rho, gaps_of(measure_triple(rho)), lambda j: {}
 
-    return _sweep(op, n, seed, {"rank": int(rank), "tol": tol}, tol, work)
+    return _sweep(op, seed, {"rank": int(rank), "tol": tol}, tol, work, _chunks(seed, n))
 
 
 def verify_ordering(n, rank=2, seed=42, tol=1e-9):
@@ -380,13 +399,20 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     return _records("verify_closed_forms", seed, {"grid_density": g, "tol": tol}, [block], t0)
 
 
+def _check_kind(kind):
+    """Raise :class:`OutOfRange` unless ``kind`` is one of ``CHANNEL_KINDS``."""
+    if kind not in CHANNEL_KINDS:
+        raise OutOfRange(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+
+
 def _draw_structure(kind, rng):
     """Draw the discrete part of a channel of ``kind``.
 
     Returns ``(structure, size)``: ``size`` counts the real Gaussians the
     channel is built from, and ``structure`` is a tuple that starts with the
     Kraus count (``(1,)``, ``(env, on_a)`` for local, ``(outcomes,)``), or
-    None for PPT, whose count comes out of the projection.
+    None for PPT, whose count comes out of the projection.  ``kind`` has
+    passed :func:`_check_kind`.
     """
     if kind == "local_unitary":
         return (1,), 16
@@ -397,9 +423,7 @@ def _draw_structure(kind, rng):
     if kind == "one_way_locc":
         m = int(rng.integers(2, 5))
         return (m,), 16 * m
-    if kind == "ppt":
-        return None, 512
-    raise OutOfRange(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+    return None, 512  # ppt
 
 
 def _draw_pairs(kind, rank, rng, count):
@@ -474,18 +498,28 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
     violation here is a finding (a refutation candidate), not a bug.  The
     report's ``max_gap`` tracks the largest signed increase even when it
     stays below tolerance.
+
+    A PPT pair costs milliseconds of projection, so a PPT sweep cuts each
+    chunk into one span per usable CPU, and even a sweep of one chunk runs
+    on every core.  An LOCC pair costs tens of microseconds, so that a
+    1000-pair sweep gains less from a second core than forking it costs:
+    LOCC sweeps keep the chunk as their unit.
     """
     rank = _check_rank(rank)
+    _check_kind(channel_kind)
 
-    def work(rng, size):
-        for first in range(0, size, PAIR_BLOCK):
-            count = min(PAIR_BLOCK, size - first)
+    def work(rng, begin, length):
+        if begin:  # the chunk's earlier pairs, drawn only to move the stream past them
+            _draw_pairs(channel_kind, rank, rng, begin)
+        for first in range(0, length, PAIR_BLOCK):
+            count = min(PAIR_BLOCK, length - first)
             state_raw, structures, channel_raw = _draw_pairs(channel_kind, rank, rng, count)
             rho, kraus, counts = _build_pairs(channel_kind, structures, state_raw, channel_raw)
             yield rho, {"monotonicity": _gaps(rho, kraus)}, _channel_of(kraus, counts)
 
     config = {"channel_kind": channel_kind, "rank": int(rank), "tol": tol}
-    return _sweep("monotonicity_sweep", n_pairs, seed, config, tol, work)
+    parts = _usable_cpus() if channel_kind == "ppt" else 1
+    return _sweep("monotonicity_sweep", seed, config, tol, work, _spans(_chunks(seed, n_pairs), parts))
 
 
 def counterexample_search(
@@ -513,6 +547,7 @@ def counterexample_search(
     if restarts < 1 or steps < 0:
         raise OutOfRange("need restarts >= 1 and steps >= 0")
     rank = _check_rank(rank)
+    _check_kind(channel_kind)
     t0 = time.perf_counter()
     rngs = list(map(np.random.default_rng, _spawn(seed, restarts)))
     structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))

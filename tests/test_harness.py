@@ -193,9 +193,23 @@ def serial(monkeypatch):
 
 
 def forked(monkeypatch):
-    """Make every sweep of more than one chunk fork two workers, whatever
-    the host's CPU count."""
+    """Make every sweep of more than one chunk, and every PPT sweep of more
+    than one pair, fork two workers, whatever the host's CPU count."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+
+def item_pids(monkeypatch):
+    """A list that gets, for each later ``_chunk_map`` call, the pids of the
+    processes that ran its items, in item order."""
+    chunk_map, pids = harness._chunk_map, []
+
+    def spy(task, items):
+        out = chunk_map(lambda item: (task(item), os.getpid()), items)
+        pids.append([pid for _, pid in out])
+        return [result for result, _ in out]
+
+    monkeypatch.setattr(harness, "_chunk_map", spy)
+    return pids
 
 
 class TestChunkWorkers:
@@ -237,6 +251,35 @@ class TestChunkWorkers:
         assert len(sheets["forked"][0]) == 2 * CHUNK + 7  # header and every state
         assert sheets["forked"] == sheets["serial"]
 
+    @pytest.mark.parametrize("n", [1, 33, 70])
+    def test_ppt_spans_give_the_serial_report_bytes(self, monkeypatch, n):
+        # a PPT chunk is cut into one span per CPU, and the sweep forks
+        # exactly when more than one span is not empty; the reports are
+        # compared line by line, as above
+        pids, reports = item_pids(monkeypatch), []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            report = monotonicity_sweep(n, channel_kind="ppt", seed=12, tol=-1.0).to_json_dict()
+            reports.append(dumps(report).splitlines())
+            assert multiprocessing.active_children() == []
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert report["n_violations"] == n
+        assert [len(p) for p in pids] == [1, min(n, 2), min(n, 3)]
+        for p in pids:
+            forked_items = len(p) > 1
+            assert all((pid != os.getpid()) == forked_items for pid in p)
+            assert len(set(p)) == len(p)  # one worker per span
+
+    def test_locc_and_state_sweeps_keep_the_chunk_as_their_unit(self, monkeypatch):
+        # a fork round trip costs more than an LOCC chunk gains from it
+        forked(monkeypatch)
+        pids = item_pids(monkeypatch)
+        monotonicity_sweep(1000, channel_kind="one_way_locc", seed=12)
+        verify_ordering(CHUNK + 6, seed=12)
+        assert pids[0] == [os.getpid()]
+        assert len(pids[1]) == 2 and os.getpid() not in pids[1]
+        assert multiprocessing.active_children() == []
+
     def test_block_ships_only_the_states_over_tol_in_any_kind(self):
         # state 3 is above tol in both kinds, state 2 is NaN, which top skips
         states = random_mixed(2, 3, size=4)
@@ -273,6 +316,26 @@ class TestChunkWorkers:
             errors.append(info.value)
         assert [type(e) for e in errors] == [NotTracePreserving] * 2
         assert str(errors[0]) == str(errors[1])
+
+    def test_span_error_reaches_the_caller(self, monkeypatch):
+        project = channels._ppt_choi
+
+        def spoiled(starts, *budget):
+            choi = project(starts, *budget)
+            choi[-1] *= 1.0 + 1e-8
+            return choi
+
+        # on two CPUs the 5 pairs are spans of 2 and 3; the last pair of
+        # every block is spoiled by the same factor, so the messages agree
+        monkeypatch.setattr(channels, "_ppt_choi", spoiled)
+        errors = []
+        for force in (forked, serial):
+            force(monkeypatch)
+            with pytest.raises(NotTracePreserving, match="partial trace") as info:
+                monotonicity_sweep(5, channel_kind="ppt", seed=8)
+            assert multiprocessing.active_children() == []
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
     @staticmethod
     def run_fresh(body):
@@ -411,9 +474,18 @@ class TestMonotonicitySweep:
         keys = [(v.seed, v.index, v.kind) for v in rep.violations]
         assert keys == sorted(keys)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(OutOfRange):
-            monotonicity_sweep(5, channel_kind="teleport", seed=8)
+    def test_unknown_kind_rejected(self, monkeypatch):
+        # checked in the caller, so no worker is forked for it
+        forked(monkeypatch)
+        monkeypatch.setattr(harness, "_chunk_map", lambda task, items: pytest.fail("items were mapped"))
+        runs = (
+            lambda kind: monotonicity_sweep(2000, channel_kind=kind, seed=8),
+            lambda kind: counterexample_search(kind, restarts=1, steps=0, seed=8),
+        )
+        for run in runs:
+            with pytest.raises(OutOfRange) as info:
+                run("teleport")
+            assert str(info.value) == f"unknown channel kind 'teleport'; choose from {CHANNEL_KINDS}"
 
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("kind", ["local_unitary", "local", "one_way_locc"])
