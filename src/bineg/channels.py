@@ -250,28 +250,28 @@ def choi_from_kraus(ch):
     return ChoiMatrix(j, ch.dim_in, ch.dim_out)
 
 
-def kraus_from_choi(choi, cut=1e-12):
+def kraus_from_choi(choi):
     """Kraus operators from the Choi eigendecomposition, discarding
-    eigenvalues at or below ``cut``."""
-    kraus, _ = _kraus_stack(choi.matrix[None], choi.dim_in, choi.dim_out, cut)
+    eigenvalues at or below 1e-12."""
+    kraus, _ = _kraus_stack(choi.matrix[None], choi.dim_in, choi.dim_out)
     return KrausChannel(tuple(kraus[0]), choi.dim_in, choi.dim_out)
 
 
-def _kraus_stack(j, dim_in, dim_out, cut=1e-12):
+def _kraus_stack(j, dim_in, dim_out):
     """Kraus families of a stack of Choi matrices ``(n, d, d)``, from one
     batched eigensolve.
 
-    Item i keeps its ``counts[i]`` eigenvalues above ``cut`` in ascending
+    Item i keeps its ``counts[i]`` eigenvalues above 1e-12 in ascending
     order, each as ``sqrt(lam)`` times its eigenvector read as a
     ``(dim_in, dim_out)`` matrix and transposed.  Returns ``(kraus,
     counts)``: ``kraus`` has shape ``(n, K, dim_out, dim_in)`` with K the
     largest count, zero-padded, and holds each operator column-major, the
     layout the transpose gives it, since :func:`_apply_kraus` sums in an
     order that follows the layout.  Raises :class:`NotTracePreserving` if
-    an item has no eigenvalue above ``cut``.
+    an item has no eigenvalue above 1e-12.
     """
     w, v = np.linalg.eigh((j + dagger(j)) / 2.0)
-    counts = (w > cut).sum(axis=-1)
+    counts = (w > 1e-12).sum(axis=-1)
     if not counts.all():
         raise NotTracePreserving("Choi matrix has no positive spectrum")
     d = w.shape[-1]
@@ -291,16 +291,17 @@ _PPT_DIMS = (2, 2, 2, 2)
 _PPT_FACTORS = (1, 3)  # B_in and B_out
 
 
-def is_ppt_channel(choi, tol=1e-10):
+def is_ppt_channel(choi):
     """PPT test for a two-qubit to two-qubit channel: transpose the B
-    factors of input and output on the Choi matrix and check it stays PSD."""
+    factors of input and output on the Choi matrix and check it stays PSD,
+    with no eigenvalue below -1e-10."""
     j = choi.matrix if isinstance(choi, ChoiMatrix) else np.asarray(choi, dtype=complex)
     if j.shape != (16, 16):
         raise WrongDimension(f"expected a 16x16 Choi matrix, got {j.shape}")
     if not np.isfinite(j).all():
         raise OutOfRange("Choi matrix entries must be finite")
     g = transpose_factors(j, _PPT_DIMS, _PPT_FACTORS)
-    return bool(np.linalg.eigvalsh(g)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(g)[0] >= -1e-10)
 
 
 def _proj_psd(j):
@@ -317,9 +318,9 @@ def _proj_ppt(j):
     return transpose_factors(p, _PPT_DIMS, _PPT_FACTORS), v
 
 
-def _proj_tp(j, dim_in=4, dim_out=4):
-    delta = _trace_out(j, dim_in, dim_out) - np.eye(dim_in)
-    return j - kron(delta, np.eye(dim_out)) / dim_out
+def _proj_tp(j):
+    delta = _trace_out(j, 4, 4) - np.eye(4)
+    return j - kron(delta, np.eye(4)) / 4
 
 
 def _cone_defects(j):
@@ -383,10 +384,10 @@ def _unpack(r):
     return np.where(_UPPER, r, np.swapaxes(r, -1, -2)) + 1j * (im - np.swapaxes(im, -1, -2))
 
 
-def _dykstra_step(state):
-    """One Dykstra round, Anderson-accelerated (type II, Walker & Ni 2011).
+def _dykstra_step(state, k):
+    """Dykstra round ``k``, Anderson-accelerated (type II, Walker & Ni 2011).
 
-    ``state`` is ``[x, start, pair, ring, gram, rounds]``, updated in place.
+    ``state`` is ``[x, start, pair, ring, gram]``, updated in place.
     The plain round ``G`` maps the packed PSD and PPT corrections ``pair``
     through ``x = P_tp(start - p - q)``, the two cone projections and P_tp.
     The new pair is ``G - dG gamma``, ``gamma`` the least-squares fit of ``f
@@ -394,7 +395,7 @@ def _dykstra_step(state):
     ``gram``; if its determinant is at most 1e-12 times its diagonal's
     product, or ``gamma`` is not finite, the item takes the plain step.
     """
-    start, pair, ring, gram, rounds = state[1:]
+    start, pair, ring, gram = state[1:]
     state[0] = None  # the last iterate, freed for the round's peak memory
     fg = np.empty_like(ring[:, :, 0])  # this round's f and G
     shifted = _unpack(pair[:, 0])
@@ -407,7 +408,7 @@ def _dykstra_step(state):
     fg[:, 1, 1] = _pack(np.subtract(shifted, x, out=shifted))
     state[0] = _proj_tp(x)
     np.subtract(fg[:, 1], pair, out=fg[:, 0])
-    n, k = len(fg), int(rounds[0])
+    n = len(fg)
     d_f = ring[:, 0].reshape(n, AA_MEMORY, -1)
     if k:  # the last round's slot holds its f and G
         slot = (k - 1) % AA_MEMORY
@@ -421,11 +422,10 @@ def _dykstra_step(state):
     step[~(ok & np.isfinite(gamma).all(axis=-1))] = 0.0
     np.subtract(fg[:, 1], step.reshape(pair.shape), out=pair)
     ring[:, :, k % AA_MEMORY] = fg
-    rounds += 1
     return basis
 
 
-def _polish_step(state):
+def _polish_step(state, k):
     x, basis = _proj_ppt(_proj_psd(state[0])[0])
     state[0] = _proj_tp(x)
     return basis
@@ -435,14 +435,14 @@ def _iterate_each(state, step, done, budget, failure):
     """Advance a stack of iterates until each one passes its own stopping test.
 
     ``state`` is a list of arrays sharing the leading item axis, the
-    iterates first; ``step`` advances it in place, so that each array is
-    freed as soon as its successor exists, and returns the eigenvectors of
-    its PPT eigensolve; ``done`` maps the iterates and those eigenvectors
-    to a boolean mask.  An item leaves the stack in the round
-    its test first passes, so it gets exactly the operations, eigensolves
-    included, of a run on that item alone.  Returns the final iterates in
-    input order; raises :class:`NoConvergence` with ``failure`` when an
-    item is still running after ``budget`` rounds.
+    iterates first; ``step(state, k)`` runs round ``k`` (from 0) in place,
+    so that each array is freed as soon as its successor exists, and returns
+    the eigenvectors of its PPT eigensolve; ``done`` maps the iterates and
+    those eigenvectors to a boolean mask.  An item leaves the stack in the
+    round its test first passes, so it gets exactly the operations,
+    eigensolves included, of a run on that item alone.  Returns the final
+    iterates in input order; raises :class:`NoConvergence` with ``failure``
+    when an item is still running after ``budget`` rounds.
     """
     out = np.empty_like(state[0])
     active = np.arange(len(out))
@@ -450,8 +450,8 @@ def _iterate_each(state, step, done, budget, failure):
     while active.size:
         if rounds >= budget:
             raise NoConvergence(failure)
+        basis = step(state, rounds)
         rounds += 1
-        basis = step(state)
         finished = done(state[0], basis)
         out[active[finished]] = state[0][finished]
         keep = ~finished
@@ -460,20 +460,19 @@ def _iterate_each(state, step, done, budget, failure):
     return out
 
 
-def _ppt_choi(stack, max_iter=10000, tol=1e-9):
-    """Accelerated Dykstra projection and 1e-12 polish of finite starts ``(n, 16, 16)``;
-    returns the Hermitian parts of the results.  See
+def _ppt_choi(stack, max_iter=10000):
+    """Accelerated Dykstra projection to 1e-9 and 1e-12 polish of finite
+    starts ``(n, 16, 16)``; returns the Hermitian parts of the results.  See
     :func:`project_to_ppt_channel`."""
     n, m = len(stack), AA_MEMORY
     # one list, so that no name keeps the arrays the loop has replaced
-    state = [stack, stack, np.zeros((n, 2, 16, 16)), np.zeros((n, 2, m, 2, 16, 16))]
-    state += [np.tile(np.eye(m), (n, 1, 1)), np.zeros(n, dtype=int)]
+    state = [stack, stack, np.zeros((n, 2, 16, 16)), np.zeros((n, 2, m, 2, 16, 16)), np.tile(np.eye(m), (n, 1, 1))]
     stack = _iterate_each(
         state,
         _dykstra_step,
-        lambda j, basis: _feasible(j, basis, tol, True),
+        lambda j, basis: _feasible(j, basis, 1e-9, True),
         int(max_iter),
-        f"Dykstra did not reach tolerance {tol:.1e} in {max_iter} iterations",
+        f"Dykstra did not reach tolerance 1.0e-09 in {max_iter} iterations",
     )
     stack = _iterate_each(
         [stack],
@@ -485,11 +484,11 @@ def _ppt_choi(stack, max_iter=10000, tol=1e-9):
     return (stack + dagger(stack)) / 2.0
 
 
-def _ppt_kraus(starts, max_iter=10000, tol=1e-9):
+def _ppt_kraus(starts, max_iter=10000):
     """``(choi, kraus, counts)`` of :func:`_ppt_choi` and :func:`_kraus_stack`
     on finite starts ``(n, 16, 16)``, each item checked as :class:`ChoiMatrix`
     and :class:`KrausChannel` check it."""
-    choi = _ppt_choi(starts, max_iter, tol)
+    choi = _ppt_choi(starts, max_iter)
     if len(choi):  # the stacked checks need an item
         _check_choi(choi, 4, 4)
     kraus, counts = _kraus_stack(choi, 4, 4)
@@ -498,16 +497,16 @@ def _ppt_kraus(starts, max_iter=10000, tol=1e-9):
     return choi, kraus, counts
 
 
-def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
+def project_to_ppt_channel(start, max_iter=10000):
     """Map Hermitian 16x16 start matrices into the set of two-qubit
     PPT-channel Choi matrices by Dykstra's projection algorithm.
 
     The constraint set is the intersection of the PSD cone, the PPT cone,
     and the trace-preserving affine subspace; the Dykstra rounds are
     Anderson-accelerated (:func:`_dykstra_step`).  The rounds stop at the
-    first iterate feasible to ``tol``: the test checks feasibility only, not
-    the distance to the projection, so the result is a feasible point near
-    the Euclidean projection of the start, not that projection to ``tol``.
+    first iterate feasible to a fixed 1e-9: the test checks feasibility only,
+    not the distance to the projection, so the result is a feasible point
+    near the Euclidean projection of the start, not that projection to 1e-9.
     A short plain-projection polish then drives the cone defects below 1e-12
     and ends on the trace-preserving step, so the recovered Kraus family is
     complete to machine precision.  A round's stopping test skips the
@@ -532,7 +531,7 @@ def project_to_ppt_channel(start, max_iter=10000, tol=1e-9):
         raise WrongDimension(f"expected 16x16 start matrices, got {j.shape}")
     if not np.isfinite(j).all():
         raise OutOfRange("start matrices must be finite")
-    choi, kraus, counts = _ppt_kraus(j.reshape((-1, 16, 16)), max_iter, tol)
+    choi, kraus, counts = _ppt_kraus(j.reshape((-1, 16, 16)), max_iter)
     pairs = [
         (ChoiMatrix(m, 4, 4), KrausChannel(tuple(k[:c]), 4, 4))
         for m, k, c in zip(choi, kraus, counts)
@@ -547,12 +546,12 @@ def _ppt_start(raw):
     return 4.0 * _gram_state(_gaussian_matrices(raw, (16, 16)))
 
 
-def random_ppt_channel(seed, max_iter=10000, tol=1e-9):
-    """Sample a PPT channel: :func:`project_to_ppt_channel` of a random PSD
-    matrix of trace 4 (a normalized Ginibre square), which is a feasible
-    point near the projection of that start, not the projection to ``tol``.
+def random_ppt_channel(seed):
+    """Sample a PPT channel: :func:`project_to_ppt_channel`, with its fixed
+    tolerance 1e-9 and budget of 10000 rounds, of a random PSD matrix of
+    trace 4 (a normalized Ginibre square): a feasible point near the
+    projection of that start, not the projection to 1e-9.
 
     Returns ``(ChoiMatrix, KrausChannel)``.
     """
-    start = _ppt_start(as_generator(seed).standard_normal(512))
-    return project_to_ppt_channel(start, max_iter=max_iter, tol=tol)
+    return project_to_ppt_channel(_ppt_start(as_generator(seed).standard_normal(512)))

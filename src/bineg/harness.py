@@ -53,13 +53,13 @@ from .channels import (
 )
 from .errors import OutOfRange
 from .measures import (
+    _region_bounds,
     binegativity,
     bineg_lower_given_nu,
     bineg_mems,
     closed_form_pqr,
     measure_triple,
     nu_of_c,
-    region_bounds,
 )
 from .states import _check_rank, _gaussian_matrices, _gram_state, random_mixed, sigma_pqr
 
@@ -315,6 +315,7 @@ def _sweep(op, seed, config, tol, work, items):
     the chunks of :func:`_chunks` or their :func:`_spans`, the items map
     through :func:`_chunk_map`, and their blocks reach :func:`_records` in
     item order."""
+    _check_tol(tol)
     t0 = time.perf_counter()
     results = _chunk_map(functools.partial(_sweep_chunk, work, tol), items)
     return _records(op, seed, config, [block for blocks in results for block in blocks], t0)
@@ -342,7 +343,7 @@ def _bound_gaps(t):
     c = np.clip(np.asarray(t.c, dtype=float), 0.0, 1.0)
     nu = np.clip(np.asarray(t.nu, dtype=float), 0.0, 1.0)
     n2 = np.asarray(t.n2, dtype=float)
-    lower9, upper9 = region_bounds(c, nu, validate=False)
+    lower9, upper9 = _region_bounds(c, nu)
     gaps = {
         "bound_eq4": nu_of_c(c) - nu,
         "bound_eq5_lower": bineg_mems(c) - n2,
@@ -384,6 +385,7 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     g = int(grid_density)
     if g < 2:
         raise OutOfRange("grid density must be >= 2")
+    _check_tol(tol)
     t0 = time.perf_counter()
     rng = np.random.default_rng(_spawn(seed, 1)[0])
     axis = np.linspace(0.0, 1.0, g)
@@ -403,6 +405,12 @@ def _check_kind(kind):
     """Raise :class:`OutOfRange` unless ``kind`` is one of ``CHANNEL_KINDS``."""
     if kind not in CHANNEL_KINDS:
         raise OutOfRange(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+
+
+def _check_tol(tol):
+    """Raise :class:`OutOfRange` unless ``tol`` is finite: no gap is above a NaN."""
+    if not math.isfinite(tol):
+        raise OutOfRange(f"tol must be finite, got {tol!r}")
 
 
 def _draw_structure(kind, rng):
@@ -548,6 +556,7 @@ def counterexample_search(
         raise OutOfRange("need restarts >= 1 and steps >= 0")
     rank = _check_rank(rank)
     _check_kind(channel_kind)
+    _check_tol(tol)
     t0 = time.perf_counter()
     rngs = list(map(np.random.default_rng, _spawn(seed, restarts)))
     structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
@@ -634,7 +643,7 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
         for ci in np.linspace(0.02, 0.98, 50):
             floor = nu_of_c(ci)
             for nj in np.linspace(floor, ci, 52)[1:-1]:
-                low, up = region_bounds(ci, nj, validate=False)
+                low, up = _region_bounds(ci, nj)
                 rows.append((ci, nj, ci - nj, nj - up, nj - low))
         emit(
             "fig3_region.csv",
@@ -656,6 +665,9 @@ def recompute_gap(record):
     bit."""
     rho = serialize.complex_matrix_from_json(record.state)
     kind = record.kind
+    need = {"monotonicity": "channel", "closed_form": "params"}.get(kind)
+    if need and getattr(record, need) is None:
+        raise OutOfRange(f"a {kind} record needs its {need}")
     if kind == "monotonicity":
         ch = KrausChannel.from_json_dict(record.channel)
         return float(binegativity(apply(ch, rho)) - binegativity(rho))
@@ -663,8 +675,6 @@ def recompute_gap(record):
     # scalar path rounds some bound curves differently in the last bit
     t = measure_triple(rho[None])
     if kind == "closed_form":
-        if record.params is None:
-            raise OutOfRange("a closed_form record needs its (p, q, r) params")
         want, _ = closed_form_pqr(
             float(record.params["p"]), float(record.params["q"]), float(record.params["r"])
         )

@@ -89,10 +89,10 @@ def _nu_n2(lam, a):
 def negativity(rho):
     """Twice the trace of the negative part of the partial transpose.
 
-    Exactly 0.0 for PPT inputs: eigenvalues above ``-zero_threshold`` are
-    discarded, not truncated, so separability verdicts stay consistent with
-    :func:`bineg.states.is_ppt`.  Raises :class:`MultipleNegativeEigenvalues`
-    for a non-state input with two negative eigenvalues there.
+    Exactly 0.0 for PPT inputs, and :func:`bineg.states.is_ppt` is this test:
+    eigenvalues above ``-zero_threshold`` are discarded, not truncated.
+    Raises :class:`MultipleNegativeEigenvalues` for a non-state input with
+    two negative eigenvalues there.
     """
     rho, single = _as_batch(rho)
     lam, _ = _negative_branch(rho)
@@ -304,31 +304,9 @@ def bineg_lower_given_nu(nu):
     return _maybe_float(out, out.ndim == 0)
 
 
-def _check_region(c, nu, tol):
-    c = _unit_interval("c", c)
-    nu = _unit_interval("nu", nu)
-    if np.any(nu > c + tol) or np.any(nu < _nu_of_c(c) - tol):
-        raise InfeasibleRegion(
-            "negativity must lie between nu_of_c(concurrence) and the concurrence"
-        )
-    return c, nu
-
-
-def region_bounds(c, nu, tol=1e-9, validate=True):
-    """Conjectured limits on the binegativity at fixed (concurrence,
-    negativity):
-
-    * lower: ``nu (c+nu)(nu+1) / ((c+nu)^2 + 2c(1-c))``
-    * upper: ``(nu/2) (c+nu)^2 / (c^2 + nu^2)``
-
-    ``validate=False`` skips the feasibility check, for sweeps that verify
-    membership themselves.  Returns ``(lower, upper)`` elementwise.
-    """
-    if validate:
-        c, nu = _check_region(c, nu, tol)
-    else:
-        c = np.asarray(c, dtype=float)
-        nu = np.asarray(nu, dtype=float)
+def _region_bounds(c, nu):
+    c = np.asarray(c, dtype=float)
+    nu = np.asarray(nu, dtype=float)
     s = c + nu
     den_low = s**2 + 2.0 * c * (1.0 - c)
     den_up = c**2 + nu**2
@@ -337,6 +315,23 @@ def region_bounds(c, nu, tol=1e-9, validate=True):
         upper = np.where(den_up > 0.0, 0.5 * nu * s**2 / np.where(den_up > 0.0, den_up, 1.0), 0.0)
     single = np.ndim(lower) == 0
     return _maybe_float(lower, single), _maybe_float(upper, single)
+
+
+def region_bounds(c, nu):
+    """Conjectured limits on the binegativity at fixed (concurrence,
+    negativity):
+
+    * lower: ``nu (c+nu)(nu+1) / ((c+nu)^2 + 2c(1-c))``
+    * upper: ``(nu/2) (c+nu)^2 / (c^2 + nu^2)``
+
+    Returns ``(lower, upper)`` elementwise.  Raises :class:`InfeasibleRegion`
+    unless ``nu_of_c(c) <= nu <= c`` to 1e-9.
+    """
+    c = _unit_interval("c", c)
+    nu = _unit_interval("nu", nu)
+    if np.any(nu > c + 1e-9) or np.any(nu < _nu_of_c(c) - 1e-9):
+        raise InfeasibleRegion("negativity must lie between nu_of_c(concurrence) and the concurrence")
+    return _region_bounds(c, nu)
 
 
 def _check_family(c, nu):
@@ -364,17 +359,24 @@ def boundary_p_range(c, nu):
     return _maybe_float(p_min, single), _maybe_float(p_max, single)
 
 
-def boundary_bineg(c, nu, p, tol=1e-12):
+def _family_point(c, nu, p):
+    """``(c, nu, p, p_min)``, ``p`` clamped into ``[p_min, p_max]``.  Raises as
+    :func:`_check_family`, and :class:`OutOfRange` for ``p`` off it by > 1e-12."""
+    c, nu = _check_family(c, nu)
+    p = np.asarray(p, dtype=float)
+    p_min, p_max = _p_range(c, nu)
+    if not ((p >= p_min - 1e-12) & (p <= p_max + 1e-12)).all():
+        raise OutOfRange(f"p = {p} outside [p_min, p_max] = [{p_min}, {p_max}] for c = {c}, nu = {nu}")
+    return c, nu, np.clip(p, p_min, p_max), p_min
+
+
+def boundary_bineg(c, nu, p):
     """Binegativity along the boundary family:
     ``(nu (c+nu) / 4c)(2 + (c-nu)/(p+nu))``.
 
     Strictly decreasing in ``p``; at ``p_min`` it equals the upper and at
     ``p_max`` the lower limit of :func:`region_bounds`.
     """
-    c, nu = _check_family(c, nu)
-    p = np.asarray(p, dtype=float)
-    p_min, p_max = _p_range(c, nu)
-    if not ((p >= p_min - tol) & (p <= p_max + tol)).all():
-        raise OutOfRange("p outside [p_min, p_max] for this (c, nu)")
+    c, nu, p, _ = _family_point(c, nu, p)
     out = nu * (c + nu) / (4.0 * c) * (2.0 + (c - nu) / (p + nu))
     return _maybe_float(out, np.ndim(out) == 0)

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .errors import InvalidState, OutOfRange
-from .linalg import dagger, frobenius_distance, partial_transpose, trace
-from .measures import _unit_interval, boundary_p_range
+from .linalg import dagger, frobenius_distance, trace
+from .measures import _family_point, _negative_branch, _unit_interval
 
 
 def projector(psi):
@@ -73,16 +73,16 @@ def sigma_mems(c):
     return c * projector(phi_plus()) + (1.0 - c) * projector(ten)
 
 
-def _clamped_sqrt_arg(x, tol=1e-12):
+def _clamped_sqrt_arg(x):
     # family formulas touch zero at the interval ends; anything clearly
     # negative means the caller left the feasible set
-    if x < -tol:
+    if x < -1e-12:
         raise OutOfRange(f"square-root argument {x:.3e} is negative")
     return max(x, 0.0)
 
 
-def _into_unit(name, x, tol=1e-12):
-    if x < -tol or x > 1.0 + tol:
+def _into_unit(name, x):
+    if x < -1e-12 or x > 1.0 + 1e-12:
         raise OutOfRange(f"{name} = {x!r} falls outside [0, 1]")
     return min(max(x, 0.0), 1.0)
 
@@ -101,15 +101,7 @@ def boundary_family(c, nu, p):
     (including the degenerate edge ``c = nu``, which pure states cover) and
     :class:`OutOfRange` for ``p`` outside the interval by more than 1e-12.
     """
-    c = float(c)
-    nu = float(nu)
-    p = float(p)
-    p_min, p_max = boundary_p_range(c, nu)
-    if p < p_min - 1e-12 or p > p_max + 1e-12:
-        raise OutOfRange(
-            f"p = {p!r} outside [{p_min!r}, {p_max!r}] for c = {c!r}, nu = {nu!r}"
-        )
-    p = min(max(p, p_min), p_max)
+    c, nu, p, p_min = map(float, _family_point(float(c), float(nu), float(p)))
     scale = math.sqrt(c * c - nu * nu) / (2.0 * c)
     # q(1-q) = s^2: this form puts q at exactly 1 at p_min, where the
     # rounding of 1 - q would otherwise leave a corner entry of ~1e-8
@@ -189,14 +181,11 @@ def random_mixed(rank, seed, size=None):
     return _gram_state(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def is_ppt(rho, tol=1e-11):
-    """True when the partial transpose has no eigenvalue below ``-tol``.
-
-    For two qubits this is exactly the separability verdict.  Batched input
-    gives a boolean array.
-    """
-    w = np.linalg.eigvalsh(partial_transpose(np.asarray(rho, dtype=complex)))
-    out = w[..., 0] >= -tol
+def is_ppt(rho):
+    """True where :func:`bineg.measures.negativity` is 0.0, by its eigensolve
+    and cut at ``-zero_threshold`` (-1e-11 for a state), and raising as it
+    does: the separability verdict.  Batched input gives a boolean array."""
+    out = _negative_branch(np.asarray(rho, dtype=complex))[0] == 0.0
     return bool(out) if out.ndim == 0 else out
 
 

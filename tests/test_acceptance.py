@@ -24,6 +24,7 @@ from bineg.linalg import (
     partial_transpose,
 )
 from bineg.measures import (
+    _region_bounds,
     bineg_lower_given_nu,
     bineg_mems,
     binegativity,
@@ -242,7 +243,7 @@ def test_criterion_5_conjecture_sweeps(tmp_path):
         failures.append(f"region sweep worst gap {region.max_gap:.4e}, expected 4.082e-3")
     rho = np.array([complex_matrix_from_json(v.state) for v in region.violations])
     if len(rho):
-        lower, upper = region_bounds(concurrence(rho), negativity(rho), validate=False)
+        lower, upper = _region_bounds(concurrence(rho), negativity(rho))
         n2 = binegativity(rho)
         if np.count_nonzero(n2 <= upper) or np.count_nonzero(n2 < lower):
             failures.append("region records not all strictly above the upper surface")
@@ -299,7 +300,7 @@ def test_criterion_5_conjecture_sweeps(tmp_path):
     c, cmn, nmn = np.loadtxt(f3[0], delimiter=",", skiprows=1, unpack=True)
     c = np.clip(c, 0, 1)
     nu, n2 = np.clip(c - cmn, 0, 1), c - cmn - nmn
-    lower, upper = region_bounds(c, nu, validate=False)
+    lower, upper = _region_bounds(c, nu)
     off_wedge = np.count_nonzero((nu < nu_of_c(c) - 1e-9) | (nu > c + 1e-9))
     below = np.count_nonzero(n2 < lower - 1e-9)
     excess = n2 - upper

@@ -346,7 +346,7 @@ class TestPptChannels:
     def test_sampler_satisfies_cone_constraints(self):
         for seed in range(30):
             choi, ch = random_ppt_channel(seed)
-            assert is_ppt_channel(choi, tol=1e-9)
+            assert is_ppt_channel(choi)
             assert completeness_defect(ch) <= COMPLETENESS_TOL
             # the recovered Kraus family reproduces the projected Choi matrix
             round_trip = choi_from_kraus(ch)
@@ -539,8 +539,8 @@ class TestAndersonEdgeCases:
         step = channels._dykstra_step
         finite = []
 
-        def recorded(state):
-            basis = step(state)
+        def recorded(state, k):
+            basis = step(state, k)
             finite.append(all(np.isfinite(s).all() for s in state))
             return basis
 
@@ -556,8 +556,8 @@ class TestAndersonEdgeCases:
         step = channels._dykstra_step
         seen = []
 
-        def repeat_round_one(state):
-            basis = step(state)
+        def repeat_round_one(state, k):
+            basis = step(state, k)
             seen.append((state[2].copy(), state[4].copy()))
             if len(seen) == 1:
                 state[2][:] = 0.0
@@ -589,8 +589,8 @@ class TestStoppingCertificate:
         rounds = {"dykstra": [], "polish": []}
 
         def recording(step, name):
-            def recorded(state):
-                basis = step(state)
+            def recorded(state, k):
+                basis = step(state, k)
                 rounds[name].append((state[0].copy(), basis))
                 return basis
 

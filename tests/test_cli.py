@@ -15,7 +15,7 @@ import pytest
 
 from bineg.cli import EXIT_FINDING, EXIT_HARD, EXIT_OK, main
 from bineg.serialize import complex_matrix_to_json
-from bineg.states import sigma_mems
+from bineg.states import random_mixed, sigma_mems
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,19 @@ class TestCompute:
         assert cells[:3] == ["0", "0", "0"]
         assert cells[3] == "nan"
         assert cells[4] == "true"
+
+    def test_ppt_boundary_state_gives_one_verdict(self, capsys, tmp_path):
+        # a mixture (1-t) I/4 + t rho on the PPT boundary, where a separate
+        # eigensolve and cut printed "nu": 0 with "is_ppt": false
+        rng = np.random.default_rng(0)
+        rho = [random_mixed(2, rng) for _ in range(4)][-1]
+        t = 0.7765473100012458
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(complex_matrix_to_json((1.0 - t) * np.eye(4) / 4.0 + t * rho)))
+        code, out, _ = run_cli(capsys, "compute", "--state", str(path))
+        data = json.loads(out)
+        assert code == EXIT_OK
+        assert (data["nu"], data["is_ppt"]) == (0.0, True)
 
     def test_state_from_file(self, capsys, tmp_path):
         path = tmp_path / "state.json"

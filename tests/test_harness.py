@@ -445,6 +445,28 @@ class TestSeeds:
         assert run(0).seed == 0
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda tol: verify_ordering(2000, seed=8, tol=tol),
+            lambda tol: verify_region(2000, seed=8, tol=tol),
+            lambda tol: verify_closed_forms(grid_density=2, seed=8, tol=tol),
+            lambda tol: monotonicity_sweep(2000, channel_kind="ppt", seed=8, tol=tol),
+            lambda tol: counterexample_search(restarts=1, steps=0, seed=8, tol=tol),
+        ],
+        ids=["ordering", "region", "closed_forms", "monotonicity", "search"],
+    )
+    def test_non_finite_tol_is_rejected_before_any_chunk(self, monkeypatch, run, tol):
+        # every "gap > tol" test is false for a NaN: verify_region(2000,
+        # seed=8) reports 6 findings at tol 1e-9 and none at NaN
+        forked(monkeypatch)
+        monkeypatch.setattr(harness, "_chunk_map", lambda task, items: pytest.fail("items were mapped"))
+        with pytest.raises(OutOfRange, match="tol must be finite"):
+            run(tol)
+
+
 class TestMonotonicitySweep:
     def test_no_findings_on_any_channel_kind(self):
         for kind in CHANNEL_KINDS:
@@ -468,6 +490,12 @@ class TestMonotonicitySweep:
             assert v.kind == "monotonicity"
             assert v.channel is not None
             assert recompute_gap(v) == pytest.approx(v.observed_gap, abs=1e-12)
+
+    def test_record_without_channel_cannot_be_recomputed(self):
+        v = monotonicity_sweep(2, channel_kind="local", seed=8, tol=-10.0).violations[0]
+        bare = ViolationRecord(v.kind, v.observed_gap, v.seed, v.index, v.state)
+        with pytest.raises(OutOfRange, match="channel"):
+            recompute_gap(bare)
 
     def test_violations_sorted_for_stable_output(self):
         rep = monotonicity_sweep(20, channel_kind="local", seed=8, tol=-10.0)

@@ -20,6 +20,7 @@ from bineg.errors import BinegError, InfeasibleRegion, MultipleNegativeEigenvalu
 from bineg.linalg import ZERO_EIG_TOL, kron, negative_part, partial_transpose, trace
 from bineg.measures import (
     MeasureTriple,
+    _region_bounds,
     bineg_lower_given_nu,
     bineg_mems,
     binegativity,
@@ -351,7 +352,7 @@ class TestRegionBounds:
             region_bounds(0.5, 0.55)
 
     def test_validate_false_skips_feasibility(self):
-        region_bounds(0.5, 0.55, validate=False)  # must not raise
+        _region_bounds(0.5, 0.55)  # must not raise
 
     def test_measured_states_respect_lower_surface(self):
         rho = random_mixed(2, 310, size=3000)

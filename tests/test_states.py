@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bineg.errors import InfeasibleRegion, InvalidState, OutOfRange
-from bineg.linalg import dagger, frobenius_distance, partial_transpose
+from bineg.linalg import dagger, frobenius_distance
 from bineg.measures import boundary_p_range, concurrence, negativity, nu_of_c
 from bineg.states import (
     _gram_state,
@@ -245,10 +245,27 @@ class TestValidation:
         assert is_ppt(np.eye(4) / 4)
         assert not is_ppt(projector(phi_plus()))
 
+    def test_is_ppt_is_the_negativity_verdict_at_the_boundary(self):
+        # bisect (1-t) I/4 + t rho for the PPT boundary; a separate
+        # eigensolve and cut disagreed with N == 0 at 6 of these 40 end points
+        rng, ends = np.random.default_rng(0), []
+        for _ in range(20):
+            rho = random_mixed(2, rng)
+            lo, hi = 0.0, 1.0
+            while lo < (mid := (lo + hi) / 2.0) < hi:
+                if negativity((1.0 - mid) * np.eye(4) / 4.0 + mid * rho) == 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            ends += [(1.0 - t) * np.eye(4) / 4.0 + t * rho for t in (lo, hi)]
+        ends = np.array(ends)
+        assert np.array_equal(is_ppt(ends), negativity(ends) == 0.0)
+        assert [is_ppt(r) for r in ends] == [negativity(r) == 0.0 for r in ends]
+
     def test_is_ppt_batched(self):
         rho = random_mixed(2, 23, size=32)
         got = is_ppt(rho)
-        want = np.array([np.linalg.eigvalsh(partial_transpose(r))[0] >= -1e-11 for r in rho])
+        want = np.array([negativity(r) == 0.0 for r in rho])
         assert np.array_equal(got, want)
 
     def test_rejects_wrong_shape(self):
