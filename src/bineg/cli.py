@@ -27,14 +27,8 @@ import sys
 
 from . import harness, serialize
 from .errors import BinegError, ParseError
-from .measures import measure_triple, negative_eigvec_mu
-from .states import (
-    boundary_family,
-    is_ppt,
-    sigma_mems,
-    sigma_pqr,
-    validate_density_matrix,
-)
+from .measures import _mu, _negative_branch, _nu_n2, concurrence
+from .states import boundary_family, sigma_mems, sigma_pqr, validate_density_matrix
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -151,8 +145,12 @@ def _emit_report(report, args):
 def _cmd_compute(args):
     rho, echo = parse_state_spec(args.state)
     rho = validate_density_matrix(rho)
-    mu = negative_eigvec_mu(rho)
-    result = {**measure_triple(rho).to_json_dict(), "mu": mu, "is_ppt": is_ppt(rho)}
+    # one eigensolve of rho^G gives nu, n2, mu and the PPT verdict, each as
+    # measure_triple, negative_eigvec_mu and is_ppt derive it
+    lam, a = _negative_branch(rho)
+    nu, n2 = map(float, _nu_n2(lam, a))
+    mu = _mu(lam, a, True)
+    result = {"c": concurrence(rho), "nu": nu, "n2": n2, "mu": mu, "is_ppt": bool(lam == 0.0)}
     if args.format == "csv":
         _write_text(args.out, _csv_row({**result, "mu": math.nan if mu is None else mu}))
     else:

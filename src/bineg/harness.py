@@ -15,18 +15,21 @@ kind.  ``_block`` applies the threshold once: it keeps a block's largest gap
 and one hit per gap above ``tol``, with only the hit states serialized.
 ``_records`` turns the blocks of any check, the closed-form grid and the
 search's best climb included, into a sorted ``SweepReport``.  No chunk
-depends on another, so ``_chunk_map`` spreads the chunks of a sweep, and of
-the ``figure_data`` scatter, over the usable CPUs in forked workers and
-returns their results as a list in chunk order: a report is byte-identical
-for a given seed, and to a one-process run.  A PPT sweep maps ``_spans``
-instead, each chunk cut into one span of pairs per CPU, since one PPT pair
-costs milliseconds: a span first draws the chunk's earlier pairs to move
-its stream past them.  There is no option for it; a sweep of one item, or
-on one CPU, runs in the calling process.  Each gap kind is defined once,
-and ``recompute_gap`` uses the same definitions.  Channel sweeps draw the
-raw Gaussians of each pair in the samplers' order, then build, apply and
-measure a block of pairs in stacked calls that give each pair the bits of a
-one-pair run, so a span's pairs come out as its chunk's would.
+depends on another, so ``_chunk_results`` spreads the chunks of a sweep, and
+of the ``figure_data`` scatter, over the usable CPUs in forked workers and
+yields their results in chunk order, which ``_chunk_map`` lists for a sweep:
+a report is byte-identical for a given seed, and to a one-process run.  A
+scatter chunk comes back as its rows of CSV text, formatted in the worker by
+``serialize.csv_rows``, and the caller writes each as it arrives.  A PPT
+sweep maps ``_spans`` instead, each chunk cut into one span of pairs per
+CPU, since one PPT pair costs milliseconds: a span first draws the chunk's
+earlier pairs to move its stream past them.  There is no option for it; a
+sweep of one item, or on one CPU, runs in the calling process.  Each gap
+kind is defined once, and ``recompute_gap`` uses the same definitions.
+Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
+then build, apply and measure a block of pairs in stacked calls that give
+each pair the bits of a one-pair run, so a span's pairs come out as its
+chunk's would.
 """
 
 from __future__ import annotations
@@ -189,7 +192,7 @@ def _usable_cpus():
 
 
 def _serve(task, chunks, recv, conn):
-    """The work of one forked worker of :func:`_chunk_map`: send ``(True,
+    """The work of one forked worker of :func:`_chunk_results`: send ``(True,
     task(chunk))`` for each of ``chunks`` in order, or ``(False, error)``
     for the first that raises, and stop there."""
     # the caller is then the pipe's only reader: should it die, the next
@@ -205,8 +208,14 @@ def _serve(task, chunks, recv, conn):
 
 
 def _chunk_map(task, chunks):
-    """The list of ``task(chunk)`` for each of ``chunks``, in chunk order;
-    a chunk here is any independent item of work, a PPT sweep's span too.
+    """The list of ``task(chunk)`` for each of ``chunks``, in chunk order, as
+    :func:`_chunk_results` yields them."""
+    return list(_chunk_results(task, chunks))
+
+
+def _chunk_results(task, chunks):
+    """Yield ``task(chunk)`` for each of ``chunks``, in chunk order; a chunk
+    here is any independent item of work, a PPT sweep's span too.
 
     With more than one chunk and more than one usable CPU, forked workers,
     one per CPU up to one per chunk, compute them, worker ``k`` the chunks
@@ -215,12 +224,14 @@ def _chunk_map(task, chunks):
     process, which may not have children.  Forked workers inherit ``task``,
     which may be a closure, and the loaded modules; spawned ones would
     import numpy again for every sweep.  Their results are read in this
-    thread, one worker's pipe at a time in chunk order, so they are
-    allocated where a serial run allocates them, and a worker that runs
-    ahead of the reader waits once its pipe is full.  The workers are
-    stopped and joined before this returns or raises; an error of a worker
-    reaches the caller with its type and message, and a worker that ends
-    without sending its next result raises ChildProcessError.
+    thread, one worker's pipe at a time in chunk order, as the caller asks
+    for them, so they are allocated where a serial run allocates them, and
+    a worker that runs ahead of the reader waits once its pipe is full.  The
+    workers start at the first result asked for, and are stopped and joined
+    once the last is read, an error is raised, or the caller closes the
+    generator; an error of a worker reaches the caller with its type and
+    message, and a worker that ends without sending its next result raises
+    ChildProcessError.
     """
     workers = min(_usable_cpus(), len(chunks))
     if workers > 1 and hasattr(os, "fork"):
@@ -228,7 +239,7 @@ def _chunk_map(task, chunks):
 
         if not multiprocessing.current_process().daemon:
             context = multiprocessing.get_context("fork")
-            conns, procs, results = [], [], []
+            conns, procs = [], []
             try:
                 for k in range(workers):
                     recv, send = context.Pipe(duplex=False)
@@ -244,15 +255,15 @@ def _chunk_map(task, chunks):
                         raise ChildProcessError(f"a worker ended before sending the result of chunk {i}") from None
                     if not ok:
                         raise value
-                    results.append(value)
-                return results
+                    yield value
+                return
             finally:
                 for proc in procs:
                     proc.terminate()  # a worker that is done has exited or is exiting
                     proc.join()
                 for recv in conns:
                     recv.close()
-    return list(map(task, chunks))
+    yield from map(task, chunks)
 
 
 def _block(tol, states, gaps, extra_of):
@@ -595,11 +606,21 @@ def counterexample_search(
     return _records("counterexample_search", seed, config, [(restarts * (steps + 1), best_f, hits)], t0)
 
 
-def _scatter_chunk(rank, chunk):
-    """``(c, nu, n2)`` of one chunk of random states of ``rank``."""
+# each figure's scatter sheet: its header, and its columns of a measure triple
+_SCATTER = {
+    "fig1": (["c", "n2"], lambda t: (t.c, t.n2)),
+    "fig2": (["nu", "n2"], lambda t: (t.nu, t.n2)),
+    "fig3": (["c", "c_minus_nu", "nu_minus_n2"], lambda t: (t.c, t.c - t.nu, t.nu - t.n2)),
+}
+
+
+def _scatter_chunk(which, rank, chunk):
+    """The rows of figure ``which``'s scatter sheet for one chunk of random
+    states of ``rank``, as CSV text: a worker hands back text to write, and
+    its caller formats none of it."""
     seq, size = chunk
     t = measure_triple(random_mixed(rank, np.random.default_rng(seq), size=size))
-    return t.c, t.nu, t.n2
+    return serialize.csv_rows(*_SCATTER[which][1](t))
 
 
 def figure_data(which, n, rank=2, seed=42, out_dir="."):
@@ -611,51 +632,48 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
       50 x 50 feasible (c, nu) grid, the sigma_mems curve, and the segment
       of states sharing (c, nu) = (1/2, 3/8).
 
-    Returns the list of file paths written.
+    The scatter's chunks come back from :func:`_chunk_results` as their rows
+    of text, each written as it arrives, in chunk order, so that the sheet
+    is never held whole; an error in a chunk leaves the sheet cut short
+    there.  Returns the list of file paths written.
     """
-    if which not in ("fig1", "fig2", "fig3"):
+    if which not in _SCATTER:
         raise OutOfRange(f"unknown figure {which!r}; choose fig1, fig2 or fig3")
-    # no name holds the chunks' triples, so they are freed once concatenated
-    task = functools.partial(_scatter_chunk, rank)
-    c, nu, n2 = (np.concatenate(column) for column in zip(*_chunk_map(task, _chunks(seed, n))))
+    chunks = _chunks(seed, n)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
-    def emit(name, header, *columns):
-        # rows as Python floats, which format fast, made a block at a time
-        blocks = range(0, len(columns[0]), 4096)
-        rows = (r for i in blocks for r in zip(*(col[i : i + 4096].tolist() for col in columns)))
+    def emit(name, header, texts):
         path = os.path.join(out_dir, name)
-        serialize.write_csv(path, header, rows)
+        serialize.write_csv(path, header, texts)
         paths.append(path)
 
+    task = functools.partial(_scatter_chunk, which, rank)
+    emit(f"{which}_scatter.csv", _SCATTER[which][0], _chunk_results(task, chunks))
+    rows = serialize.csv_rows
     grid = np.linspace(0.0, 1.0, 201)
     if which == "fig1":
-        emit("fig1_scatter.csv", ["c", "n2"], c, n2)
-        emit("fig1_bounds.csv", ["c", "lower", "upper"], grid, bineg_mems(grid), grid)
+        emit("fig1_bounds.csv", ["c", "lower", "upper"], [rows(grid, bineg_mems(grid), grid)])
     elif which == "fig2":
-        emit("fig2_scatter.csv", ["nu", "n2"], nu, n2)
-        emit("fig2_bounds.csv", ["nu", "lower", "upper"], grid, bineg_lower_given_nu(grid), grid)
+        emit("fig2_bounds.csv", ["nu", "lower", "upper"], [rows(grid, bineg_lower_given_nu(grid), grid)])
     else:
-        triple = ["c", "c_minus_nu", "nu_minus_n2"]
-        emit("fig3_scatter.csv", triple, c, c - nu, nu - n2)
-        rows = []
+        region = []
         for ci in np.linspace(0.02, 0.98, 50):
             floor = nu_of_c(ci)
             for nj in np.linspace(floor, ci, 52)[1:-1]:
                 low, up = _region_bounds(ci, nj)
-                rows.append((ci, nj, ci - nj, nj - up, nj - low))
+                region.append((ci, nj, ci - nj, nj - up, nj - low))
         emit(
             "fig3_region.csv",
             ["c", "nu", "c_minus_nu", "nu_minus_n2_min", "nu_minus_n2_max"],
-            *np.transpose(rows),
+            [rows(*np.transpose(region))],
         )
-        mems_c = np.linspace(0.0, 1.0, 201)
-        mems_nu = nu_of_c(mems_c)
-        emit("fig3_mems.csv", triple, mems_c, mems_c - mems_nu, mems_nu - bineg_mems(mems_c))
+        triple = _SCATTER["fig3"][0]
+        mems_nu = nu_of_c(grid)
+        emit("fig3_mems.csv", triple, [rows(grid, grid - mems_nu, mems_nu - bineg_mems(grid))])
         lo, hi = 3.0 / 400.0, 1.0 / 54.0
         t = np.linspace(0.0, 1.0, 21)
-        emit("fig3_segment.csv", triple, np.full(21, 0.5), np.full(21, 0.125), lo + t * (hi - lo))
+        emit("fig3_segment.csv", triple, [rows(np.full(21, 0.5), np.full(21, 0.125), lo + t * (hi - lo))])
     return paths
 
 

@@ -5,6 +5,11 @@ double exactly, so rerunning a command with the same seed produces
 byte-identical files and downstream parsers recover the exact values.
 Dictionaries serialize in insertion order; nothing here consults the clock,
 the platform, or hash randomization.
+
+CSV sheets are written from text: :func:`csv_rows` formats columns of floats
+as rows, and :func:`write_csv` writes a header and such texts.  The figure
+workers format their own chunk of a scatter sheet with :func:`csv_rows`, so
+the process that writes the sheet formats none of its rows.
 """
 
 from __future__ import annotations
@@ -81,19 +86,25 @@ def dumps(obj):
     return _emit(obj, 0) + "\n"
 
 
-def write_csv(path, header, rows):
-    """Comma-separated file with a header row and LF line endings.
+def csv_rows(*columns):
+    """The rows of equal-length float ``columns`` as CSV text, one
+    LF-terminated line per row.  Each cell is :func:`fmt_float`'s text:
+    ``%.17g`` is the same conversion as ``format(x, ".17g")``, and one row
+    template repeated for every row formats them all in one ``%``."""
+    template = (",".join(["%.17g"] * len(columns)) + "\n") * len(columns[0])
+    return template % tuple(np.column_stack(columns).ravel().tolist())
 
-    Cells may be str, int, or float; floats go through :func:`fmt_float`.
-    """
+
+def write_csv(path, header, texts):
+    """Comma-separated file with LF line endings: the ``header`` row, then
+    ``texts``, rows already formatted by :func:`csv_rows`, in order."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        f.writelines(texts)
 
 
 def _cell(x):
-    if type(x) is float:
-        return format(x, ".17g")
+    """One cell of a short CSV row of mixed types: a report's or a state's."""
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):

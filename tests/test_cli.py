@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from bineg import cli, measures, states
 from bineg.cli import EXIT_FINDING, EXIT_HARD, EXIT_OK, main
 from bineg.serialize import complex_matrix_to_json
 from bineg.states import random_mixed, sigma_mems
@@ -85,6 +86,22 @@ class TestCompute:
         data = json.loads(out)
         assert code == EXIT_OK
         assert (data["nu"], data["is_ppt"]) == (0.0, True)
+
+    def test_one_eigensolve_of_the_partial_transpose(self, capsys, monkeypatch):
+        # nu, n2, mu and is_ppt all come from one (lam, a), whichever module
+        # of the package calls the kernel's eigensolve
+        calls = []
+        branch = measures._negative_branch
+
+        def counted(rho):
+            calls.append(rho)
+            return branch(rho)
+
+        for module in (cli, measures, states):
+            if hasattr(module, "_negative_branch"):
+                monkeypatch.setattr(module, "_negative_branch", counted)
+        code, _, _ = run_cli(capsys, "compute", "--state", "rho1")
+        assert (code, len(calls)) == (EXIT_OK, 1)
 
     def test_state_from_file(self, capsys, tmp_path):
         path = tmp_path / "state.json"
@@ -499,13 +516,30 @@ class TestPinnedReports:
         "search-ppt": (
             "search --channel ppt --restarts 2 --steps 10 --seed 8 --tol -1", "d71a62a21046cb7b", EXIT_FINDING
         ),
+        "compute-rho1-json": ("compute --state rho1", "8283e28145240b78", EXIT_OK),
+        "compute-rho1-csv": ("compute --state rho1 --format csv", "0f9b44d9c1ab73fe", EXIT_OK),
+        "compute-rho2-json": ("compute --state rho2", "a3135620990acd84", EXIT_OK),
+        "compute-rho2-csv": ("compute --state rho2 --format csv", "c45d606d4f4f0b16", EXIT_OK),
+        "compute-mems-json": ("compute --state mems:0.4", "28ae6f6bb8c864fe", EXIT_OK),
+        "compute-mems-csv": ("compute --state mems:0.4 --format csv", "f2fdc8a718b4e567", EXIT_OK),
     }
 
-    FIG3_SHEETS = {
-        "fig3_mems.csv": "baf1355e970a1827",
-        "fig3_region.csv": "201897d6c929c779",
-        "fig3_scatter.csv": "6abe5c1c44322d49",
-        "fig3_segment.csv": "697bf06a7e5d02eb",
+    # the sheets of "figure <which> --samples 5000 --seed 42"
+    FIGURE_SHEETS = {
+        "fig1": {
+            "fig1_bounds.csv": "0d1815dba5a1f65d",
+            "fig1_scatter.csv": "6421e53876491bed",
+        },
+        "fig2": {
+            "fig2_bounds.csv": "abf32b79877220e7",
+            "fig2_scatter.csv": "99ab869eea640a7b",
+        },
+        "fig3": {
+            "fig3_mems.csv": "baf1355e970a1827",
+            "fig3_region.csv": "201897d6c929c779",
+            "fig3_scatter.csv": "6abe5c1c44322d49",
+            "fig3_segment.csv": "697bf06a7e5d02eb",
+        },
     }
 
     @staticmethod
@@ -518,7 +552,8 @@ class TestPinnedReports:
         code, _, _ = run_cli(capsys, *command.split(), "--out", str(tmp_path / "report"))
         assert (code, self.sha(tmp_path / "report")) == (exit_code, digest)
 
-    def test_fig3_sheets(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "figure", "fig3", "--samples", "5000", "--seed", "42", "--out", str(tmp_path))
+    @pytest.mark.parametrize("which", sorted(FIGURE_SHEETS))
+    def test_figure_sheets(self, capsys, tmp_path, which):
+        code, _, _ = run_cli(capsys, "figure", which, "--samples", "5000", "--seed", "42", "--out", str(tmp_path))
         assert code == EXIT_OK
-        assert {p.name: self.sha(p) for p in tmp_path.iterdir()} == self.FIG3_SHEETS
+        assert {p.name: self.sha(p) for p in tmp_path.iterdir()} == self.FIGURE_SHEETS[which]

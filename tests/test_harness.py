@@ -241,11 +241,14 @@ class TestChunkWorkers:
         serial(monkeypatch)
         assert got == dumps(sweep().to_json_dict()).splitlines()
 
-    def test_workers_give_the_serial_figure_sheets(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
+    def test_workers_give_the_serial_figure_sheets(self, monkeypatch, tmp_path, which):
+        # each worker formats its own chunks of the scatter sheet, the short
+        # last chunk too; the caller writes their text in chunk order
         sheets = {}
         for name, force in (("forked", forked), ("serial", serial)):
             force(monkeypatch)
-            paths = figure_data("fig3", 2 * CHUNK + 6, seed=12, out_dir=str(tmp_path / name))
+            paths = figure_data(which, 2 * CHUNK + 6, seed=12, out_dir=str(tmp_path / name))
             assert multiprocessing.active_children() == []
             sheets[name] = [open(p, "rb").read().splitlines() for p in paths]
         assert len(sheets["forked"][0]) == 2 * CHUNK + 7  # header and every state
@@ -368,6 +371,35 @@ class TestChunkWorkers:
             "    print(exc, len(multiprocessing.active_children()))\n"
         )
         assert out.strip() == "a worker ended before sending the result of chunk 3 0"
+
+    def test_closing_the_results_early_stops_the_workers(self):
+        # a reader that stops early, as a figure sheet's failed write does,
+        # must stop the workers, those blocked in a send included
+        out = self.run_fresh(
+            "results = harness._chunk_results(lambda chunk: bytes(1 << 20), list(range(8)))\n"
+            "print(len(next(results)))\n"
+            "results.close()\n"
+            "print(multiprocessing.active_children())\n"
+        )
+        assert out.split() == ["1048576", "[]"]
+
+    def test_figure_worker_error_cuts_the_sheet_short(self, monkeypatch, tmp_path):
+        # the scatter is written chunk by chunk as it arrives, so an error in
+        # the last chunk leaves the rows of the chunks before it
+        scatter = harness._scatter_chunk
+
+        def spoiled(which, rank, chunk):
+            if chunk[1] < CHUNK:
+                raise OutOfRange("spoiled chunk")
+            return scatter(which, rank, chunk)
+
+        monkeypatch.setattr(harness, "_scatter_chunk", spoiled)
+        for force in (forked, serial):
+            force(monkeypatch)
+            with pytest.raises(OutOfRange, match="spoiled chunk"):
+                figure_data("fig1", CHUNK + 6, seed=3, out_dir=str(tmp_path))
+            assert multiprocessing.active_children() == []
+            assert len((tmp_path / "fig1_scatter.csv").read_text().splitlines()) == CHUNK + 1
 
     def test_daemonic_process_runs_serially(self, monkeypatch):
         # a daemonic process may not have children, so its sweeps do not fork
