@@ -294,12 +294,13 @@ _PPT_FACTORS = (1, 3)  # B_in and B_out
 def is_ppt_channel(choi):
     """PPT test for a two-qubit to two-qubit channel: transpose the B
     factors of input and output on the Choi matrix and check it stays PSD,
-    with no eigenvalue below -1e-10."""
+    with no eigenvalue below -1e-10.  Raises :class:`NotHermitian` for an
+    array that is not Hermitian to 1e-10, of which ``eigvalsh`` would read
+    one triangle only."""
     j = choi.matrix if isinstance(choi, ChoiMatrix) else np.asarray(choi, dtype=complex)
     if j.shape != (16, 16):
         raise WrongDimension(f"expected a 16x16 Choi matrix, got {j.shape}")
-    if not np.isfinite(j).all():
-        raise OutOfRange("Choi matrix entries must be finite")
+    check_hermitian(j, 1e-10)
     g = transpose_factors(j, _PPT_DIMS, _PPT_FACTORS)
     return bool(np.linalg.eigvalsh(g)[0] >= -1e-10)
 

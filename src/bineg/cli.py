@@ -149,7 +149,7 @@ def _cmd_compute(args):
     # measure_triple, negative_eigvec_mu and is_ppt derive it
     lam, a = _negative_branch(rho)
     nu, n2 = map(float, _nu_n2(lam, a))
-    mu = _mu(lam, a, True)
+    mu = _mu(lam, a)
     result = {"c": concurrence(rho), "nu": nu, "n2": n2, "mu": mu, "is_ppt": bool(lam == 0.0)}
     if args.format == "csv":
         _write_text(args.out, _csv_row({**result, "mu": math.nan if mu is None else mu}))

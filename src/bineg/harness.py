@@ -17,7 +17,7 @@ and one hit per gap above ``tol``, with only the hit states serialized.
 search's best climb included, into a sorted ``SweepReport``.  No chunk
 depends on another, so ``_chunk_results`` spreads the chunks of a sweep, and
 of the ``figure_data`` scatter, over the usable CPUs in forked workers and
-yields their results in chunk order, which ``_chunk_map`` lists for a sweep:
+yields their results in chunk order, which ``_records`` reads as they come:
 a report is byte-identical for a given seed, and to a one-process run.  A
 scatter chunk comes back as its rows of CSV text, formatted in the worker by
 ``serialize.csv_rows``, and the caller writes each as it arrives.  A PPT
@@ -52,7 +52,6 @@ from .channels import (
     _one_way_locc_kraus,
     _ppt_kraus,
     _ppt_start,
-    apply,
 )
 from .errors import OutOfRange
 from .measures import (
@@ -100,18 +99,8 @@ class ViolationRecord:
     params: dict | None = None
 
     def to_json_dict(self):
-        out = {
-            "kind": self.kind,
-            "observed_gap": self.observed_gap,
-            "seed": self.seed,
-            "index": self.index,
-            "state": self.state,
-        }
-        if self.channel is not None:
-            out["channel"] = self.channel
-        if self.params is not None:
-            out["params"] = self.params
-        return out
+        """The record's fields in their order, leaving out those that are None."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
     def from_json_dict(cls, data):
@@ -207,12 +196,6 @@ def _serve(task, chunks, recv, conn):
         conn.send((False, exc))
 
 
-def _chunk_map(task, chunks):
-    """The list of ``task(chunk)`` for each of ``chunks``, in chunk order, as
-    :func:`_chunk_results` yields them."""
-    return list(_chunk_results(task, chunks))
-
-
 def _chunk_results(task, chunks):
     """Yield ``task(chunk)`` for each of ``chunks``, in chunk order; a chunk
     here is any independent item of work, a PPT sweep's span too.
@@ -284,8 +267,8 @@ def _block(tol, states, gaps, extra_of):
 
 
 def _records(op, seed, config, blocks, t0):
-    """The report of a check begun at ``t0``, from ``blocks``, a list of
-    :func:`_block` results in order.  Each hit becomes a record whose index
+    """The report of a check begun at ``t0``, from ``blocks``, any iterable
+    of :func:`_block` results in order.  Each hit becomes a record whose index
     counts the states of the blocks before it, ``max_gap`` is the largest
     ``top``, and the records are sorted so that the bytes do not depend on
     the order they were found in."""
@@ -323,13 +306,13 @@ def _sweep_chunk(work, tol, item):
 
 def _sweep(op, seed, config, tol, work, items):
     """The loop of every sampling sweep: ``work`` samples one of ``items``,
-    the chunks of :func:`_chunks` or their :func:`_spans`, the items map
-    through :func:`_chunk_map`, and their blocks reach :func:`_records` in
-    item order."""
+    the chunks of :func:`_chunks` or their :func:`_spans`, and their blocks
+    reach :func:`_records` in item order as :func:`_chunk_results` yields
+    them."""
     _check_tol(tol)
     t0 = time.perf_counter()
-    results = _chunk_map(functools.partial(_sweep_chunk, work, tol), items)
-    return _records(op, seed, config, [block for blocks in results for block in blocks], t0)
+    results = _chunk_results(functools.partial(_sweep_chunk, work, tol), items)
+    return _records(op, seed, config, itertools.chain.from_iterable(results), t0)
 
 
 def _ordering_gap(t):
@@ -367,12 +350,13 @@ def _bound_gaps(t):
 
 def _state_sweep(op, gaps_of, n, rank, seed, tol):
     """Sweep of ``n`` random states of ``rank``, with gaps ``gaps_of(triple)``."""
+    rank = _check_rank(rank)
 
     def work(rng, size):
         rho = random_mixed(rank, rng, size=size)
         yield rho, gaps_of(measure_triple(rho)), lambda j: {}
 
-    return _sweep(op, seed, {"rank": int(rank), "tol": tol}, tol, work, _chunks(seed, n))
+    return _sweep(op, seed, {"rank": rank, "tol": tol}, tol, work, _chunks(seed, n))
 
 
 def verify_ordering(n, rank=2, seed=42, tol=1e-9):
@@ -536,7 +520,7 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
             rho, kraus, counts = _build_pairs(channel_kind, structures, state_raw, channel_raw)
             yield rho, {"monotonicity": _gaps(rho, kraus)}, _channel_of(kraus, counts)
 
-    config = {"channel_kind": channel_kind, "rank": int(rank), "tol": tol}
+    config = {"channel_kind": channel_kind, "rank": rank, "tol": tol}
     parts = _usable_cpus() if channel_kind == "ppt" else 1
     return _sweep("monotonicity_sweep", seed, config, tol, work, _spans(_chunks(seed, n_pairs), parts))
 
@@ -571,7 +555,7 @@ def counterexample_search(
     t0 = time.perf_counter()
     rngs = list(map(np.random.default_rng, _spawn(seed, restarts)))
     structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
-    split = 8 * int(rank)  # a parameter vector is the state's Gaussians, then the channel's
+    split = 8 * rank  # a parameter vector is the state's Gaussians, then the channel's
 
     def build(which, thetas):
         raw = np.stack([t[:split] for t in thetas]), [t[split:] for t in thetas]
@@ -600,7 +584,7 @@ def counterexample_search(
         "restarts": restarts,
         "steps": steps,
         "step_size": float(step_size),
-        "rank": int(rank),
+        "rank": rank,
         "tol": tol,
     }
     return _records("counterexample_search", seed, config, [(restarts * (steps + 1), best_f, hits)], t0)
@@ -639,6 +623,7 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
     """
     if which not in _SCATTER:
         raise OutOfRange(f"unknown figure {which!r}; choose fig1, fig2 or fig3")
+    rank = _check_rank(rank)
     chunks = _chunks(seed, n)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -681,17 +666,17 @@ def recompute_gap(record):
     """Recompute a violation record's observed gap from its serialized state
     (and channel), for audit round-trips; it equals the sweep's gap bit for
     bit."""
-    rho = serialize.complex_matrix_from_json(record.state)
+    # a stack of one, so that each gap is computed as a sweep computes it:
+    # numpy's scalar path rounds some bound curves differently in the last bit
+    rho = serialize.complex_matrix_from_json(record.state)[None]
     kind = record.kind
     need = {"monotonicity": "channel", "closed_form": "params"}.get(kind)
     if need and getattr(record, need) is None:
         raise OutOfRange(f"a {kind} record needs its {need}")
     if kind == "monotonicity":
-        ch = KrausChannel.from_json_dict(record.channel)
-        return float(binegativity(apply(ch, rho)) - binegativity(rho))
-    # a stack of one, so that the gap takes the sweeps' array path: numpy's
-    # scalar path rounds some bound curves differently in the last bit
-    t = measure_triple(rho[None])
+        kraus = np.stack(KrausChannel.from_json_dict(record.channel).kraus_ops)
+        return float(_gaps(rho, kraus[None])[0])
+    t = measure_triple(rho)
     if kind == "closed_form":
         want, _ = closed_form_pqr(
             float(record.params["p"]), float(record.params["q"]), float(record.params["r"])

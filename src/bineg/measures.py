@@ -50,13 +50,10 @@ _YY = np.array(
 _RANK_CUT = 1e-13
 
 
-def _as_batch(rho):
-    rho = np.asarray(rho, dtype=complex)
-    return rho, rho.ndim == 2
-
-
-def _maybe_float(x, single):
-    return float(x) if single else x
+def _scalar(x):
+    """``x`` as a float when it is 0-d: one state or point came in, and the
+    result's shape shows it.  An array over a stack passes through."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _negative_branch(rho):
@@ -64,7 +61,7 @@ def _negative_branch(rho):
     its eigenvalue below ``-zero_threshold`` (0.0 when PPT) and that unit
     eigenvector as 2x2 amplitudes.  Raises :class:`MultipleNegativeEigenvalues`
     for two or more such eigenvalues, which no two-qubit state has."""
-    g = partial_transpose(rho)
+    g = partial_transpose(np.asarray(rho, dtype=complex))
     w, v = np.linalg.eigh(g)
     neg = w < -np.asarray(zero_threshold(g))[..., None]
     counts = neg.sum(axis=-1)
@@ -94,9 +91,7 @@ def negativity(rho):
     Raises :class:`MultipleNegativeEigenvalues` for a non-state input with
     two negative eigenvalues there.
     """
-    rho, single = _as_batch(rho)
-    lam, _ = _negative_branch(rho)
-    return _maybe_float(2.0 * lam, single)
+    return _scalar(2.0 * _negative_branch(rho)[0])
 
 
 def binegativity(rho):
@@ -107,8 +102,7 @@ def binegativity(rho):
     vanishes exactly on PPT states, never exceeds the negativity, and raises
     as :func:`negativity` does.
     """
-    rho, single = _as_batch(rho)
-    return _maybe_float(_nu_n2(*_negative_branch(rho))[1], single)
+    return _scalar(_nu_n2(*_negative_branch(rho))[1])
 
 
 def concurrence(rho):
@@ -119,24 +113,21 @@ def concurrence(rho):
     These are the singular values of ``W^T (Y x Y) W`` for ``W = V
     diag(sqrt(w))`` from ``rho = V diag(w) V^dagger``; nothing is squared.
     """
-    rho, single = _as_batch(rho)
-    w, v = np.linalg.eigh(rho)
+    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
     f = v * np.sqrt(np.where(w > _RANK_CUT, w, 0.0))[..., None, :]
     sv = np.linalg.svd(np.swapaxes(f, -1, -2) @ (_YY @ f), compute_uv=False)
     c = 2.0 * sv[..., 0] - sv.sum(axis=-1)
-    return _maybe_float(np.maximum(c, 0.0), single)
+    return _scalar(np.maximum(c, 0.0))
 
 
-def _mu(lam, a, single):
+def _mu(lam, a):
     # mu - 1/2 is the Bloch length of a a^dagger: accurate near mu = 1/2, where
     # 1/2 + sqrt(1/4 - |det a|^2) loses half the digits.  None/NaN when PPT.
     p = np.abs(a) ** 2
     z = (p[..., 0, :].sum(axis=-1) - p[..., 1, :].sum(axis=-1)) / 2.0
     x = np.abs((a[..., 0, :] * np.conjugate(a[..., 1, :])).sum(axis=-1))
     mu = np.where(lam > 0.0, 0.5 + np.hypot(z, x), np.nan)
-    if single:
-        return None if lam == 0.0 else float(mu)
-    return mu
+    return None if np.ndim(lam) == 0 and lam == 0.0 else _scalar(mu)
 
 
 def negative_eigvec_mu(rho):
@@ -151,8 +142,7 @@ def negative_eigvec_mu(rho):
     Returns ``None`` for a single PPT input, NaN entries in a batch; raises
     as :func:`negativity` does.
     """
-    rho, single = _as_batch(rho)
-    return _mu(*_negative_branch(rho), single)
+    return _mu(*_negative_branch(rho))
 
 
 @dataclass(frozen=True)
@@ -170,8 +160,7 @@ class MeasureTriple:
 def measure_triple(rho):
     """All three measures of a state or stack, from one eigensolve of
     ``rho`` and one of its partial transpose."""
-    rho, single = _as_batch(rho)
-    nu, n2 = (_maybe_float(x, single) for x in _nu_n2(*_negative_branch(rho)))
+    nu, n2 = map(_scalar, _nu_n2(*_negative_branch(rho)))
     return MeasureTriple(concurrence(rho), nu, n2)
 
 
@@ -235,14 +224,7 @@ def closed_form_pqr(p, q, r):
     mu = np.maximum(mu_raw, 1.0 - mu_raw)
     nu = np.maximum(nu, 0.0)
     n2 = nu * (0.5 + np.sqrt(mu * (1.0 - mu)))
-    single = np.ndim(c) == 0
-    triple = MeasureTriple(
-        _maybe_float(c, single), _maybe_float(nu, single), _maybe_float(n2, single)
-    )
-    derived = PqrDerived(
-        _maybe_float(alpha, single), _maybe_float(beta, single), _maybe_float(mu, single)
-    )
-    return triple, derived
+    return MeasureTriple(*map(_scalar, (c, nu, n2))), PqrDerived(*map(_scalar, (alpha, beta, mu)))
 
 
 # Each bound curve is written once, in an unvalidated private helper; the
@@ -271,14 +253,12 @@ def _p_range(c, nu):
 def nu_of_c(c):
     """Least negativity compatible with concurrence ``c``:
     ``sqrt((1-c)^2 + c^2) - (1-c)``."""
-    out = _nu_of_c(_unit_interval("c", c))
-    return _maybe_float(out, out.ndim == 0)
+    return _scalar(_nu_of_c(_unit_interval("c", c)))
 
 
 def c_of_nu(nu):
     """Inverse of :func:`nu_of_c`: ``c = sqrt(2 nu (nu+1)) - nu``."""
-    out = _c_of_nu(_unit_interval("nu", nu))
-    return _maybe_float(out, out.ndim == 0)
+    return _scalar(_c_of_nu(_unit_interval("nu", nu)))
 
 
 def bineg_mems(c):
@@ -289,8 +269,7 @@ def bineg_mems(c):
     concurrence ``c``.
     """
     c = _unit_interval("c", c)
-    out = _bineg_mems_at(c, _nu_of_c(c))
-    return _maybe_float(out, out.ndim == 0)
+    return _scalar(_bineg_mems_at(c, _nu_of_c(c)))
 
 
 def bineg_lower_given_nu(nu):
@@ -300,8 +279,7 @@ def bineg_lower_given_nu(nu):
     The given ``nu`` enters the formula as is; recomputing it from that
     concurrence would move the result by rounding."""
     nu = _unit_interval("nu", nu)
-    out = _bineg_mems_at(_c_of_nu(nu), nu)
-    return _maybe_float(out, out.ndim == 0)
+    return _scalar(_bineg_mems_at(_c_of_nu(nu), nu))
 
 
 def _region_bounds(c, nu):
@@ -313,8 +291,7 @@ def _region_bounds(c, nu):
     with np.errstate(invalid="ignore", divide="ignore"):
         lower = np.where(den_low > 0.0, nu * s * (nu + 1.0) / np.where(den_low > 0.0, den_low, 1.0), 0.0)
         upper = np.where(den_up > 0.0, 0.5 * nu * s**2 / np.where(den_up > 0.0, den_up, 1.0), 0.0)
-    single = np.ndim(lower) == 0
-    return _maybe_float(lower, single), _maybe_float(upper, single)
+    return _scalar(lower), _scalar(upper)
 
 
 def region_bounds(c, nu):
@@ -355,8 +332,7 @@ def boundary_p_range(c, nu):
     ``p_min = (c^2 - nu^2) / (2 nu)``,
     ``p_max = c (nu+1)/(c+nu) - (c+nu)/2``."""
     p_min, p_max = _p_range(*_check_family(c, nu))
-    single = np.ndim(p_min) == 0
-    return _maybe_float(p_min, single), _maybe_float(p_max, single)
+    return _scalar(p_min), _scalar(p_max)
 
 
 def _family_point(c, nu, p):
@@ -378,5 +354,4 @@ def boundary_bineg(c, nu, p):
     ``p_max`` the lower limit of :func:`region_bounds`.
     """
     c, nu, p, _ = _family_point(c, nu, p)
-    out = nu * (c + nu) / (4.0 * c) * (2.0 + (c - nu) / (p + nu))
-    return _maybe_float(out, np.ndim(out) == 0)
+    return _scalar(nu * (c + nu) / (4.0 * c) * (2.0 + (c - nu) / (p + nu)))

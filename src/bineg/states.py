@@ -24,15 +24,19 @@ def projector(psi):
 
 
 def phi_q(q):
-    """``sqrt(q)|00> + sqrt(1-q)|11>``."""
+    """``sqrt(q)|00> + sqrt(1-q)|11>``; an array ``q`` gives a stack ``(..., 4)``."""
     q = _unit_interval("q", q)
-    return np.array([math.sqrt(q), 0.0, 0.0, math.sqrt(1.0 - q)], dtype=complex)
+    v = np.zeros(q.shape + (4,), dtype=complex)
+    v[..., 0], v[..., 3] = np.sqrt(q), np.sqrt(1.0 - q)
+    return v
 
 
 def psi_r(r):
-    """``sqrt(r)|01> - sqrt(1-r)|10>``."""
+    """``sqrt(r)|01> - sqrt(1-r)|10>``; an array ``r`` gives a stack ``(..., 4)``."""
     r = _unit_interval("r", r)
-    return np.array([0.0, math.sqrt(r), -math.sqrt(1.0 - r), 0.0], dtype=complex)
+    v = np.zeros(r.shape + (4,), dtype=complex)
+    v[..., 1], v[..., 2] = np.sqrt(r), -np.sqrt(1.0 - r)
+    return v
 
 
 def phi_plus():
@@ -50,16 +54,8 @@ def sigma_pqr(p, q, r):
     Array arguments broadcast against each other and give a stack of shape
     ``(..., 4, 4)``; each item equals the scalar call bit for bit.
     """
-    p, q, r = np.broadcast_arrays(
-        _unit_interval("p", p), _unit_interval("q", q), _unit_interval("r", r)
-    )
-    v1 = np.zeros(p.shape + (4,), dtype=complex)
-    v1[..., 0] = np.sqrt(q)
-    v1[..., 3] = np.sqrt(1.0 - q)
-    v2 = np.zeros(p.shape + (4,), dtype=complex)
-    v2[..., 1] = np.sqrt(r)
-    v2[..., 2] = -np.sqrt(1.0 - r)
-    return p[..., None, None] * projector(v1) + (1.0 - p)[..., None, None] * projector(v2)
+    p = _unit_interval("p", p)[..., None, None]
+    return p * projector(phi_q(q)) + (1.0 - p) * projector(psi_r(r))
 
 
 def sigma_mems(c):
@@ -185,7 +181,7 @@ def is_ppt(rho):
     """True where :func:`bineg.measures.negativity` is 0.0, by its eigensolve
     and cut at ``-zero_threshold`` (-1e-11 for a state), and raising as it
     does: the separability verdict.  Batched input gives a boolean array."""
-    out = _negative_branch(np.asarray(rho, dtype=complex))[0] == 0.0
+    out = _negative_branch(rho)[0] == 0.0
     return bool(out) if out.ndim == 0 else out
 
 

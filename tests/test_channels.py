@@ -343,6 +343,14 @@ class TestPptChannels:
         with pytest.raises(OutOfRange):
             is_ppt_channel(np.full((16, 16), np.nan))
 
+    def test_is_ppt_channel_rejects_a_non_hermitian_array(self):
+        # eigvalsh reads one triangle only: an entry above the diagonal with
+        # no mirror below it went unseen, and this read as PPT
+        j = np.eye(16, dtype=complex)
+        j[0, 15] = 50.0
+        with pytest.raises(NotHermitian):
+            is_ppt_channel(j)
+
     def test_sampler_satisfies_cone_constraints(self):
         for seed in range(30):
             choi, ch = random_ppt_channel(seed)

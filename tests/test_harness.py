@@ -199,16 +199,16 @@ def forked(monkeypatch):
 
 
 def item_pids(monkeypatch):
-    """A list that gets, for each later ``_chunk_map`` call, the pids of the
-    processes that ran its items, in item order."""
-    chunk_map, pids = harness._chunk_map, []
+    """A list that gets, for each later ``_chunk_results`` call, the pids of
+    the processes that ran its items, in item order."""
+    chunk_results, pids = harness._chunk_results, []
 
     def spy(task, items):
-        out = chunk_map(lambda item: (task(item), os.getpid()), items)
+        out = list(chunk_results(lambda item: (task(item), os.getpid()), items))
         pids.append([pid for _, pid in out])
         return [result for result, _ in out]
 
-    monkeypatch.setattr(harness, "_chunk_map", spy)
+    monkeypatch.setattr(harness, "_chunk_results", spy)
     return pids
 
 
@@ -217,8 +217,9 @@ class TestChunkWorkers:
     def test_mapping_is_chosen_by_cpus_and_chunks(self, monkeypatch, cpus):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         for chunks in ([0], [0, 1, 2]):
-            got = harness._chunk_map(lambda chunk: (chunk, os.getpid()), chunks)
-            assert isinstance(got, list)
+            results = harness._chunk_results(lambda chunk: (chunk, os.getpid()), chunks)
+            assert multiprocessing.active_children() == []  # none before the first read
+            got = list(results)
             assert [chunk for chunk, _ in got] == chunks  # in chunk order
             forked = cpus > 1 and len(chunks) > 1
             assert all((pid != os.getpid()) == forked for _, pid in got)
@@ -357,7 +358,7 @@ class TestChunkWorkers:
             "        raise KeyError('stop')\n"
             "    return bytes(1 << 20)\n"
             "try:\n"
-            "    harness._chunk_map(task, list(range(8)))\n"
+            "    list(harness._chunk_results(task, list(range(8))))\n"
             "except KeyError as exc:\n"
             "    print(repr(exc), multiprocessing.active_children())\n"
         )
@@ -366,7 +367,7 @@ class TestChunkWorkers:
     def test_worker_that_dies_is_an_error_not_a_hang(self):
         out = self.run_fresh(
             "try:\n"
-            "    print(harness._chunk_map(lambda chunk: os._exit(3) if chunk == 3 else chunk, list(range(6))))\n"
+            "    print(list(harness._chunk_results(lambda chunk: os._exit(3) if chunk == 3 else chunk, list(range(6)))))\n"
             "except ChildProcessError as exc:\n"
             "    print(exc, len(multiprocessing.active_children()))\n"
         )
@@ -494,9 +495,26 @@ class TestTolerance:
         # every "gap > tol" test is false for a NaN: verify_region(2000,
         # seed=8) reports 6 findings at tol 1e-9 and none at NaN
         forked(monkeypatch)
-        monkeypatch.setattr(harness, "_chunk_map", lambda task, items: pytest.fail("items were mapped"))
+        monkeypatch.setattr(harness, "_chunk_results", lambda task, items: pytest.fail("items were mapped"))
         with pytest.raises(OutOfRange, match="tol must be finite"):
             run(tol)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda out: verify_ordering(3000, rank=0, seed=8),
+            lambda out: verify_region(3000, rank=7, seed=8),
+            lambda out: figure_data("fig1", 3000, rank=7, seed=8, out_dir=str(out)),
+        ],
+        ids=["ordering", "region", "figure"],
+    )
+    def test_bad_rank_is_rejected_before_any_chunk(self, monkeypatch, tmp_path, run):
+        forked(monkeypatch)
+        monkeypatch.setattr(harness, "_chunk_results", lambda task, items: pytest.fail("items were mapped"))
+        out = tmp_path / "new"
+        with pytest.raises(OutOfRange, match="rank must be 1..4"):
+            run(out)
+        assert not out.exists()
 
 
 class TestMonotonicitySweep:
@@ -523,6 +541,23 @@ class TestMonotonicitySweep:
             assert v.channel is not None
             assert recompute_gap(v) == pytest.approx(v.observed_gap, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: monotonicity_sweep(300, channel_kind="local_unitary", rank=3, seed=5, tol=-1.0),
+            lambda: monotonicity_sweep(300, channel_kind="local", rank=3, seed=5, tol=-1.0),
+            lambda: monotonicity_sweep(300, channel_kind="one_way_locc", rank=3, seed=5, tol=-1.0),
+            lambda: monotonicity_sweep(40, channel_kind="ppt", rank=3, seed=5, tol=-1.0),
+            lambda: counterexample_search("ppt", restarts=2, steps=10, seed=8, tol=-1.0),
+        ],
+        ids=["local_unitary", "local", "one_way_locc", "ppt", "search_ppt"],
+    )
+    def test_records_recompute_bit_for_bit(self, run):
+        rep = run()
+        assert rep.n_violations == (1 if rep.op == "counterexample_search" else rep.n_samples)
+        for v in rep.violations:
+            assert recompute_gap(v) == v.observed_gap
+
     def test_record_without_channel_cannot_be_recomputed(self):
         v = monotonicity_sweep(2, channel_kind="local", seed=8, tol=-10.0).violations[0]
         bare = ViolationRecord(v.kind, v.observed_gap, v.seed, v.index, v.state)
@@ -537,7 +572,7 @@ class TestMonotonicitySweep:
     def test_unknown_kind_rejected(self, monkeypatch):
         # checked in the caller, so no worker is forked for it
         forked(monkeypatch)
-        monkeypatch.setattr(harness, "_chunk_map", lambda task, items: pytest.fail("items were mapped"))
+        monkeypatch.setattr(harness, "_chunk_results", lambda task, items: pytest.fail("items were mapped"))
         runs = (
             lambda kind: monotonicity_sweep(2000, channel_kind=kind, seed=8),
             lambda kind: counterexample_search(kind, restarts=1, steps=0, seed=8),

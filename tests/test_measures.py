@@ -7,6 +7,7 @@ for the Schmidt weight).  ``TestOracleAccuracy`` compares all three measures
 with the 40-digit mpmath oracle of ``mp_oracle.py`` on adversarial families.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -38,6 +39,7 @@ from bineg.measures import (
 from bineg.serialize import complex_matrix_to_json
 from bineg.states import (
     boundary_family,
+    is_ppt,
     phi_plus,
     projector,
     random_mixed,
@@ -302,6 +304,76 @@ class TestMemsBounds:
             nu_of_c(1.1)
         with pytest.raises(OutOfRange):
             c_of_nu(-0.2)
+
+
+# One input of each public measure and bound function, and a (3, 2) stack of
+# them: six rank-2 states with the maximally mixed (PPT) one among them, and
+# feasible (c, nu, p) points of the boundary family.
+_STACK_STATES = random_mixed(2, 331, size=6)
+_STACK_STATES[1] = np.eye(4) / 4.0
+_STACK_STATES = _STACK_STATES.reshape(3, 2, 4, 4)
+_STACK_C = np.linspace(0.2, 0.9, 6).reshape(3, 2)
+_STACK_NU = nu_of_c(_STACK_C) + 0.4 * (_STACK_C - nu_of_c(_STACK_C))
+_STACK_P = 0.5 * np.add(*boundary_p_range(_STACK_C, _STACK_NU))
+_STACK_PQR = tuple(np.random.default_rng(332).uniform(size=(3, 3, 2)))
+_STATE_MEASURES = {
+    "negativity": negativity,
+    "binegativity": binegativity,
+    "concurrence": concurrence,
+    "negative_eigvec_mu": negative_eigvec_mu,
+    "measure_triple": measure_triple,
+    "is_ppt": is_ppt,
+}
+_BOUND_FUNCTIONS = {
+    "closed_form_pqr": (closed_form_pqr, _STACK_PQR),
+    "nu_of_c": (nu_of_c, (_STACK_C,)),
+    "c_of_nu": (c_of_nu, (_STACK_NU,)),
+    "bineg_mems": (bineg_mems, (_STACK_C,)),
+    "bineg_lower_given_nu": (bineg_lower_given_nu, (_STACK_NU,)),
+    "region_bounds": (region_bounds, (_STACK_C, _STACK_NU)),
+    "boundary_p_range": (boundary_p_range, (_STACK_C, _STACK_NU)),
+    "boundary_bineg": (boundary_bineg, (_STACK_C, _STACK_NU, _STACK_P)),
+}
+
+
+def _leaves(result):
+    """The values of a result: the items of a tuple, the fields of a
+    dataclass, or the result itself."""
+    if isinstance(result, tuple):
+        return [leaf for item in result for leaf in _leaves(item)]
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [result]
+
+
+@pytest.mark.parametrize("name", list(_STATE_MEASURES) + list(_BOUND_FUNCTIONS))
+def test_one_input_gives_a_scalar_and_a_stack_an_array(name):
+    # a float for one input (a bool from is_ppt, None from negative_eigvec_mu
+    # on a PPT state); a stack gives the array of the one-input values, bit
+    # for bit for the state measures.  numpy's scalar path rounds some bound
+    # curves differently in the last bit, so those compare to 1e-15.
+    if name in _STATE_MEASURES:
+        fn, args = _STATE_MEASURES[name], (_STACK_STATES,)
+    else:
+        fn, args = _BOUND_FUNCTIONS[name]
+    stacked = _leaves(fn(*args))
+    for leaf in stacked:
+        assert isinstance(leaf, np.ndarray) and leaf.shape == (3, 2)
+    nones = 0
+    for idx in np.ndindex(3, 2):
+        single = _leaves(fn(*(a[idx] for a in args)))
+        assert len(single) == len(stacked)
+        for got, leaf in zip(single, stacked):
+            if name == "is_ppt":
+                assert type(got) is bool and got == leaf[idx]
+            elif got is None:
+                assert name == "negative_eigvec_mu" and np.isnan(leaf[idx])
+                nones += 1
+            elif name in _STATE_MEASURES:
+                assert type(got) is float and got == leaf[idx]
+            else:
+                assert type(got) is float and got == pytest.approx(leaf[idx], rel=1e-15, abs=0.0)
+    assert nones == (1 if name == "negative_eigvec_mu" else 0)
 
 
 @pytest.mark.parametrize(
