@@ -29,7 +29,10 @@ kind is defined once, and ``recompute_gap`` uses the same definitions.
 Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
 then build, apply and measure a block of pairs in stacked calls that give
 each pair the bits of a one-pair run, so a span's pairs come out as its
-chunk's would.
+chunk's would; ``_stacking`` sets the block size by what a pair of the kind
+costs.  ``counterexample_search`` runs in the calling process, its climbs in
+``_climb``: one stacked call per round evaluates a window of candidates per
+restart, and gives the bits of a climb that takes one candidate at a time.
 """
 
 from __future__ import annotations
@@ -63,16 +66,11 @@ from .measures import (
     measure_triple,
     nu_of_c,
 )
-from .states import _check_rank, _gaussian_matrices, _gram_state, random_mixed, sigma_pqr
+from .states import _check_count, _check_rank, _gaussian_matrices, _gram_state, random_mixed, sigma_pqr
 
 # Fixed chunk size for substream spawning.  Changing it would change every
 # sampled stream, so it is a constant, not a knob.
 CHUNK = 1024
-
-# Pairs drawn ahead of measuring them, so that a block's channels are built,
-# applied and measured in stacked calls.  Every stacked step is bit-identical
-# per item and draws no randomness, so this sets speed and memory, not streams.
-PAIR_BLOCK = 32
 
 HARD_KINDS = frozenset({"ordering", "closed_form", "bound_eq4"})
 CONJECTURE_KINDS = frozenset({"bound_eq5_lower", "bound_eq7", "region_eq9", "monotonicity"})
@@ -163,11 +161,9 @@ def _spawn(seed, count):
 
 def _chunks(seed, n):
     """``(substream, size)`` per fixed-size chunk of ``n`` draws, each chunk
-    on its own substream of ``seed``.  Raises :class:`OutOfRange` for
-    ``n < 1``."""
-    n = int(n)
-    if n < 1:
-        raise OutOfRange("n must be >= 1")
+    on its own substream of ``seed``.  Raises :class:`OutOfRange` unless
+    ``n`` is an integer >= 1."""
+    n = _check_count("n", n, 1)
     sizes = [CHUNK] * (n // CHUNK) + ([n % CHUNK] if n % CHUNK else [])
     return list(zip(_spawn(seed, len(sizes)), sizes))
 
@@ -377,9 +373,7 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     """Compare the sigma_pqr closed forms against the numerical measures on
     a full (p, q, r) grid plus 100 random triples.  Disagreement beyond
     ``tol`` is a hard failure."""
-    g = int(grid_density)
-    if g < 2:
-        raise OutOfRange("grid density must be >= 2")
+    g = _check_count("grid_density", grid_density, 2)
     _check_tol(tol)
     t0 = time.perf_counter()
     rng = np.random.default_rng(_spawn(seed, 1)[0])
@@ -481,6 +475,28 @@ def _build_pairs(kind, structures, state_raw, channel_raw):
     return rho, kraus, counts
 
 
+def _stacking(kind):
+    """``(parts, block, window)`` for the pairs of channel ``kind``: the
+    spans a sweep cuts each chunk into, the pairs it draws ahead and then
+    builds, applies and measures in stacked calls, and the candidates per
+    restart in one stacked call of :func:`_climb`.  Every stacked step is
+    bit-identical per item and draws no randomness, so these set speed and
+    memory, not streams, and follow from what one pair costs.
+
+    An LOCC pair costs tens of microseconds, mostly numpy call overhead,
+    which larger stacks share out: blocks of 128 pairs, a window of 8, and
+    one span per chunk, since forking costs more than a 1000-pair sweep
+    gains from a second core.  A PPT pair costs milliseconds of projection,
+    which no stack shares out: one span per usable CPU; blocks of 32, since
+    each worker's peak grows with its block (33.1 MB at 32 pairs, 40.0 MB at
+    128); and a window of 1, since speculative candidates would cost more
+    than they save.
+    """
+    if kind == "ppt":
+        return _usable_cpus(), 32, 1
+    return 1, 128, 8
+
+
 def _gaps(rho, kraus):
     """``n2(E(rho)) - n2(rho)`` per pair, all outputs and inputs measured in
     one stacked call."""
@@ -504,25 +520,79 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
 
     A PPT pair costs milliseconds of projection, so a PPT sweep cuts each
     chunk into one span per usable CPU, and even a sweep of one chunk runs
-    on every core.  An LOCC pair costs tens of microseconds, so that a
-    1000-pair sweep gains less from a second core than forking it costs:
-    LOCC sweeps keep the chunk as their unit.
+    on every core; it measures blocks of 32 pairs.  An LOCC pair costs tens
+    of microseconds, so that a 1000-pair sweep gains less from a second core
+    than forking it costs: LOCC sweeps keep the chunk as their unit, and
+    measure blocks of 128 pairs (:func:`_stacking`).
     """
     rank = _check_rank(rank)
     _check_kind(channel_kind)
+    parts, block, _ = _stacking(channel_kind)
 
     def work(rng, begin, length):
         if begin:  # the chunk's earlier pairs, drawn only to move the stream past them
             _draw_pairs(channel_kind, rank, rng, begin)
-        for first in range(0, length, PAIR_BLOCK):
-            count = min(PAIR_BLOCK, length - first)
+        for first in range(0, length, block):
+            count = min(block, length - first)
             state_raw, structures, channel_raw = _draw_pairs(channel_kind, rank, rng, count)
             rho, kraus, counts = _build_pairs(channel_kind, structures, state_raw, channel_raw)
             yield rho, {"monotonicity": _gaps(rho, kraus)}, _channel_of(kraus, counts)
 
     config = {"channel_kind": channel_kind, "rank": rank, "tol": tol}
-    parts = _usable_cpus() if channel_kind == "ppt" else 1
     return _sweep("monotonicity_sweep", seed, config, tol, work, _spans(_chunks(seed, n_pairs), parts))
+
+
+def _climb(objective, thetas, rngs, steps, step_size, window):
+    """Accept-on-improvement hill climbs from the parameter vectors
+    ``thetas``, one per restart, each ``steps`` long.  A step adds
+    ``step_size`` times a row of standard normals from the restart's own
+    generator in ``rngs``, and the restart moves there if the objective is
+    strictly larger.  ``objective(which, cands)`` maps a list of candidate
+    vectors, with ``which[j]`` the restart of ``cands[j]``, to their values
+    in one stacked call.  Returns each restart's best value, as an array,
+    and its point.
+
+    Each round evaluates the next ``window`` candidates of every restart
+    together, each built from the restart's current point as if the earlier
+    ones were rejected.  A restart moves to its first accepted candidate and
+    drops the rest, which the next round builds again from there, or past
+    the whole window if none is accepted.  A restart uses one noise row per
+    step, accepted or not, drawn when its window first reaches it, so the
+    result is bit for bit that of climbing one candidate at a time; with a
+    window of 1 all restarts step in lockstep.  If a round's call raises, the
+    round runs again with one candidate per restart, the ones the
+    one-at-a-time climb evaluates next, so an error reaches the caller only
+    where that climb raises it.
+    """
+    thetas = list(thetas)
+    best = np.array(objective(range(len(thetas)), thetas), dtype=float)
+    left = [steps] * len(thetas)
+    noise = [np.empty((0, t.size)) for t in thetas]
+    width = window
+    while any(left):
+        counts = [min(width, n) for n in left]
+        which, cands = [], []
+        for i, (t, rng, k) in enumerate(zip(thetas, rngs, counts)):
+            if k > len(noise[i]):
+                noise[i] = np.concatenate([noise[i], rng.standard_normal((k - len(noise[i]), t.size))])
+            which += [i] * k
+            cands.extend(t + step_size * noise[i][:k])
+        try:
+            values = objective(which, cands)
+        except Exception:
+            if width == 1:
+                raise
+            width = 1
+            continue
+        width, first = window, 0
+        for i, k in enumerate(counts):
+            accepted = np.flatnonzero(values[first : first + k] > best[i])
+            used = int(accepted[0]) + 1 if accepted.size else k
+            if accepted.size:
+                best[i], thetas[i] = values[first + used - 1], cands[first + used - 1]
+            noise[i], left[i] = noise[i][used:], left[i] - used
+            first += k
+    return best, thetas
 
 
 def counterexample_search(
@@ -540,15 +610,16 @@ def counterexample_search(
 
     Accept-on-improvement Gaussian steps; the report's ``max_gap`` is the
     best ``f`` found.  Each restart climbs on its own substream with its own
-    accept rule, and all restarts advance in lockstep, one stacked
-    evaluation per step, so the result equals that of separate climbs.  A
-    best value above ``tol`` is a finding: a candidate refutation of
-    monotonicity, recorded with its state and channel.
+    accept rule, through :func:`_climb`, so the result equals that of
+    separate climbs.  An LOCC climb evaluates a window of 8 candidates per
+    restart in each stacked call, and a PPT climb one (:func:`_stacking`).
+    ``n_samples`` counts the climb's ``restarts * (steps + 1)`` points, not
+    the speculative candidates a window evaluates beyond them.  A best value
+    above ``tol`` is a finding: a candidate refutation of monotonicity,
+    recorded with its state and channel.
     """
-    restarts = int(restarts)
-    steps = int(steps)
-    if restarts < 1 or steps < 0:
-        raise OutOfRange("need restarts >= 1 and steps >= 0")
+    restarts = _check_count("restarts", restarts, 1)
+    steps = _check_count("steps", steps, 0)
     rank = _check_rank(rank)
     _check_kind(channel_kind)
     _check_tol(tol)
@@ -561,17 +632,13 @@ def counterexample_search(
         raw = np.stack([t[:split] for t in thetas]), [t[split:] for t in thetas]
         return _build_pairs(channel_kind, [structures[i] for i in which], *raw)
 
+    def objective(which, thetas):
+        rho, kraus, _ = build(which, thetas)
+        return _gaps(rho, kraus)
+
     every = range(restarts)
     thetas = [rng.standard_normal(split + size) for rng, size in zip(rngs, sizes)]
-    rho, kraus, _ = build(every, thetas)
-    best = _gaps(rho, kraus)
-    for _ in range(steps):
-        cands = [t + step_size * rng.standard_normal(t.size) for t, rng in zip(thetas, rngs)]
-        rho, kraus, _ = build(every, cands)
-        f = _gaps(rho, kraus)
-        better = f > best
-        best = np.where(better, f, best)
-        thetas = [c if b else t for c, t, b in zip(cands, thetas, better)]
+    best, thetas = _climb(objective, thetas, rngs, steps, step_size, _stacking(channel_kind)[2])
     best_idx = max(every, key=lambda i: best[i])
     best_f = float(best[best_idx])
     hits = []

@@ -146,11 +146,20 @@ def _gaussian_matrices(raw, shape):
     return (raw[..., :half] + 1j * raw[..., half:]).reshape(raw.shape[:-1] + tuple(shape))
 
 
+def _check_count(name, value, least, most=math.inf):
+    """``value`` as an ``int`` if it is an integer in ``[least, most]``, else
+    raise :class:`OutOfRange`.  Only an ``int`` or a numpy integer is a
+    count: a float is not truncated, and a bool is not a number of anything."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise OutOfRange(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        span = f">= {least}" if most == math.inf else f"{least}..{most}"
+        raise OutOfRange(f"{name} must be {span}, got {value}")
+    return int(value)
+
+
 def _check_rank(rank):
-    rank = int(rank)
-    if rank not in (1, 2, 3, 4):
-        raise OutOfRange(f"rank must be 1..4, got {rank}")
-    return rank
+    return _check_count("rank", rank, 1, 4)
 
 
 def _gram_state(g):

@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bineg import channels, harness
 from bineg.channels import (
@@ -35,6 +37,7 @@ from bineg.harness import (
     ViolationRecord,
     _bound_gaps,
     _build_pairs,
+    _climb,
     _draw_pairs,
     _draw_structure,
     _ordering_gap,
@@ -585,8 +588,8 @@ class TestMonotonicitySweep:
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("kind", ["local_unitary", "local", "one_way_locc"])
     def test_blocks_match_pair_by_pair_reference(self, kind, rank):
-        # 1030 pairs: a full chunk of 32 blocks, then a chunk that is one
-        # partial block of 6; tol=-1 records every pair
+        # 1030 pairs: a full chunk of 8 blocks of 128, then a chunk that is
+        # one partial block of 6; tol=-1 records every pair
         n, seed = 1030, 11
         rep = monotonicity_sweep(n, channel_kind=kind, rank=rank, seed=seed, tol=-1.0)
         assert rep.n_violations == n
@@ -691,7 +694,7 @@ class TestCounterexampleSearch:
             counterexample_search(channel_kind="local", restarts=1, steps=2, seed=1, rank=rank)
 
     @pytest.mark.parametrize("step_size", [1e308, 1e200, 1e160])
-    @pytest.mark.parametrize("kind", ["ppt", "local_unitary"])
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
     def test_overflowing_steps_are_out_of_range(self, kind, step_size):
         # 1e308 steps overflow to inf, 1e200 and 1e160 steps square to inf in
         # the Gram products; both used to end in a LinAlgError from the
@@ -699,9 +702,10 @@ class TestCounterexampleSearch:
         with np.errstate(over="ignore"), pytest.raises(OutOfRange, match="sum of squares"):
             counterexample_search(channel_kind=kind, restarts=2, steps=2, step_size=step_size, seed=8)
 
-    @pytest.mark.parametrize("kind", ["one_way_locc", "local"])
+    @pytest.mark.parametrize("kind", ["one_way_locc", "local", "local_unitary"])
     def test_lockstep_equals_independent_climbs(self, kind):
-        seed, restarts, steps, step_size = 8, 3, 30, 0.1
+        # 29 steps: three full windows of 8 and a partial one of 5
+        seed, restarts, steps, step_size = 8, 3, 29, 0.1
         bests = []
         for child in np.random.SeedSequence(seed).spawn(restarts):
             rng = np.random.default_rng(child)
@@ -727,6 +731,189 @@ class TestCounterexampleSearch:
         (v,) = rep.violations
         assert v.index == bests.index(max(bests))
         assert v.observed_gap == max(bests)
+
+
+class TestClimb:
+    """``_climb`` against the plain loop it stands for: one restart after
+    another, one candidate at a time."""
+
+    @staticmethod
+    def sequential(f, thetas, rngs, steps, step_size):
+        """Each restart's best value, point, accepted steps (1-based) and
+        evaluated candidates, climbing one candidate at a time."""
+        out = []
+        for theta, rng in zip(thetas, rngs):
+            best, accepted, seen = f(theta), [], []
+            for step in range(1, steps + 1):
+                cand = theta + step_size * rng.standard_normal(theta.size)
+                seen.append(cand.tobytes())
+                value = f(cand)
+                if value > best:
+                    best, theta = value, cand
+                    accepted.append(step)
+            out.append((best, theta, accepted, seen))
+        return out
+
+    @staticmethod
+    def starts(seeds, sizes):
+        """Fresh start points and generators, one restart per seed."""
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        return [rng.standard_normal(size) for rng, size in zip(rngs, sizes)], rngs
+
+    @staticmethod
+    def stacked(f):
+        """``f`` as a stacked objective."""
+
+        def objective(which, cands):
+            assert len(which) == len(cands)
+            return np.array([f(c) for c in cands])
+
+        return objective
+
+    def check(self, f, seeds, sizes, steps, step_size, window, objective=None):
+        """Assert that ``_climb`` ends as the sequential climb does, and
+        return the sequential climb's results."""
+        ref_thetas, ref_rngs = self.starts(seeds, sizes)
+        want = self.sequential(f, ref_thetas, ref_rngs, steps, step_size)
+        thetas, rngs = self.starts(seeds, sizes)
+        best, got = _climb(objective or self.stacked(f), thetas, rngs, steps, step_size, window)
+        assert list(best) == [w[0] for w in want]
+        assert [t.tobytes() for t in got] == [w[1].tobytes() for w in want]
+        # one noise row per step, no more: the generators stand where the
+        # sequential climb leaves them
+        assert [r.standard_normal() for r in rngs] == [r.standard_normal() for r in ref_rngs]
+        return want
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        size=st.integers(1, 6),
+        steps=st.sampled_from([0, 1, 3, 7, 8, 9, 17, 30]),
+        step_size=st.sampled_from([0.05, 0.3, 1.0]),
+        window=st.sampled_from([1, 2, 8]),
+    )
+    def test_equals_the_sequential_climb(self, seeds, size, steps, step_size, window):
+        # restarts of different sizes, as the Kraus counts of LOCC restarts differ
+        sizes = [size + k for k in range(len(seeds))]
+        weights = np.linspace(0.5, 2.0, size + len(seeds))
+
+        def f(c):
+            return float(np.sin(weights[: c.size] * c).sum() - 0.1 * c @ c)
+
+        self.check(f, seeds, sizes, steps, step_size, window)
+
+    def test_a_restart_accepts_the_last_candidate_of_a_window(self):
+        # stairs, so that equal values are rejected and acceptances are rare
+        def f(c):
+            return float(np.floor(4 * c[0]))
+
+        seeds, steps, window = [6, 9, 24], 40, 8
+        want = self.check(f, seeds, [3, 3, 3], steps, 0.3, window)
+        last = []
+        for _, _, accepted, _ in want:
+            gaps = np.diff([0] + accepted)
+            last.append(any(g % window == 0 for g in gaps))
+        assert last == [True, True, True]  # steps 29, 31 and 10
+
+    def test_a_speculative_candidate_that_raises_is_not_an_error(self):
+        # the objective raises on every candidate the one-at-a-time climb
+        # never evaluates: the candidates after an accepted one in a window
+        def f(c):
+            return float(np.sin(3 * c).sum())
+
+        seeds, sizes, steps = [4, 5, 6], [4, 5, 6], 30
+        thetas, rngs = self.starts(seeds, sizes)
+        seen = {b for w in self.sequential(f, thetas, rngs, steps, 0.3) for b in w[3]}
+        seen |= {t.tobytes() for t in self.starts(seeds, sizes)[0]}
+        raised = []
+
+        def objective(which, cands):
+            if any(c.tobytes() not in seen for c in cands):
+                raised.append(len(cands))
+                raise ValueError("a candidate the sequential climb never evaluates")
+            return np.array([f(c) for c in cands])
+
+        self.check(f, seeds, sizes, steps, 0.3, 8, objective)
+        assert raised  # a window held such a candidate, and was run again
+
+    @pytest.mark.parametrize("window", [1, 8])
+    def test_an_error_of_the_sequential_climb_is_raised(self, window):
+        seeds, sizes, steps = [4, 5], [4, 5], 30
+        thetas, rngs = self.starts(seeds, sizes)
+        tenth = self.sequential(lambda c: float(np.sin(3 * c).sum()), thetas, rngs, steps, 0.3)[1][3][9]
+
+        def f(c):
+            if c.tobytes() == tenth:
+                raise ValueError("the tenth candidate of restart 1")
+            return float(np.sin(3 * c).sum())
+
+        with pytest.raises(ValueError, match="^the tenth candidate of restart 1$"):
+            self.sequential(f, *self.starts(seeds, sizes), steps, 0.3)
+        thetas, rngs = self.starts(seeds, sizes)
+        with pytest.raises(ValueError, match="^the tenth candidate of restart 1$"):
+            _climb(self.stacked(f), thetas, rngs, steps, 0.3, window)
+
+    @pytest.mark.parametrize("kind, most", [("ppt", 3), ("one_way_locc", 24), ("local", 24)])
+    def test_stack_sizes_of_a_search(self, monkeypatch, kind, most):
+        # a PPT search evaluates one candidate per restart in each call, an
+        # LOCC search a window of 8
+        gaps, sizes = harness._gaps, []
+
+        def spy(rho, kraus):
+            sizes.append(len(rho))
+            return gaps(rho, kraus)
+
+        monkeypatch.setattr(harness, "_gaps", spy)
+        steps = 4 if kind == "ppt" else 20
+        counterexample_search(kind, restarts=3, steps=steps, seed=8)
+        assert sizes[0] == 3  # the starts
+        assert max(sizes) == most
+
+
+class TestCounts:
+    """Counts are integers: a float is rejected, not truncated."""
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None, np.float64(2.0)])
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("rank", lambda x: verify_ordering(3, rank=x, seed=1)),
+            ("rank", lambda x: random_mixed(x, 0)),
+            ("rank", lambda x: counterexample_search("local", restarts=1, steps=1, rank=x)),
+            ("n", lambda x: verify_region(x, seed=1)),
+            ("n", lambda x: monotonicity_sweep(x, "local")),
+            ("n", lambda x: figure_data("fig1", x, out_dir="never-made")),
+            ("restarts", lambda x: counterexample_search("local", restarts=x, steps=1)),
+            ("steps", lambda x: counterexample_search("local", restarts=2, steps=x)),
+            ("grid_density", lambda x: verify_closed_forms(grid_density=x)),
+        ],
+    )
+    def test_a_non_integer_is_rejected(self, name, run, bad):
+        with pytest.raises(OutOfRange, match=f"^{name} must be an integer, got "):
+            run(bad)
+
+    def test_numpy_integers_are_counts(self):
+        i = np.int64
+        rep = counterexample_search("local", restarts=i(2), steps=i(1), rank=i(3), seed=1)
+        assert rep.config["restarts"] == 2 and rep.config["steps"] == 1 and rep.config["rank"] == 3
+        assert type(rep.config["rank"]) is int and rep.n_samples == 4
+        assert monotonicity_sweep(i(3), "local", rank=np.int32(2)).n_samples == 3
+        assert verify_closed_forms(grid_density=np.uint8(2)).config["grid_density"] == 2
+        assert random_mixed(np.int16(1), 0).shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda: verify_ordering(3, rank=5), "rank must be 1..4, got 5"),
+            (lambda: monotonicity_sweep(0, "local"), "n must be >= 1, got 0"),
+            (lambda: counterexample_search(restarts=0), "restarts must be >= 1, got 0"),
+            (lambda: counterexample_search(restarts=1, steps=-1), "steps must be >= 0, got -1"),
+            (lambda: verify_closed_forms(grid_density=1), "grid_density must be >= 2, got 1"),
+        ],
+    )
+    def test_an_integer_out_of_range_is_rejected(self, run, message):
+        with pytest.raises(OutOfRange, match=f"^{message}$"):
+            run()
 
 
 class TestReportSerialization:
