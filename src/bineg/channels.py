@@ -24,7 +24,7 @@ from .errors import (
     WrongDimension,
 )
 from .linalg import check_hermitian, dagger, frobenius_norm, kron, transpose_factors
-from .states import _gaussian_matrices, _gram_state, as_generator
+from .states import _check_count, _gaussian_matrices, _gram_state, as_generator
 
 COMPLETENESS_TOL = 1e-10
 
@@ -187,7 +187,7 @@ def haar_unitary(dim, seed, size=None):
     the R-diagonal phase fix.  ``size=k`` returns a stack ``(k, dim, dim)``.
     """
     rng = as_generator(seed)
-    shape = (dim, dim) if size is None else (int(size), dim, dim)
+    shape = (dim, dim) if size is None else (_check_count("size", size, 0), dim, dim)
     return _isometry(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 

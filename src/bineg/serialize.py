@@ -14,6 +14,7 @@ the process that writes the sheet formats none of its rows.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -47,9 +48,44 @@ def complex_matrix_from_json(data):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _emit(obj, depth):
-    pad = "  " * depth
+def _bracket(items, depth, ends="[]"):
+    """The texts ``items`` of a container's entries at ``depth``, one per
+    line, indented one level deeper than its closing bracket."""
+    if not items:
+        return ends
     inner = "  " * (depth + 1)
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{'  ' * depth}{ends[1]}"
+
+
+@functools.cache
+def _pairs_template(depth, rows, cols):
+    """The text of ``rows`` lists of ``cols`` ``[re, im]`` pairs at
+    ``depth``, with a ``%.17g`` for each float: a state matrix's layout."""
+    pair = _bracket(["%.17g", "%.17g"], depth + 2)
+    return _bracket([_bracket([pair] * cols, depth + 1)] * rows, depth)
+
+
+def _pairs(obj):
+    """The floats of ``obj``, in order, if it holds equally long, non-empty
+    lists of ``[re, im]`` lists of finite floats, else None."""
+    if not obj or type(obj[0]) is not list or not obj[0]:
+        return None
+    flat, cols = [], len(obj[0])
+    for row in obj:
+        if type(row) is not list or len(row) != cols:
+            return None
+        for pair in row:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            flat += pair
+    # a NaN or an infinity makes the sum one; a finite sum may overflow, which
+    # only sends the list down the general path
+    if not all(type(x) is float for x in flat) or not math.isfinite(sum(flat)):
+        return None
+    return flat
+
+
+def _emit(obj, depth):
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -66,17 +102,13 @@ def _emit(obj, depth):
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist(), depth)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_emit(v, depth + 1)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        return _bracket([f"{json.dumps(str(k))}: {_emit(v, depth + 1)}" for k, v in obj.items()], depth, "{}")
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_emit(v, depth + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+        # a state matrix is formatted in one ``%``, as fmt_float formats each float
+        flat = _pairs(obj)
+        if flat is not None:
+            return _pairs_template(depth, len(obj), len(obj[0])) % tuple(flat)
+        return _bracket([_emit(v, depth + 1) for v in obj], depth)
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 

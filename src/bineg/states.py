@@ -130,7 +130,7 @@ def random_pure(seed, size=None):
     ``(k, 4)``.
     """
     rng = as_generator(seed)
-    shape = (4,) if size is None else (int(size), 4)
+    shape = (4,) if size is None else (_check_count("size", size, 0), 4)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
@@ -174,6 +174,14 @@ def _gram_state(g):
     return rho
 
 
+def _ginibre(rank, rng, size):
+    """The factors ``G`` of :func:`random_mixed`: one complex Gaussian 4 x
+    ``rank`` matrix, or a stack of ``size``, drawn from the generator
+    ``rng``.  ``rank`` and ``size`` have passed their checks."""
+    shape = (4, rank) if size is None else (size, 4, rank)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_mixed(rank, seed, size=None):
     """Induced-measure random density matrices ``G G^dagger / Tr`` with
     ``G`` a complex Gaussian 4 x rank matrix.
@@ -181,9 +189,8 @@ def random_mixed(rank, seed, size=None):
     ``rank=1`` reproduces Haar-random pure states.
     """
     rank = _check_rank(rank)
-    rng = as_generator(seed)
-    shape = (4, rank) if size is None else (int(size), 4, rank)
-    return _gram_state(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    size = None if size is None else _check_count("size", size, 0)
+    return _gram_state(_ginibre(rank, as_generator(seed), size))
 
 
 def is_ppt(rho):

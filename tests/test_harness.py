@@ -49,7 +49,7 @@ from bineg.harness import (
     verify_ordering,
     verify_region,
 )
-from bineg.measures import bineg_lower_given_nu, bineg_mems, binegativity, measure_triple, nu_of_c
+from bineg.measures import _uhlmann, bineg_lower_given_nu, bineg_mems, binegativity, measure_triple, nu_of_c
 from bineg.serialize import complex_matrix_to_json, dumps
 from bineg.states import random_mixed
 
@@ -162,6 +162,28 @@ class TestVerifyRegion:
         assert CONJECTURE_KINDS.isdisjoint(HARD_KINDS)
 
 
+def chunk_gaps(sweep, n, rank, seed):
+    """The states of a sweep of ``n`` states and, per kind, the gap of each,
+    measured with ``measure_triple`` one chunk at a time, as a sweep that
+    screens nothing measures them: a lone state may differ in the last bit."""
+    sizes = [CHUNK] * (n // CHUNK) + ([n % CHUNK] if n % CHUNK else [])
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    chunks = [random_mixed(rank, np.random.default_rng(c), size=k) for c, k in zip(children, sizes)]
+    gaps = {}
+    for chunk in chunks:
+        t = measure_triple(chunk)
+        found = {"ordering": _ordering_gap(t)} if sweep is verify_ordering else _bound_gaps(t)
+        for kind, g in found.items():
+            gaps.setdefault(kind, []).extend(g.tolist())
+    return np.concatenate(chunks), gaps
+
+
+def shifted_screen(monkeypatch, shift):
+    """Move every screened concurrence of a state sweep by ``shift``: the
+    screen divides ``_uhlmann`` of a factor by the factor's squared norm."""
+    monkeypatch.setattr(harness, "_uhlmann", lambda f: _uhlmann(f) + shift * np.square(np.abs(f)).sum(axis=(-2, -1)))
+
+
 class TestStateSweepChunks:
     @pytest.mark.parametrize("sweep", [verify_ordering, verify_region])
     def test_records_run_across_the_chunk_boundary(self, sweep):
@@ -169,16 +191,7 @@ class TestStateSweepChunks:
         # from its own substream; tol=-1 records every gap of every state
         n, seed = CHUNK + 6, 12
         rep = sweep(n, rank=2, seed=seed, tol=-1.0)
-        children = np.random.SeedSequence(seed).spawn(2)
-        chunks = [random_mixed(2, np.random.default_rng(c), size=k) for c, k in zip(children, (CHUNK, 6))]
-        states = np.concatenate(chunks)
-        # gaps of each chunk as one stack: a lone state may differ in the last bit
-        gaps = {}
-        for chunk in chunks:
-            t = measure_triple(chunk)
-            found = {"ordering": _ordering_gap(t)} if sweep is verify_ordering else _bound_gaps(t)
-            for kind, g in found.items():
-                gaps.setdefault(kind, []).extend(g.tolist())
+        states, gaps = chunk_gaps(sweep, n, 2, seed)
         want = sorted((i, kind, g[i]) for kind, g in gaps.items() for i in range(n) if g[i] > -1.0)
         got = [(v.index, v.kind, v.observed_gap) for v in rep.violations]
         assert got == want
@@ -188,6 +201,81 @@ class TestStateSweepChunks:
         assert indices[0] < CHUNK <= indices[-1]
         if sweep is verify_ordering:
             assert indices == list(range(n))
+
+    @pytest.mark.parametrize(
+        "rank, tol", [(1, -1.0), (4, -1.0), (1, 1e-9), (2, 1e-9), (4, 1e-9), (2, 3e-4), (2, 1e-3)]
+    )
+    @pytest.mark.parametrize("sweep", [verify_ordering, verify_region])
+    def test_hits_and_top_are_the_reference_gaps(self, sweep, rank, tol):
+        # the screen leaves out of the reference only states that are no hit
+        # and not the top; at tol 3e-4, 5 of the 6 seed-8 findings are hits,
+        # and at 1e-3 none is, so the top (9.2e-4) is measured as the top
+        n, seed = 2000, 8
+        rep = sweep(n, rank=rank, seed=seed, tol=tol)
+        states, gaps = chunk_gaps(sweep, n, rank, seed)
+        want = sorted((i, kind, g[i]) for kind, g in gaps.items() for i in range(n) if g[i] > tol)
+        assert [(v.index, v.kind, v.observed_gap) for v in rep.violations] == want
+        assert all(v.state == complex_matrix_to_json(states[v.index]) for v in rep.violations)
+        assert rep.max_gap == max(np.fmax.reduce(g) for g in gaps.values())
+
+    @pytest.mark.parametrize(
+        "sweep, tol", [(verify_ordering, 1e-9), (verify_region, 1e-9), (verify_region, 3.1275e-4)]
+    )
+    def test_a_screen_off_by_its_bound_moves_no_byte(self, monkeypatch, sweep, tol):
+        # half the margin, and the 1.9e-6 that the comment at _SCREEN_MARGIN
+        # bounds the screen's error in C by, either way.  At tol 3.1275e-4 the
+        # seed-8 finding at 1848 (gap 3.1284e-4, slope 0.114 in C, not the
+        # top of its chunk) is a hit that a screen 1.9e-6 low puts below tol
+        want = dumps(sweep(2000, seed=8, tol=tol).to_json_dict())
+        for shift in (harness._SCREEN_MARGIN / 2, -harness._SCREEN_MARGIN / 2, 1.9e-6, -1.9e-6):
+            shifted_screen(monkeypatch, shift)
+            assert dumps(sweep(2000, seed=8, tol=tol).to_json_dict()) == want
+
+    def test_a_record_screened_below_the_cut_goes(self):
+        # the converse of the test above: a screen 3e-3 low puts the seed-8
+        # findings at 468 and 1848 (gaps 1.3e-4 and 3.1e-4) below the cut, so
+        # their reference gaps are never measured
+        with pytest.MonkeyPatch.context() as mp:
+            shifted_screen(mp, -3e-3)
+            indices = [v.index for v in verify_region(2000, seed=8).violations]
+        assert indices == [30, 262, 310, 1511]
+        assert [v.index for v in verify_region(2000, seed=8).violations] == [30, 262, 310, 468, 1511, 1848]
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sweep", [verify_ordering, verify_region])
+    def test_a_non_finite_screen_is_measured_by_the_reference(self, monkeypatch, sweep, bad, tol):
+        # the state is measured, and its screen is no part of the chunk's
+        # top, which at tol 0.5 would lift the cut above the real top
+        serial(monkeypatch)
+        n, seed = CHUNK + 6, 8
+        states, gaps = chunk_gaps(sweep, n, 2, seed)
+        measured = []
+        reference = harness.concurrence
+
+        def spy(rho):
+            measured.extend(r.tobytes() for r in rho)
+            return reference(rho)
+
+        monkeypatch.setattr(harness, "concurrence", spy)
+        want = dumps(sweep(n, seed=seed, tol=tol).to_json_dict())
+        # the first state of the first chunk that the screen settles, and
+        # that is entangled, so that its gaps are finite
+        j = next(
+            i for i in range(CHUNK)
+            if states[i].tobytes() not in measured and all(np.isfinite(g[i]) for g in gaps.values())
+        )
+        measured.clear()
+
+        def screen(f):
+            u = _uhlmann(f)
+            if len(u) == CHUNK:
+                u[j] = bad
+            return u
+
+        monkeypatch.setattr(harness, "_uhlmann", screen)
+        assert dumps(sweep(n, seed=seed, tol=tol).to_json_dict()) == want
+        assert states[j].tobytes() in measured
 
 
 def serial(monkeypatch):
@@ -479,6 +567,43 @@ class TestSeeds:
         with pytest.raises(OutOfRange, match="seed"):
             run(-1)
         assert run(0).seed == 0
+
+
+SEEDED = {
+    "verify_ordering": lambda seed, out: verify_ordering(5, seed=seed),
+    "verify_region": lambda seed, out: verify_region(5, seed=seed),
+    "verify_closed_forms": lambda seed, out: verify_closed_forms(grid_density=2, seed=seed),
+    "monotonicity_sweep": lambda seed, out: monotonicity_sweep(2, seed=seed),
+    "counterexample_search": lambda seed, out: counterexample_search(restarts=1, steps=1, seed=seed),
+    "figure_data": lambda seed, out: figure_data("fig1", 5, seed=seed, out_dir=str(out)),
+}
+
+
+class TestSeedType:
+    """A seed is an integer >= 0, checked as counts are: a float is
+    rejected, not truncated, and a bool is not a seed."""
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None, np.float64(2.0)])
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    def test_a_non_integer_seed_is_rejected(self, tmp_path, name, bad):
+        out = tmp_path / "new"
+        with pytest.raises(OutOfRange, match="^seed must be an integer, got "):
+            SEEDED[name](bad, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    def test_a_negative_seed_keeps_its_message(self, tmp_path, name):
+        with pytest.raises(OutOfRange, match="^seed must be >= 0, got -1$"):
+            SEEDED[name](-1, tmp_path / "new")
+
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    def test_a_numpy_integer_seed_is_its_int(self, tmp_path, name):
+        got, want = SEEDED[name](np.uint16(3), tmp_path / "got"), SEEDED[name](3, tmp_path / "want")
+        if name == "figure_data":
+            assert [open(p, "rb").read() for p in got] == [open(p, "rb").read() for p in want]
+        else:
+            assert type(got.seed) is int
+            assert dumps(got.to_json_dict()) == dumps(want.to_json_dict())
 
 
 class TestTolerance:
@@ -926,7 +1051,7 @@ class TestReportSerialization:
         "name, run",
         [
             ("_closed_form_gap", lambda: verify_closed_forms(grid_density=2, seed=8)),
-            ("measure_triple", lambda: verify_region(CHUNK + 6, seed=8)),
+            ("_negative_branch", lambda: verify_region(CHUNK + 6, seed=8)),
             ("_gaps", lambda: counterexample_search(restarts=1, steps=0, seed=8)),
         ],
         ids=["closed_forms", "state_sweep", "search"],

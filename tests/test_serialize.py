@@ -1,10 +1,11 @@
 """Tests for deterministic JSON/CSV emission."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bineg.errors import ParseError
@@ -79,6 +80,103 @@ class TestDumps:
     def test_floats_use_full_precision(self):
         x = 0.1 + 0.2
         assert fmt_float(x) in dumps({"v": x})
+
+
+def recursive_dumps(obj):
+    """The serializer's layout written as one plain recursion, each float
+    formatted on its own: the reference of the state-matrix template."""
+
+    def emit(obj, depth):
+        pad, inner = "  " * depth, "  " * (depth + 1)
+        if obj is None:
+            return "null"
+        if isinstance(obj, (bool, np.bool_)):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return "null" if not math.isfinite(obj) else format(float(obj), ".17g")
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, dict):
+            parts = [f"{inner}{json.dumps(str(k))}: {emit(v, depth + 1)}" for k, v in obj.items()]
+        else:
+            parts = [f"{inner}{emit(v, depth + 1)}" for v in obj]
+        if not parts:
+            return "{}" if isinstance(obj, dict) else "[]"
+        ends = "{}" if isinstance(obj, dict) else "[]"
+        return ends[0] + "\n" + ",\n".join(parts) + f"\n{pad}{ends[1]}"
+
+    return emit(obj, 0) + "\n"
+
+
+SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.builds(np.float64, st.floats()),
+)
+# lists of rows of pairs, the state matrix's layout, but also ragged, empty,
+# with a pair of one or three, or with an entry that is not a finite float
+PAIRS = st.lists(
+    st.lists(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), SCALARS), min_size=1, max_size=3),
+             max_size=4),
+    max_size=4,
+)
+MATRICES = st.builds(
+    lambda m: complex_matrix_to_json(m),
+    st.integers(0, 4).flatmap(
+        lambda r: st.integers(1, 4).flatmap(
+            lambda c: st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=r * c, max_size=r * c)
+            .map(lambda z: np.array(z, dtype=complex).reshape(r, c))
+        )
+    ),
+)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, PAIRS, MATRICES),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumpsTemplate:
+    @settings(max_examples=200, derandomize=True)
+    @given(DOCUMENTS)
+    def test_equals_the_plain_recursion(self, obj):
+        assert dumps(obj) == recursive_dumps(obj)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[[0.5, -0.0]]],
+            [[[float("nan"), 1.0], [float("inf"), -float("inf")]]],
+            [[[1, 2.0]]],
+            [[[True, 2.0]]],
+            [[[np.float64(0.1), 2.0]]],
+            [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]],
+            [[[1.0, 2.0, 3.0]]],
+            [[], []],
+            [],
+            [[[1e308, 1e308], [1e308, 1e308]]],
+        ],
+        ids=["minus-zero", "non-finite", "int", "bool", "numpy-float", "ragged", "triple", "empty-rows", "empty",
+             "overflowing-sum"],
+    )
+    def test_edge_matrices_at_every_depth(self, matrix):
+        for obj in (matrix, {"state": matrix}, [{"state": matrix}, matrix]):
+            assert dumps(obj) == recursive_dumps(obj)
+
+    def test_a_state_matrix_is_pairs_of_17_digit_floats(self):
+        text = dumps({"state": [[[0.1, -0.0], [1e-300, 3.0]]]})
+        assert text == '{\n  "state": [\n    [\n      [\n        0.10000000000000001,\n        -0\n      ],\n' \
+            '      [\n        1e-300,\n        3\n      ]\n    ]\n  ]\n}\n'
 
 
 class TestCsvRows:

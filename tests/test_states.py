@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bineg.channels import haar_unitary
 from bineg.errors import InfeasibleRegion, InvalidState, OutOfRange
 from bineg.linalg import dagger, frobenius_distance
 from bineg.measures import boundary_p_range, concurrence, negativity, nu_of_c
@@ -238,6 +239,22 @@ class TestRandomSampling:
             random_mixed(5, 1)
         with pytest.raises(OutOfRange):
             random_mixed(0, 1)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", np.float64(2.0)])
+    @pytest.mark.parametrize(
+        "sample",
+        [lambda size: random_mixed(2, 0, size=size), lambda size: random_pure(0, size=size),
+         lambda size: haar_unitary(2, 0, size=size)],
+        ids=["random_mixed", "random_pure", "haar_unitary"],
+    )
+    def test_a_size_is_a_count(self, sample, bad):
+        # a float size was truncated: random_mixed(2, 0, size=2.5) gave 2 states
+        with pytest.raises(OutOfRange, match="^size must be an integer, got "):
+            sample(bad)
+        with pytest.raises(OutOfRange, match="^size must be >= 0, got -1$"):
+            sample(-1)
+        assert np.array_equal(sample(np.int64(3)), sample(3))
+        assert len(sample(0)) == 0
 
 
 class TestValidation:
