@@ -26,10 +26,11 @@ CPU, since one PPT pair costs milliseconds: a span first draws the chunk's
 earlier pairs to move its stream past them.  There is no option for it; a
 sweep of one item, or on one CPU, runs in the calling process.  Each gap
 kind is defined once, and ``recompute_gap`` uses the same definitions.
-A state sweep screens each chunk with the concurrence of the sampler's own
-factor ``G`` of ``rho = G G^dagger / Tr`` and measures with the reference
-``concurrence`` only the states near a hit or the chunk's top
-(``_state_sweep``), so every recorded gap and ``max_gap`` is the reference's.
+A state sweep screens each chunk without an eigensolve, ``nu`` and ``n2``
+with ``_nu_n2_screen`` and ``C`` with the concurrence of the sampler's own
+factor ``G`` of ``rho = G G^dagger / Tr``, and measures with the reference
+kernels only the states near a hit or the chunk's top (``_state_sweep``), so
+every recorded gap and ``max_gap`` is the reference's.
 Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
 then build, apply and measure a block of pairs in stacked calls that give
 each pair the bits of a one-pair run, so a span's pairs come out as its
@@ -65,6 +66,7 @@ from .measures import (
     MeasureTriple,
     _negative_branch,
     _nu_n2,
+    _nu_n2_screen,
     _region_bounds,
     _uhlmann,
     binegativity,
@@ -358,18 +360,28 @@ def _bound_gaps(t):
     return {k: np.where(entangled, g, -math.inf) for k, g in gaps.items()}
 
 
-# A state sweep measures with the reference concurrence every state whose
-# screened gap of some kind comes within this of min(tol, the chunk's top).
-# Outside it the reference gaps are below both, as long as no gap moves by
-# half of it between the two concurrences.  Measured: the largest |screened
-# gap - reference gap| over 1.2e6 states of ranks 1-4 (seeds 101-104) was
-# 4.8e-15.  Bounded: only an eigenvalue eps <= _RANK_CUT of rho, which the
-# reference drops, moves C by more.  It changes the matrix of _uhlmann by a
-# term of rank 2 and norm about sqrt(eps), so the singular values by about
-# 2 sqrt(eps) in sum and C by at most that, 6.3e-7; a state has at most three
-# such eigenvalues, and no gap moves by more than twice C (the slopes of
-# nu_of_c and bineg_mems reach 2 at c = 1): under 3.8e-6.  Cost: 1.2% of
-# rank-2 region states come within it.
+# A state sweep measures with the reference kernels every state whose screened
+# gap of some kind comes within this of min(tol, the chunk's top).  Outside it
+# the reference gaps are below both, as long as no gap moves by half of it
+# between the screen and the reference.  On the feasible region a gap moves by
+# at most 2 per unit of C (the slopes of nu_of_c and bineg_mems at c = 1), 1.5
+# per unit of nu (region_eq9's lower surface; bineg_lower_given_nu's is 1.06)
+# and 1 per unit of n2.
+# Measured: the largest |screened gap - reference gap| over 9e5 states of ranks
+# 2-4 (seeds 101-104) was 2.8e-14; _nu_n2_screen left 7 of them unsettled.
+# Bounded, per term:
+# * C: only an eigenvalue eps <= _RANK_CUT of rho, which the reference drops,
+#   moves C by more than rounding.  It changes the matrix of _uhlmann by a
+#   term of rank 2 and norm about sqrt(eps), so the singular values by about 2
+#   sqrt(eps) in sum and C by at most that, 6.3e-7; a state has at most three
+#   such eigenvalues: under 3.8e-6 in a gap.  At rank 2 the closed form of
+#   _uhlmann loses a few sqrt(eps) s1 near s1 = s2, at most 3e-8 of Tr (s1 <=
+#   Tr): 6e-8 in a gap.
+# * nu and n2: _nu_n2_screen settles a state only with a certified bound of at
+#   most measures._SCREEN_BOUND = 1e-10 on both, and leaves the others NaN, so
+#   that they are measured: 2.5e-10 in a gap.
+# The sum, under 3.9e-6, is below half the margin.  Cost: about 1.2% of rank-2
+# region states come within it.
 _SCREEN_MARGIN = 1e-5
 
 
@@ -377,33 +389,40 @@ def _state_sweep(op, gaps_of, n, rank, seed, tol):
     """Sweep of ``n`` random states of ``rank``, with gaps ``gaps_of(triple)``.
 
     A chunk draws the factors ``G`` of its states ``G G^dagger / Tr`` and
-    takes ``nu`` and ``n2`` from the one eigensolve of each ``rho^G``, as
-    :func:`measure_triple` does.  It screens with the concurrence of ``G``
-    itself, ``_uhlmann(G) / Tr``, which needs no eigensolve of ``rho``, and
-    measures with the reference :func:`concurrence` only the states whose
-    screened concurrence is not finite or whose screened gap of any kind
-    comes within ``_SCREEN_MARGIN`` of ``min(tol, top)``, ``top`` the
-    chunk's largest screened gap.  Their gaps replace the screened ones, so
-    every hit and the chunk's top carry the reference bits, and a report is
-    byte-identical to one that measures every state.  That skips the
-    reference for about 99% of a rank-2 region sweep; at rank 1, whose pure
-    states all sit at a gap of about 0, and at a ``tol`` below 0 every state
-    is measured, and the screen is paid on top.
+    screens them without an eigensolve: ``nu`` and ``n2`` from
+    :func:`_nu_n2_screen`, which certifies each state's error or leaves it
+    NaN, and the concurrence of ``G`` itself, ``_uhlmann(G) / Tr``, in closed
+    form at rank 2.  Only the states whose screen is not finite or whose
+    screened gap of any kind comes within ``_SCREEN_MARGIN`` of ``min(tol,
+    top)``, ``top`` the chunk's largest screened gap, are measured with the
+    reference kernels, :func:`_negative_branch` and :func:`concurrence`, as
+    :func:`measure_triple` measures them.  Their gaps replace the screened
+    ones, so every hit and the chunk's top carry the reference bits, and a
+    report is byte-identical to one that measures every state.  A state the
+    screen settles as PPT is never measured: ``gaps_of`` gives it, as both
+    sweeps' gaps do, the same gaps for any ``C >= 0`` (0 for the ordering,
+    none for the bounds), so its screened gaps are the reference's.  At rank
+    1 every state is measured and none is screened, since every pure state
+    sits at a gap of about 0, where the screen would settle none.
     """
     rank = _check_rank(rank)
 
     def work(rng, size):
         g = _ginibre(rank, rng, size)
         rho = _gram_state(g)
-        nu, n2 = _nu_n2(*_negative_branch(rho))
+        if rank == 1:
+            yield rho, gaps_of(measure_triple(rho)), lambda j: {}
+            return
+        nu, n2, _ = _nu_n2_screen(rho)
         c = _uhlmann(g) / np.square(np.abs(g)).sum(axis=(-2, -1))
-        finite = np.isfinite(c)
-        gaps = gaps_of(MeasureTriple(np.where(finite, np.maximum(c, 0.0), 0.0), nu, n2))
+        settled, c_ok, ppt = np.isfinite(nu), np.isfinite(c), nu == 0.0
+        screened = np.where(c_ok, np.maximum(c, 0.0), 0.0), np.where(settled, nu, 0.0), np.where(settled, n2, 0.0)
+        gaps = gaps_of(MeasureTriple(*screened))
         for gap in gaps.values():
-            gap[~finite] = np.nan  # no part of the top, and measured below
+            gap[~(settled & (c_ok | ppt))] = np.nan  # no part of the top, and measured below
         cut = min(tol, np.fmax.reduce(list(gaps.values()), axis=None, initial=-math.inf)) - _SCREEN_MARGIN
-        near = np.flatnonzero(np.any([~(gap < cut) for gap in gaps.values()], axis=0))
-        exact = gaps_of(MeasureTriple(concurrence(rho[near]), nu[near], n2[near]))
+        near = np.flatnonzero(~ppt & np.any([~(gap < cut) for gap in gaps.values()], axis=0))
+        exact = gaps_of(MeasureTriple(concurrence(rho[near]), *_nu_n2(*_negative_branch(rho[near]))))
         for kind, gap in gaps.items():
             gap[near] = exact[kind]
         yield rho, gaps, lambda j: {}

@@ -83,6 +83,108 @@ def _nu_n2(lam, a):
     return 2.0 * lam, lam + 2.0 * t2
 
 
+# The screen's allowance for rounding, per unit of max(1, |rho^G|_F): the
+# backward error of LAPACK's eigh and of the screen's own sums is a few eps.
+_SCREEN_ROUNDING = 1e-14
+# A screened (nu, n2) is settled only when its certified bound is at most this.
+_SCREEN_BOUND = 1e-10
+
+
+def _nu_n2_screen(rho):
+    """``(nu, n2, bound)`` of density matrices without an eigensolve: the
+    ``_nu_n2(*_negative_branch(rho))`` of each state to within ``bound`` in
+    both, or NaN in all three where the screen does not settle the state.
+
+    With ``H = rho^G`` and ``w0 <= w1 <= w2 <= w3`` its eigenvalues:
+
+    * the power sums ``tr H^k`` (one ``H @ H``) give ``det(x - H) = x^4 +
+      a3 x^3 + a2 x^2 + a1 x + a0`` by Newton's identities;
+    * Laguerre's method from Samuelson's bound ``tr H / 4 - sqrt(3) sigma <=
+      w0`` climbs to ``e ~ w0`` without passing it, 6 steps for a quartic
+      with real roots;
+    * ``adj(e - H) = H^3 + (e + a3) H^2 + (e^2 + a3 e + a2) H + (e^3 + a3 e^2
+      + a2 e + a1)`` is about ``p'(w0) v0 v0^dagger``, so its column of
+      largest diagonal entry, normalized, is ``v``; ``theta = v^dagger H v``
+      and ``r = |H v - theta v|``, with the rounding allowance added.
+
+    The certificate: some ``w_j`` lies within ``r`` of ``theta`` (Weyl).
+    Every term of ``p'(theta)`` but one holds the factor ``theta - w_j``, and
+    each ``|theta - w_k| <= D`` (Samuelson), so ``|theta - w_k| >= delta =
+    (|p'(theta)| - 3 r D^2) / D^2`` for every ``k != j``.  As ``e <= w0``,
+    ``theta - e < delta`` makes ``j = 0``; then ``|theta - w0| <= r^2 /
+    delta`` (Kato-Temple), and the sine of the angle between ``v`` and the
+    eigenvector is at most ``r / delta`` (Davis & Kahan, SIAM J. Numer.
+    Anal. 7, 1 (1970)).  These bound ``lam = -theta`` and ``t2 = lam |det
+    a|`` against the reference's.  A state is unsettled when ``delta`` is
+    too small or ``e`` not first, when ``lam`` or ``t2`` lies within its
+    bound of the cut of :func:`_negative_branch` or :func:`_nu_n2`, or when
+    the bound exceeds ``_SCREEN_BOUND``.  A PPT state settles at ``nu = n2 =
+    0.0`` and a bound of 0, the reference's bits.  The input must be states,
+    whose ``rho^G`` has at most one negative eigenvalue: the screen does not
+    look for a second, on which :func:`_negative_branch` raises.
+    """
+    h = partial_transpose(np.asarray(rho, dtype=complex))
+    h2 = h @ h
+    diag1 = np.diagonal(h, axis1=-2, axis2=-1).real
+    diag2 = np.diagonal(h2, axis1=-2, axis2=-1).real
+    # (H^3)_ii = sum_j (H^2)_ij conj(H_ij), read as pairs of floats
+    diag3 = (h2.view(float) * h.view(float)).sum(axis=-1)
+    p1, p2, p3 = diag1.sum(axis=-1), diag2.sum(axis=-1), diag3.sum(axis=-1)
+    p4 = np.square(h2.view(float)).sum(axis=(-2, -1))
+    e2 = (p1 * p1 - p2) / 2.0
+    e3 = (e2 * p1 - p1 * p2 + p3) / 3.0
+    a3, a2, a1, a0 = -p1, e2, -e3, (e3 * p1 - e2 * p2 + p1 * p3 - p4) / 4.0
+    scale = np.maximum(1.0, np.sqrt(p2))
+    s = _SCREEN_ROUNDING * scale
+    eps_p = _SCREEN_ROUNDING * scale**3  # of p and p' near the spectrum
+    # Samuelson: the four eigenvalues lie within sqrt(3) sigma of their mean
+    mean = p1 / 4.0
+    spread = np.sqrt(3.0 * np.maximum(p2 / 4.0 - mean * mean, 0.0)) + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = mean - spread
+        for _ in range(6):
+            p = (((e + a3) * e + a2) * e + a1) * e + a0
+            dp = ((4.0 * e + 3.0 * a3) * e + 2.0 * a2) * e + a1
+            ddp = (12.0 * e + 6.0 * a3) * e + 2.0 * a2
+            den = dp - np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * p * ddp, 0.0))
+            e = np.where(den < 0.0, e - 4.0 * p / den, e)
+        c1 = e + a3
+        c2 = c1 * e + a2
+        c3 = c2 * e + a1
+        c1, c2, c3 = c1[..., None], c2[..., None], c3[..., None]
+        k = np.argmax(np.abs(diag3 + c1 * diag2 + c2 * diag1 + c3), axis=-1)[..., None, None]
+        col1 = np.take_along_axis(h, k, axis=-1)[..., 0]
+        col2 = np.take_along_axis(h2, k, axis=-1)[..., 0]
+        v = (h @ col2[..., None])[..., 0] + c1 * col2 + c2 * col1 + c3 * (np.arange(4) == k[..., 0])
+        v = v / np.sqrt(np.square(np.abs(v)).sum(axis=-1))[..., None]
+        hv = (h @ v[..., None])[..., 0]
+        theta = (np.conjugate(v) * hv).sum(axis=-1).real
+        r = np.sqrt(np.square(np.abs(hv - theta[..., None] * v)).sum(axis=-1)) + s
+        d2 = np.square(np.abs(theta - mean) + spread)
+        dp = ((4.0 * theta + 3.0 * a3) * theta + 2.0 * a2) * theta + a1
+        delta = (np.abs(dp) - eps_p - 3.0 * r * d2) / d2
+        first = (delta > 4.0 * r) & (theta - e + 2.0 * eps_p / np.abs(dp) < delta)
+        dlam = r * r / delta + s
+        # |det a| moves by at most the angle to the reference's eigenvector,
+        # which LAPACK gets within s / (gap) of the true one
+        ddet = 2.0 * (r / delta + s / (delta - 3.0 * r))
+    lam = -theta
+    det = np.abs(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2])
+    t2 = lam * det
+    dt2 = dlam / 2.0 + (lam + dlam) * ddet
+    thr = ZERO_EIG_TOL * scale
+    neg = lam - dlam > thr
+    ppt = lam + dlam < thr
+    t2_cut = ZERO_EIG_TOL * np.maximum(1.0, lam)
+    t2_sure = np.abs(t2 - t2_cut) > dt2 + ZERO_EIG_TOL * dlam
+    bound = np.where(neg, np.maximum(2.0 * dlam, dlam + 2.0 * dt2), 0.0)
+    settled = first & (ppt | (neg & t2_sure & (bound <= _SCREEN_BOUND)))
+    t2 = np.where(t2 > t2_cut, t2, 0.0)
+    nu = np.where(settled, np.where(neg, 2.0 * lam, 0.0), np.nan)
+    n2 = np.where(settled, np.where(neg, lam + 2.0 * t2, 0.0), np.nan)
+    return _scalar(nu), _scalar(n2), _scalar(np.where(settled, bound, np.nan))
+
+
 def negativity(rho):
     """Twice the trace of the negative part of the partial transpose.
 
@@ -110,7 +212,23 @@ def _uhlmann(f):
     Y) f``, for matrices ``f`` of shape ``(..., 4, k)``: the concurrence of
     ``f f^dagger`` before its clamp at 0.  Any factor with ``f f^dagger =
     rho`` gives the same singular values, and a factor of ``t rho`` gives
-    ``t`` times them."""
+    ``t`` times them.
+
+    At ``k = 2`` no SVD is made: ``(s1 - s2)^2 = |A|_F^2 - 2 |det A|`` for
+    the symmetric ``A = f^T (Y x Y) f``, since ``s1^2 + s2^2 = |A|_F^2`` and
+    ``s1 s2 = |det A|``, with the three entries of ``A`` formed elementwise.
+    The difference cancels near ``s1 = s2``, where the result is off by a
+    few ``sqrt(eps) s1``; every other ``k`` (:func:`concurrence` passes 4)
+    takes the singular values."""
+    if np.shape(f)[-1] == 2:
+        x, y = f[..., 0], f[..., 1]
+
+        def form(a, b):  # a^T (Y x Y) b
+            return a[..., 1] * b[..., 2] + a[..., 2] * b[..., 1] - a[..., 0] * b[..., 3] - a[..., 3] * b[..., 0]
+
+        a00, a11, a01 = form(x, x), form(y, y), form(x, y)
+        fro = np.square(np.abs(a00)) + np.square(np.abs(a11)) + 2.0 * np.square(np.abs(a01))
+        return np.sqrt(np.maximum(fro - 2.0 * np.abs(a00 * a11 - a01 * a01), 0.0))
     sv = np.linalg.svd(np.swapaxes(f, -1, -2) @ (_YY @ f), compute_uv=False)
     return 2.0 * sv[..., 0] - sv.sum(axis=-1)
 

@@ -4,6 +4,7 @@ Sweeps run on reduced sample counts with fixed seeds; expected finding
 counts are frozen from high-precision audits of the same seeds.
 """
 
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -49,7 +50,16 @@ from bineg.harness import (
     verify_ordering,
     verify_region,
 )
-from bineg.measures import _uhlmann, bineg_lower_given_nu, bineg_mems, binegativity, measure_triple, nu_of_c
+from bineg.measures import (
+    _SCREEN_BOUND,
+    _nu_n2_screen,
+    _uhlmann,
+    bineg_lower_given_nu,
+    bineg_mems,
+    binegativity,
+    measure_triple,
+    nu_of_c,
+)
 from bineg.serialize import complex_matrix_to_json, dumps
 from bineg.states import random_mixed
 
@@ -184,6 +194,17 @@ def shifted_screen(monkeypatch, shift):
     monkeypatch.setattr(harness, "_uhlmann", lambda f: _uhlmann(f) + shift * np.square(np.abs(f)).sum(axis=(-2, -1)))
 
 
+def shifted_nu_n2_screen(monkeypatch, nu_shift, n2_shift):
+    """Move the screened nu and n2 of every state that the screen settles as
+    entangled by ``nu_shift`` and ``n2_shift``."""
+
+    def screen(rho):
+        nu, n2, bound = _nu_n2_screen(rho)
+        return nu + nu_shift * (nu > 0.0), n2 + n2_shift * (nu > 0.0), bound
+
+    monkeypatch.setattr(harness, "_nu_n2_screen", screen)
+
+
 class TestStateSweepChunks:
     @pytest.mark.parametrize("sweep", [verify_ordering, verify_region])
     def test_records_run_across_the_chunk_boundary(self, sweep):
@@ -276,6 +297,94 @@ class TestStateSweepChunks:
         monkeypatch.setattr(harness, "_uhlmann", screen)
         assert dumps(sweep(n, seed=seed, tol=tol).to_json_dict()) == want
         assert states[j].tobytes() in measured
+
+    @pytest.mark.parametrize(
+        "sweep, tol", [(verify_ordering, 1e-9), (verify_region, 1e-9), (verify_region, 3.1275e-4)]
+    )
+    def test_a_nu_n2_screen_off_by_its_bound_moves_no_byte(self, monkeypatch, sweep, tol):
+        # the certified bound, and 2e-6, which moves a gap by at most 5e-6,
+        # half the margin (slope 1.5 in nu and 1 in n2), each way in each.  At
+        # tol 3.1275e-4 the seed-8 finding at 1848 (gap 3.1284e-4) is a hit
+        # that a screen 2e-6 low in n2 puts below tol
+        want = dumps(sweep(2000, seed=8, tol=tol).to_json_dict())
+        for size in (_SCREEN_BOUND, 2e-6):
+            for nu_sign, n2_sign in itertools.product((1, -1), repeat=2):
+                shifted_nu_n2_screen(monkeypatch, nu_sign * size, n2_sign * size)
+                assert dumps(sweep(2000, seed=8, tol=tol).to_json_dict()) == want
+
+    def test_a_record_screened_below_the_nu_n2_cut_goes(self):
+        # the converse: a screen 5e-4 low in n2 puts the seed-8 findings at
+        # 310, 468 and 1848 (gaps 3.4e-4, 1.3e-4 and 3.1e-4) below the cut,
+        # so their reference gaps are never measured
+        with pytest.MonkeyPatch.context() as mp:
+            shifted_nu_n2_screen(mp, 0.0, -5e-4)
+            indices = [v.index for v in verify_region(2000, seed=8).violations]
+        assert indices == [30, 262, 1511]
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sweep", [verify_ordering, verify_region])
+    def test_an_unsettled_nu_n2_is_measured_by_the_reference(self, monkeypatch, sweep, bad, tol):
+        # the screen leaves a state it does not settle NaN; the state is
+        # measured, and is no part of the chunk's top
+        serial(monkeypatch)
+        n, seed = CHUNK + 6, 8
+        states, gaps = chunk_gaps(sweep, n, 2, seed)
+        measured = []
+        reference = harness._negative_branch
+
+        def spy(rho):
+            measured.extend(r.tobytes() for r in rho)
+            return reference(rho)
+
+        monkeypatch.setattr(harness, "_negative_branch", spy)
+        want = dumps(sweep(n, seed=seed, tol=tol).to_json_dict())
+        # the first state of the first chunk that the screen settles as
+        # entangled, so that its gaps are finite
+        j = next(
+            i for i in range(CHUNK)
+            if states[i].tobytes() not in measured and all(np.isfinite(g[i]) for g in gaps.values())
+            and _nu_n2_screen(states[i])[0] > 0.0
+        )
+        measured.clear()
+
+        def screen(rho):
+            nu, n2, bound = _nu_n2_screen(rho)
+            if len(nu) == CHUNK:
+                nu[j] = n2[j] = bound[j] = bad
+            return nu, n2, bound
+
+        monkeypatch.setattr(harness, "_nu_n2_screen", screen)
+        assert dumps(sweep(n, seed=seed, tol=tol).to_json_dict()) == want
+        assert states[j].tobytes() in measured
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_a_state_settled_as_ppt_is_not_measured(self, monkeypatch, rank):
+        # its ordering gap max(0 - 0, 0 - c) is 0.0 for every c >= 0, so the
+        # reference cannot change it, though it is the chunk's top
+        serial(monkeypatch)
+        measured = []
+        reference = harness.concurrence
+
+        def spy(rho):
+            measured.extend(r.tobytes() for r in rho)
+            return reference(rho)
+
+        monkeypatch.setattr(harness, "concurrence", spy)
+        rep = verify_ordering(2000, rank=rank, seed=8)
+        assert rep.max_gap == 0.0 and rep.n_violations == 0
+        states, _ = chunk_gaps(verify_ordering, 2000, rank, 8)
+        ppt = _nu_n2_screen(states)[0] == 0.0
+        assert ppt.sum() > 100
+        assert not any(states[i].tobytes() in measured for i in np.flatnonzero(ppt))
+
+    def test_rank_1_screens_no_state(self, monkeypatch):
+        # every pure state sits at a gap of about 0, where the screen would
+        # settle none, so rank 1 measures every state and calls no screen
+        monkeypatch.setattr(harness, "_nu_n2_screen", None)
+        monkeypatch.setattr(harness, "_uhlmann", None)
+        for sweep in (verify_ordering, verify_region):
+            assert sweep(CHUNK + 6, rank=1, seed=8).n_samples == CHUNK + 6
 
 
 def serial(monkeypatch):
@@ -1051,10 +1160,13 @@ class TestReportSerialization:
         "name, run",
         [
             ("_closed_form_gap", lambda: verify_closed_forms(grid_density=2, seed=8)),
+            # the reference kernel runs in every chunk, on the states near
+            # a hit or the top, and the screen on all of them
             ("_negative_branch", lambda: verify_region(CHUNK + 6, seed=8)),
+            ("_nu_n2_screen", lambda: verify_region(CHUNK + 6, seed=8)),
             ("_gaps", lambda: counterexample_search(restarts=1, steps=0, seed=8)),
         ],
-        ids=["closed_forms", "state_sweep", "search"],
+        ids=["closed_forms", "state_sweep", "state_screen", "search"],
     )
     def test_runtime_covers_the_work(self, monkeypatch, name, run):
         # the clock starts before the work, so a 50 ms kernel shows in it,

@@ -20,8 +20,14 @@ from numpy.testing import assert_allclose
 from bineg.errors import BinegError, InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
 from bineg.linalg import ZERO_EIG_TOL, kron, negative_part, partial_transpose, trace
 from bineg.measures import (
+    _SCREEN_BOUND,
+    _YY as _YY_KERNEL,
     MeasureTriple,
+    _negative_branch,
+    _nu_n2,
+    _nu_n2_screen,
     _region_bounds,
+    _uhlmann,
     bineg_lower_given_nu,
     bineg_mems,
     binegativity,
@@ -749,3 +755,211 @@ class TestOracleAccuracy:
         # a Gaussian rank-4 sample on which the squared-root concurrence
         # erred by 1.8e-7
         _assert_matches_oracle(random_mixed(4, 42, size=100_000)[825])
+
+
+def _assert_screen_within_bound(rho):
+    """The screen declines a state, with NaN in all three results, or
+    settles it: the reference's PPT cut and exact zeros on the PPT side,
+    and ``nu`` and ``n2`` within the certified bound, which is at most
+    ``_SCREEN_BOUND``.  Returns the settled mask."""
+    nu, n2, bound = map(np.atleast_1d, _nu_n2_screen(rho))
+    want_nu, want_n2 = map(np.atleast_1d, _nu_n2(*_negative_branch(rho)))
+    settled = np.isfinite(nu)
+    assert np.array_equal(np.isfinite(n2), settled) and np.array_equal(np.isfinite(bound), settled)
+    assert np.all(np.isnan(nu[~settled])) and np.all(np.isnan(bound[~settled]))
+    assert np.all(bound[settled] <= _SCREEN_BOUND)
+    assert np.array_equal((nu == 0.0)[settled], (want_nu == 0.0)[settled])
+    ppt = settled & (want_nu == 0.0)
+    assert np.all(n2[ppt] == 0.0) and np.all(bound[ppt] == 0.0)
+    assert np.all(np.abs(nu - want_nu)[settled] <= bound[settled])
+    assert np.all(np.abs(n2 - want_n2)[settled] <= bound[settled])
+    return settled
+
+
+def _bell_diagonal(weights):
+    """``sum_k w_k |B_k><B_k|`` over the four Bell states."""
+    s = 1.0 / np.sqrt(2.0)
+    bell = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]], dtype=complex)
+    return sum(w * np.outer(b, b.conj()) for w, b in zip(weights, bell))
+
+
+def _qubit(x, y, z):
+    """The qubit state with Bloch vector ``(x, y, z)`` shrunk into the ball."""
+    r = max(1.0, math.sqrt(x * x + y * y + z * z))
+    return 0.5 * np.array([[1 + z / r, (x - 1j * y) / r], [(x + 1j * y) / r, 1 - z / r]])
+
+
+_SCREEN_PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+class TestNuN2Screen:
+    """``_nu_n2_screen`` against ``_nu_n2(*_negative_branch(rho))``: it may
+    decline any state, but a state it settles is within its bound."""
+
+    @pytest.mark.parametrize(
+        "name, rho",
+        [
+            ("maximally mixed", np.eye(4, dtype=complex) / 4),
+            ("phi_plus", projector(phi_plus())),
+            ("werner 0.7", _bell_diagonal([0.7, 0.1, 0.1, 0.1])),
+            ("werner at the PPT edge", _bell_diagonal([0.5, 0.5 / 3, 0.5 / 3, 0.5 / 3])),
+            ("bell-diagonal", _bell_diagonal([0.4, 0.3, 0.2, 0.1])),
+            ("two bell states", _bell_diagonal([0.5, 0.5, 0.0, 0.0])),
+            ("product |00>", np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)),
+            ("mixed product", np.kron(_qubit(0.3, -0.2, 0.5), _qubit(-0.6, 0.1, 0.2))),
+            ("rho1", RHO1),
+            ("rho2", RHO2),
+            ("sigma_mems(0.5)", sigma_mems(0.5)),
+            ("sigma_mems(1e-6)", sigma_mems(1e-6)),
+        ],
+    )
+    def test_fixed_states(self, name, rho):
+        _assert_screen_within_bound(rho)
+
+    def test_fixed_states_that_it_settles(self):
+        # a clear gap below the rest of rho^G: entangled, PPT, and degenerate
+        # above the negative eigenvalue
+        for rho in (RHO1, _bell_diagonal([0.7, 0.1, 0.1, 0.1]), np.kron(_qubit(0.3, -0.2, 0.5), _qubit(-0.6, 0.1, 0.2))):
+            assert _assert_screen_within_bound(rho).all()
+        nu, n2, bound = _nu_n2_screen(projector(phi_plus()))
+        assert type(nu) is float and nu == pytest.approx(1.0, abs=1e-12) and n2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_sigma_pqr_grid(self):
+        axis = np.linspace(0.0, 1.0, 11)
+        p, q, r = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
+        _assert_screen_within_bound(sigma_pqr(p, q, r))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_random_states(self, rank):
+        # it settles nearly every sampled state of rank 2 and up
+        settled = _assert_screen_within_bound(random_mixed(rank, 20 + rank, size=4096))
+        if rank > 1:
+            assert settled.mean() > 0.995
+
+    @_SCREEN_PROFILE
+    @given(
+        psi=st.lists(_unit, min_size=8, max_size=8).filter(lambda v: sum(x * x for x in v) > 0.1),
+        sigma=st.lists(_unit, min_size=32, max_size=32),
+        log_eps=st.floats(-16.0, -8.0),
+    )
+    def test_near_pure(self, psi, sigma, log_eps):
+        v = _gram_factor(psi, 1)[:, 0]
+        g = _gram_factor(sigma, 4)
+        full = g @ g.conj().T + np.eye(4)
+        eps = 10.0**log_eps
+        _assert_screen_within_bound((1 - eps) * np.outer(v, v.conj()) / np.vdot(v, v).real + eps * full / np.trace(full).real)
+
+    @_SCREEN_PROFILE
+    @given(q=st.floats(0.05, 0.5), side=st.sampled_from([-1, 1]), log_offset=st.floats(-13.0, -2.0), local=_local)
+    def test_near_ppt_werner_type(self, q, side, log_offset, local):
+        # the negative eigenvalue is offset/4, so the smallest offsets put it
+        # at the zero cut (1e-11), where the screen must decline or agree
+        with mpmath.workdps(mp_oracle.DPS):
+            q = mpmath.mpf(q)
+            p_star = 1 / (1 + 4 * mpmath.sqrt(q * (1 - q)))
+            p = p_star * (1 + side * mpmath.mpf(10) ** log_offset)
+            phi = _mp_projector([mpmath.sqrt(q), 0, 0, mpmath.sqrt(1 - q)])
+            rho = _rounded(_rotate(p * phi + (1 - p) * mpmath.eye(4) / 4, local))
+        _assert_screen_within_bound(rho)
+
+    @pytest.mark.parametrize(
+        "offset", [3.6e-11, 3.99999e-11, 4e-11, 4.00001e-11, 4.4e-11, 7.6e-11, 8e-11, 8.00001e-11, 8.4e-11, 4e-9]
+    )
+    def test_at_the_zero_cut(self, offset):
+        # a Werner state whose negative eigenvalue, offset / 4, lies at or
+        # near the zero cut 1e-11 of _negative_branch, or whose t2, half of
+        # it, lies at or near the same cut of _nu_n2
+        with mpmath.workdps(mp_oracle.DPS):
+            p = (1 + mpmath.mpf(offset)) / 3
+            rho = _rounded(p * _mp_projector([1, 0, 0, 1]) + (1 - p) * mpmath.eye(4) / 4)
+        settled = _assert_screen_within_bound(rho)
+        if offset == 4e-9:
+            assert settled.all() and _nu_n2_screen(rho)[0] > 0.0
+
+    @pytest.mark.parametrize("cut", [1e-11, 2e-11])
+    def test_straddling_the_cut(self, cut):
+        # Werner states p |phi+><phi+| + (1 - p) I / 4, each under its own
+        # local unitary, with lam = (3p - 1) / 4 at the cut (1e-11) of
+        # _negative_branch or t2 = lam / 2 at that of _nu_n2: 400 within 3e-16
+        # of it, where rounding puts the reference's value on one side and
+        # the screen's on the other, and 100 within 3e-14, beyond the
+        # screen's allowance of 1e-14
+        lam = cut + np.concatenate([np.linspace(-3e-16, 3e-16, 400), np.linspace(-3e-14, 3e-14, 100)])
+        p = ((4.0 * lam + 1.0) / 3.0)[:, None, None]
+        rng = np.random.default_rng(5)
+        u = [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0] for _ in range(2 * len(lam))]
+        u = np.stack([np.kron(a, b) for a, b in zip(u[::2], u[1::2])])
+        rho = u @ (p * projector(phi_plus()) + (1.0 - p) * np.eye(4) / 4.0) @ u.conj().transpose(0, 2, 1)
+        settled = _assert_screen_within_bound(rho)
+        assert not settled[:400].any() and settled[400:].sum() > 50
+
+    @_SCREEN_PROFILE
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1), local=_local)
+    def test_bell_diagonal(self, weights, local):
+        # rho^G of a Bell-diagonal state is diagonal in the magic basis, and
+        # equal weights make its spectrum degenerate
+        w = np.asarray(weights) / sum(weights)
+        with mpmath.workdps(mp_oracle.DPS):
+            m = mpmath.matrix(_bell_diagonal(w).tolist())
+            rho = _rounded(_rotate(m, local))
+        _assert_screen_within_bound(rho)
+
+    @_SCREEN_PROFILE
+    @given(a=st.lists(_unit, min_size=3, max_size=3), b=st.lists(_unit, min_size=3, max_size=3))
+    def test_product_states(self, a, b):
+        _assert_screen_within_bound(np.kron(_qubit(*a), _qubit(*b)))
+
+    @_SCREEN_PROFILE
+    @given(entries=st.lists(_unit, min_size=24, max_size=24), rank=st.sampled_from([1, 2, 3]))
+    def test_rank_deficient(self, entries, rank):
+        g = _gram_factor(entries, rank)
+        assume(np.abs(g).max() > 1e-3)
+        m = g @ g.conj().T
+        _assert_screen_within_bound(m / np.trace(m).real)
+
+    @_SCREEN_PROFILE
+    @given(p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), r=st.floats(0.0, 1.0))
+    def test_sigma_pqr(self, p, q, r):
+        _assert_screen_within_bound(sigma_pqr(p, q, r))
+
+
+class TestUhlmannClosedForm:
+    """``_uhlmann`` of a 4 x 2 factor is ``s1 - s2`` without an SVD."""
+
+    @staticmethod
+    def svd_form(f):
+        sv = np.linalg.svd(np.swapaxes(f, -1, -2) @ (_YY_KERNEL @ f), compute_uv=False)
+        return 2.0 * sv[..., 0] - sv.sum(axis=-1)
+
+    def test_random_factors_match_the_svd(self):
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal((4096, 4, 2)) + 1j * rng.standard_normal((4096, 4, 2))
+        # the closed form rounds (s1 - s2)^2 to a few eps |A|_F^2 <= eps Tr^2,
+        # which moves s1 - s2 more where it is small
+        tr = np.square(np.abs(f)).sum(axis=(-2, -1))
+        assert np.max(np.abs(_uhlmann(f) ** 2 - self.svd_form(f) ** 2) / tr**2) < 1e-14
+
+    @pytest.mark.parametrize("t", [0.0, 1e-16, 1e-12, 1e-8, 1e-4, 0.1])
+    def test_near_equal_singular_values(self, t):
+        # f = [phi_plus, sqrt(1 - t) psi_plus] has f^T (Y x Y) f = diag(-1, 1 - t);
+        # local unitaries and a unitary mix of the columns keep s1 - s2 = t
+        s = 1.0 / np.sqrt(2.0)
+        f = np.array([[s, 0.0], [0.0, s], [0.0, s], [s, 0.0]], dtype=complex)
+        f[:, 1] *= np.sqrt(1.0 - t)
+        rng = np.random.default_rng(11)
+        u = [np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0] for n in (2, 2, 2)]
+        f = np.kron(u[0], u[1]) @ f @ u[2]
+        got = _uhlmann(f)
+        assert abs(got - t) <= 4.0 * np.sqrt(np.finfo(float).eps)
+        assert abs(got - self.svd_form(f)) <= 4.0 * np.sqrt(np.finfo(float).eps)
+
+    def test_a_zero_factor(self):
+        assert _uhlmann(np.zeros((4, 2), dtype=complex)) == 0.0
+        assert np.array_equal(_uhlmann(np.zeros((3, 4, 2), dtype=complex)), np.zeros(3))
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_other_widths_take_the_singular_values(self, k):
+        # concurrence passes k = 4; its bits stay those of the SVD form
+        rng = np.random.default_rng(k)
+        f = rng.standard_normal((64, 4, k)) + 1j * rng.standard_normal((64, 4, k))
+        assert np.array_equal(_uhlmann(f), self.svd_form(f))
