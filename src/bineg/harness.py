@@ -26,11 +26,12 @@ CPU, since one PPT pair costs milliseconds: a span first draws the chunk's
 earlier pairs to move its stream past them.  There is no option for it; a
 sweep of one item, or on one CPU, runs in the calling process.  Each gap
 kind is defined once, and ``recompute_gap`` uses the same definitions.
-A state sweep screens each chunk without an eigensolve, ``nu`` and ``n2``
-with ``_nu_n2_screen`` and ``C`` with the concurrence of the sampler's own
-factor ``G`` of ``rho = G G^dagger / Tr``, and measures with the reference
-kernels only the states near a hit or the chunk's top (``_state_sweep``), so
-every recorded gap and ``max_gap`` is the reference's.
+A state chunk is screened without an eigensolve (``_screen``), ``nu`` and
+``n2`` with ``_nu_n2_screen`` and ``C`` with the concurrence of the sampler's
+own factor ``G`` of ``rho = G G^dagger / Tr``.  A state sweep measures with
+the reference kernels only the states near a hit or the chunk's top, so
+every recorded gap and ``max_gap`` is the reference's; a scatter chunk
+measures only the states whose screen is not certified to 1e-10.
 Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
 then build, apply and measure a block of pairs in stacked calls that give
 each pair the bits of a one-pair run, so a span's pairs come out as its
@@ -63,12 +64,14 @@ from .channels import (
 )
 from .errors import OutOfRange
 from .measures import (
+    _SCREEN_BOUND,
     MeasureTriple,
     _negative_branch,
     _nu_n2,
     _nu_n2_screen,
     _region_bounds,
     _uhlmann,
+    _uhlmann_bound,
     binegativity,
     bineg_lower_given_nu,
     bineg_mems,
@@ -83,7 +86,6 @@ from .states import (
     _gaussian_matrices,
     _ginibre,
     _gram_state,
-    random_mixed,
     sigma_pqr,
 )
 
@@ -385,17 +387,26 @@ def _bound_gaps(t):
 _SCREEN_MARGIN = 1e-5
 
 
+def _screen(g, rho):
+    """The measures of the states ``rho = _gram_state(g)`` without an
+    eigensolve: ``nu`` and ``n2`` from :func:`_nu_n2_screen`, NaN where it
+    does not settle a state, and ``c = max(_uhlmann(g) / Tr, 0)``, within
+    :func:`_uhlmann_bound` of the reference's.  A state sweep chooses from
+    them the states to measure, and a figure keeps those certified."""
+    nu, n2, _ = _nu_n2_screen(rho)
+    c = _uhlmann(g) / np.square(np.abs(g)).sum(axis=(-2, -1))
+    return MeasureTriple(np.maximum(c, 0.0), nu, n2)
+
+
 def _state_sweep(op, gaps_of, n, rank, seed, tol):
     """Sweep of ``n`` random states of ``rank``, with gaps ``gaps_of(triple)``.
 
     A chunk draws the factors ``G`` of its states ``G G^dagger / Tr`` and
-    screens them without an eigensolve: ``nu`` and ``n2`` from
-    :func:`_nu_n2_screen`, which certifies each state's error or leaves it
-    NaN, and the concurrence of ``G`` itself, ``_uhlmann(G) / Tr``, in closed
-    form at rank 2.  Only the states whose screen is not finite or whose
-    screened gap of any kind comes within ``_SCREEN_MARGIN`` of ``min(tol,
-    top)``, ``top`` the chunk's largest screened gap, are measured with the
-    reference kernels, :func:`_negative_branch` and :func:`concurrence`, as
+    screens them with :func:`_screen`, without an eigensolve.  Only the
+    states whose screen is not finite or whose screened gap of any kind
+    comes within ``_SCREEN_MARGIN`` of ``min(tol, top)``, ``top`` the
+    chunk's largest screened gap, are measured with the reference kernels,
+    :func:`_negative_branch` and :func:`concurrence`, as
     :func:`measure_triple` measures them.  Their gaps replace the screened
     ones, so every hit and the chunk's top carry the reference bits, and a
     report is byte-identical to one that measures every state.  A state the
@@ -413,10 +424,9 @@ def _state_sweep(op, gaps_of, n, rank, seed, tol):
         if rank == 1:
             yield rho, gaps_of(measure_triple(rho)), lambda j: {}
             return
-        nu, n2, _ = _nu_n2_screen(rho)
-        c = _uhlmann(g) / np.square(np.abs(g)).sum(axis=(-2, -1))
-        settled, c_ok, ppt = np.isfinite(nu), np.isfinite(c), nu == 0.0
-        screened = np.where(c_ok, np.maximum(c, 0.0), 0.0), np.where(settled, nu, 0.0), np.where(settled, n2, 0.0)
+        t = _screen(g, rho)
+        settled, c_ok, ppt = np.isfinite(t.nu), np.isfinite(t.c), t.nu == 0.0
+        screened = np.where(c_ok, t.c, 0.0), np.where(settled, t.nu, 0.0), np.where(settled, t.n2, 0.0)
         gaps = gaps_of(MeasureTriple(*screened))
         for gap in gaps.values():
             gap[~(settled & (c_ok | ppt))] = np.nan  # no part of the top, and measured below
@@ -743,9 +753,15 @@ _SCATTER = {
 def _scatter_chunk(which, rank, chunk):
     """The rows of figure ``which``'s scatter sheet for one chunk of random
     states of ``rank``, as CSV text: a worker hands back text to write, and
-    its caller formats none of it."""
+    its caller formats none of it.  A row holds its state's :func:`_screen`
+    where that is certified to ``_SCREEN_BOUND``, else measure_triple's bits."""
     seq, size = chunk
-    t = measure_triple(random_mixed(rank, np.random.default_rng(seq), size=size))
+    g = _ginibre(rank, np.random.default_rng(seq), size)
+    rho = _gram_state(g)
+    t = _screen(g, rho)
+    rest = np.flatnonzero(~(np.isfinite(t.c) & np.isfinite(t.nu) & (_uhlmann_bound(g, t.c) <= _SCREEN_BOUND)))
+    for name, exact in vars(measure_triple(rho[rest])).items():
+        getattr(t, name)[rest] = exact
     return serialize.csv_rows(*_SCATTER[which][1](t))
 
 
@@ -761,7 +777,9 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
     The scatter's chunks come back from :func:`_chunk_results` as their rows
     of text, each written as it arrives, in chunk order, so that the sheet
     is never held whole; an error in a chunk leaves the sheet cut short
-    there.  Returns the list of file paths written.
+    there.  A row holds screened measures certified to within 1e-10 of
+    :func:`measure_triple`'s, or its bits (:func:`_scatter_chunk`).
+    Returns the list of file paths written.
     """
     if which not in _SCATTER:
         raise OutOfRange(f"unknown figure {which!r}; choose fig1, fig2 or fig3")

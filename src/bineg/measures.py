@@ -32,16 +32,6 @@ import numpy as np
 from .errors import InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
 from .linalg import ZERO_EIG_TOL, partial_transpose, zero_threshold
 
-# (Y tensor Y) in the computational basis; real symmetric, squares to I.
-_YY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
-
 # Eigenvalues of rho below this are rounding residue of its null space (~1e-17
 # in a rank-2 sample) and count as zero.  Clipped at zero instead, their square
 # roots (~6e-9) enter the concurrence at first order where the spin-flipped
@@ -229,8 +219,38 @@ def _uhlmann(f):
         a00, a11, a01 = form(x, x), form(y, y), form(x, y)
         fro = np.square(np.abs(a00)) + np.square(np.abs(a11)) + 2.0 * np.square(np.abs(a01))
         return np.sqrt(np.maximum(fro - 2.0 * np.abs(a00 * a11 - a01 * a01), 0.0))
-    sv = np.linalg.svd(np.swapaxes(f, -1, -2) @ (_YY @ f), compute_uv=False)
+    yf = np.stack([-f[..., 3, :], f[..., 2, :], f[..., 1, :], -f[..., 0, :]], axis=-2)  # (Y x Y) f
+    sv = np.linalg.svd(np.swapaxes(f, -1, -2) @ yf, compute_uv=False)
     return 2.0 * sv[..., 0] - sv.sum(axis=-1)
+
+
+def _uhlmann_bound(f, c):
+    """A bound on ``|c - concurrence(f f^dagger / Tr)|`` for ``c =
+    max(_uhlmann(f) / Tr, 0)`` and ``Tr = |f|_F^2``; NaN or inf where none
+    is known.  In units of ``_SCREEN_ROUNDING`` = 1e-14 it has two terms:
+
+    * the rounding of ``c``: at ``k = 2`` the closed form rounds ``(s1 -
+      s2)^2`` to a few eps ``Tr^2``, which moves ``c`` by ``4 / c``; an SVD
+      has each singular value within a few eps ``|A| <= Tr``, under the
+      next term's least value, 8;
+    * the error of :func:`concurrence` itself, whose ``eigh`` factors ``rho``
+      within some 20 eps of the exact ``f f^dagger / Tr``.  That factor, and
+      with it ``C``, moves by ``8 / sqrt(w)`` for the least ``w`` of the
+      ``k`` eigenvalues, ``w >= (k - 1)^(k - 1) det(f^dagger f) / Tr^k`` as
+      the others sum to at most 1.  A bound of at most ``_SCREEN_BOUND`` so
+      has ``w >= 6.4e-7``: :func:`concurrence` keeps all ``k`` eigenvalues
+      above ``_RANK_CUT``, and drops only the rounding residue of the null
+      space.
+    """
+    n = np.square(np.abs(f)).sum(axis=-2)  # the columns' squared norms
+    tr, k = n.sum(axis=-1), n.shape[-1]
+    if k == 2:  # |x|^2 |y|^2 - |x^dagger y|^2
+        det = n[..., 0] * n[..., 1] - np.square(np.abs((np.conjugate(f[..., 0]) * f[..., 1]).sum(axis=-1)))
+    else:
+        det = np.linalg.det(np.swapaxes(np.conjugate(f), -1, -2) @ f).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (k - 1) ** (k - 1) * det / tr**k
+        return _SCREEN_ROUNDING * (8.0 / np.sqrt(w) + (4.0 / c if k == 2 else 0.0))
 
 
 def concurrence(rho):
@@ -242,7 +262,9 @@ def concurrence(rho):
     diag(sqrt(w))`` from ``rho = V diag(w) V^dagger``; nothing is squared.
     Every ``C`` a report holds comes from here: a state sweep screens with
     :func:`_uhlmann` of the sampler's own factor, without this ``eigh``, and
-    measures here only the states near a hit or the top.
+    measures here only the states near a hit or the top.  A figure sheet
+    holds that screen where :func:`_uhlmann_bound` certifies it to within
+    ``_SCREEN_BOUND`` of this, and this elsewhere.
     """
     w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
     f = v * np.sqrt(np.where(w > _RANK_CUT, w, 0.0))[..., None, :]

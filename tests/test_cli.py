@@ -528,16 +528,16 @@ class TestPinnedReports:
     FIGURE_SHEETS = {
         "fig1": {
             "fig1_bounds.csv": "0d1815dba5a1f65d",
-            "fig1_scatter.csv": "6421e53876491bed",
+            "fig1_scatter.csv": "e6285bd7096863ec",
         },
         "fig2": {
             "fig2_bounds.csv": "abf32b79877220e7",
-            "fig2_scatter.csv": "99ab869eea640a7b",
+            "fig2_scatter.csv": "fe233ec1d7233c1b",
         },
         "fig3": {
             "fig3_mems.csv": "baf1355e970a1827",
             "fig3_region.csv": "201897d6c929c779",
-            "fig3_scatter.csv": "6abe5c1c44322d49",
+            "fig3_scatter.csv": "a8fe45e331ff66be",
             "fig3_segment.csv": "697bf06a7e5d02eb",
         },
     }

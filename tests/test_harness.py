@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,7 @@ from bineg.measures import (
     _SCREEN_BOUND,
     _nu_n2_screen,
     _uhlmann,
+    _uhlmann_bound,
     bineg_lower_given_nu,
     bineg_mems,
     binegativity,
@@ -61,7 +63,7 @@ from bineg.measures import (
     nu_of_c,
 )
 from bineg.serialize import complex_matrix_to_json, dumps
-from bineg.states import random_mixed
+from bineg.states import _ginibre, _gram_state, random_mixed
 
 import mp_oracle
 
@@ -1189,6 +1191,116 @@ class TestReportSerialization:
         assert back.observed_gap == v.observed_gap
         assert back.seed == v.seed and back.index == v.index
         assert recompute_gap(back) == pytest.approx(v.observed_gap, abs=1e-12)
+
+
+def scatter_states(rank, seed, n):
+    """The factors ``G`` and states ``G G^dagger / Tr`` of a figure's
+    scatter, drawn chunk by chunk as the sheet draws them."""
+    g = np.concatenate([_ginibre(rank, np.random.default_rng(seq), size) for seq, size in harness._chunks(seed, n)])
+    return g, _gram_state(g)
+
+
+def certified_bounds(g, rho):
+    """Each state's certified bounds on its screened ``C`` and on its
+    screened ``N`` and ``N2`` against ``measure_triple``'s, or 0.0 where the
+    sheet must hold the reference's bits."""
+    c_bound = _uhlmann_bound(g, harness._screen(g, rho).c)
+    nu_bound = _nu_n2_screen(rho)[2]
+    certified = np.maximum(c_bound, nu_bound) <= _SCREEN_BOUND
+    return np.where(certified, c_bound, 0.0), np.where(certified, nu_bound, 0.0)
+
+
+class TestScreenedScatter:
+    """A scatter row holds the screened measures of its state where they are
+    certified to within ``_SCREEN_BOUND`` of ``measure_triple``'s, and
+    ``measure_triple``'s bits elsewhere."""
+
+    # each column's bound from those of C and of N and N2; a fig3 row holds
+    # differences of two measures
+    SLACK = {
+        "fig1": lambda bc, bn: (bc, bn),
+        "fig2": lambda bc, bn: (bn, bn),
+        "fig3": lambda bc, bn: (bc, bc + bn, 2.0 * bn),
+    }
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_every_row_is_within_its_bound_of_the_reference(self, tmp_path, rank):
+        n = CHUNK + 6
+        for seed in (5, 6):
+            g, rho = scatter_states(rank, seed, n)
+            bounds = certified_bounds(g, rho)
+            assert np.mean(bounds[0] > 0.0) > 0.99  # nearly every row is screened
+            want = measure_triple(rho)
+            for which, (_, columns) in harness._SCATTER.items():
+                out = tmp_path / f"{which}-{seed}"
+                _, rows = read_csv(figure_data(which, n, rank=rank, seed=seed, out_dir=str(out))[0])
+                for got, ref, bound in zip(rows.T, columns(want), self.SLACK[which](*bounds)):
+                    assert np.all(np.abs(got - ref) <= bound)
+                assert not np.array_equal(rows, np.transpose(columns(want)))  # the screen's own values
+
+    # a seed per rank whose one chunk holds the states the screen leaves to
+    # the reference: nu unsettled at ranks 1 and 2, C uncertified at rank 4;
+    # none of the 4.1e6 rank-3 states of seeds 0-3999 was left
+    LEFT = {1: (1, [391]), 2: (31, [1012]), 3: (0, []), 4: (17, [168, 976])}
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_rows_agree_with_the_oracle(self, tmp_path, rank):
+        seed, left = self.LEFT[rank]
+        g, rho = scatter_states(rank, seed, CHUNK)
+        assert np.flatnonzero(certified_bounds(g, rho)[0] == 0.0).tolist() == left
+        _, rows = read_csv(figure_data("fig3", CHUNK, rank=rank, seed=seed, out_dir=str(tmp_path))[0])
+        picked = left + [j for j in range(0, CHUNK, 16) if j not in left][: 64 - len(left)]
+        with mpmath.workdps(mp_oracle.DPS):
+            for j in picked:
+                c, nu, n2 = mp_oracle.measures(complex_matrix_to_json(rho[j]))
+                assert rows[j] == pytest.approx([float(c), float(c - nu), float(nu - n2)], abs=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_a_state_the_screen_leaves_gets_the_reference_bits(self, monkeypatch, tmp_path, rank):
+        # a NaN nu of the first two and a NaN C of the last two, across both
+        # chunks and on the forked path; every other row keeps its bytes
+        n, seed = CHUNK + 6, 8
+        g, rho = scatter_states(rank, seed, n)
+        no_nu, no_c = {rho[j].tobytes() for j in (3, CHUNK + 1)}, {g[j].tobytes() for j in (40, CHUNK + 5)}
+        nu_n2_screen, uhlmann = harness._nu_n2_screen, harness._uhlmann
+
+        def spoiled_nu_n2(states):
+            nu, n2, bound = nu_n2_screen(states)
+            for j, state in enumerate(states):
+                if state.tobytes() in no_nu:
+                    nu[j] = n2[j] = bound[j] = np.nan
+            return nu, n2, bound
+
+        def spoiled_uhlmann(f):
+            u = uhlmann(f)
+            u[[j for j, x in enumerate(f) if x.tobytes() in no_c]] = np.nan
+            return u
+
+        forked(monkeypatch)
+        want = measure_triple(rho)
+        for which, (_, columns) in harness._SCATTER.items():
+            before = open(figure_data(which, n, rank=rank, seed=seed, out_dir=str(tmp_path / "a"))[0]).read().splitlines()
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_nu_n2_screen", spoiled_nu_n2)
+                patch.setattr(harness, "_uhlmann", spoiled_uhlmann)
+                path = figure_data(which, n, rank=rank, seed=seed, out_dir=str(tmp_path / "b"))[0]
+            after = open(path).read().splitlines()
+            _, rows = read_csv(path)
+            spoiled = [3, 40, CHUNK + 1, CHUNK + 5]
+            assert rows[spoiled].tolist() == np.transpose(columns(want))[spoiled].tolist()
+            assert [ln for j, ln in enumerate(after) if j - 1 not in spoiled] == [
+                ln for j, ln in enumerate(before) if j - 1 not in spoiled
+            ]
+
+    @pytest.mark.parametrize("rank", [1, 3, 4])
+    def test_workers_give_the_serial_sheet_at_every_rank(self, monkeypatch, tmp_path, rank):
+        sheets = []
+        for name, force in (("forked", forked), ("serial", serial)):
+            force(monkeypatch)
+            path = figure_data("fig3", 2 * CHUNK + 6, rank=rank, seed=12, out_dir=str(tmp_path / name))[0]
+            sheets.append(open(path, "rb").read())
+            assert multiprocessing.active_children() == []
+        assert sheets[0] == sheets[1]
 
 
 class TestFigureData:

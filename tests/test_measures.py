@@ -20,8 +20,8 @@ from numpy.testing import assert_allclose
 from bineg.errors import BinegError, InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
 from bineg.linalg import ZERO_EIG_TOL, kron, negative_part, partial_transpose, trace
 from bineg.measures import (
+    _RANK_CUT,
     _SCREEN_BOUND,
-    _YY as _YY_KERNEL,
     MeasureTriple,
     _negative_branch,
     _nu_n2,
@@ -62,6 +62,8 @@ RHO2 = sigma_pqr(39.0 / 112.0, 0.5 + 2.0 * np.sqrt(77.0) / 39.0, 0.5)
 
 _Y = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_Y, _Y)
+# the real matrix of Y x Y that the kernel multiplied by before it permuted rows
+_YY_REAL = _YY.real
 
 
 def concurrence_oracle(rho):
@@ -824,6 +826,19 @@ class TestNuN2Screen:
         nu, n2, bound = _nu_n2_screen(projector(phi_plus()))
         assert type(nu) is float and nu == pytest.approx(1.0, abs=1e-12) and n2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_root_that_is_not_the_least_is_declined(self):
+        # rho^G is diag(1e-6, ., ., 1 - 5e-6) with the block [[2e-6, 4e-6],
+        # [4e-6, 2e-6]] on |01>, |10>: eigenvalues -2e-6, 1e-6 and 6e-6, so
+        # close together beside 1 that 6 Laguerre steps from Samuelson's bound
+        # stop near -4.6e-4.  There the adjugate's largest diagonal entry is
+        # that of |00>, an exact eigenvector of 1e-6: its residual is rounding
+        # and delta > 4 r holds.  Only theta - e < delta tells that 1e-6 is
+        # not the least eigenvalue; without it the state settles as PPT.
+        rho = np.diag([1e-6, 2e-6, 2e-6, 1.0 - 5e-6]).astype(complex)
+        rho[0, 3] = rho[3, 0] = 4e-6
+        assert np.isnan(_nu_n2_screen(rho)).all()
+        assert negativity(rho) == pytest.approx(4e-6, rel=1e-9)
+
     def test_sigma_pqr_grid(self):
         axis = np.linspace(0.0, 1.0, 11)
         p, q, r = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
@@ -928,7 +943,7 @@ class TestUhlmannClosedForm:
 
     @staticmethod
     def svd_form(f):
-        sv = np.linalg.svd(np.swapaxes(f, -1, -2) @ (_YY_KERNEL @ f), compute_uv=False)
+        sv = np.linalg.svd(np.swapaxes(f, -1, -2) @ (_YY_REAL @ f), compute_uv=False)
         return 2.0 * sv[..., 0] - sv.sum(axis=-1)
 
     def test_random_factors_match_the_svd(self):
@@ -956,6 +971,18 @@ class TestUhlmannClosedForm:
     def test_a_zero_factor(self):
         assert _uhlmann(np.zeros((4, 2), dtype=complex)) == 0.0
         assert np.array_equal(_uhlmann(np.zeros((3, 4, 2), dtype=complex)), np.zeros(3))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_concurrence_keeps_the_bits_of_the_matmul_form(self, rank):
+        # (Y x Y) f is a signed permutation of the rows of f, with the bits
+        # of the matmul by the real matrix, the zero columns of the null
+        # space included
+        rho = random_mixed(rank, 40 + rank, size=2048)
+        w, v = np.linalg.eigh(rho)
+        f = v * np.sqrt(np.where(w > _RANK_CUT, w, 0.0))[..., None, :]
+        want = np.maximum(self.svd_form(f), 0.0)
+        assert np.array_equal(concurrence(rho), want)
+        assert all(concurrence(rho[j]) == want[j] for j in range(8))
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_other_widths_take_the_singular_values(self, k):
