@@ -186,6 +186,7 @@ def haar_unitary(dim, seed, size=None):
     """Haar-distributed unitaries via QR of a complex Gaussian matrix with
     the R-diagonal phase fix.  ``size=k`` returns a stack ``(k, dim, dim)``.
     """
+    dim = _check_count("dim", dim, 1)
     rng = as_generator(seed)
     shape = (dim, dim) if size is None else (_check_count("size", size, 0), dim, dim)
     return _isometry(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -194,6 +195,7 @@ def haar_unitary(dim, seed, size=None):
 def haar_isometry(dim_in, dim_out, seed):
     """Haar-random isometry: ``dim_in`` orthonormal columns in dimension
     ``dim_out`` (requires ``dim_out >= dim_in``)."""
+    dim_in, dim_out = _check_count("dim_in", dim_in, 1), _check_count("dim_out", dim_out, 1)
     if dim_out < dim_in:
         raise DimensionMismatch(f"no isometry from dim {dim_in} into dim {dim_out}")
     rng = as_generator(seed)
@@ -217,9 +219,7 @@ def random_local_channel(side, env_dim, seed):
     """
     if side not in ("A", "B"):
         raise OutOfRange(f"side must be 'A' or 'B', got {side!r}")
-    env_dim = int(env_dim)
-    if not 1 <= env_dim <= 4:
-        raise OutOfRange(f"env_dim must be 1..4, got {env_dim}")
+    env_dim = _check_count("env_dim", env_dim, 1, 4)
     raw = as_generator(seed).standard_normal(8 * env_dim)
     return KrausChannel(tuple(_local_kraus(raw, env_dim, side == "A")), 4, 4)
 
@@ -233,9 +233,7 @@ def one_way_locc_channel(n_outcomes, seed):
     ``n_outcomes=1`` gives a product of independent Haar unitaries
     ``U_A (x) U_B``, which is :func:`random_local_unitary_pair`.
     """
-    n_outcomes = int(n_outcomes)
-    if n_outcomes < 1:
-        raise OutOfRange(f"n_outcomes must be >= 1, got {n_outcomes}")
+    n_outcomes = _check_count("n_outcomes", n_outcomes, 1)
     raw = as_generator(seed).standard_normal(16 * n_outcomes)
     return KrausChannel(tuple(_one_way_locc_kraus(raw, n_outcomes)), 4, 4)
 
@@ -472,7 +470,7 @@ def _ppt_choi(stack, max_iter=10000):
         state,
         _dykstra_step,
         lambda j, basis: _feasible(j, basis, 1e-9, True),
-        int(max_iter),
+        max_iter,
         f"Dykstra did not reach tolerance 1.0e-09 in {max_iter} iterations",
     )
     stack = _iterate_each(
@@ -524,9 +522,10 @@ def project_to_ppt_channel(start, max_iter=10000):
     comes out bit for bit as it would alone.  Returns ``(ChoiMatrix,
     KrausChannel)`` for one matrix and a list of such pairs, in C order of
     the leading axes, for a stack.  Raises :class:`OutOfRange` if a start
-    has a non-finite entry and :class:`NoConvergence` if any item runs out
-    of iteration budget.
+    has a non-finite entry or ``max_iter`` is not an integer >= 1, and
+    :class:`NoConvergence` if any item runs out of iteration budget.
     """
+    max_iter = _check_count("max_iter", max_iter, 1)
     j = np.asarray(start, dtype=complex)
     if j.shape[-2:] != (16, 16):
         raise WrongDimension(f"expected 16x16 start matrices, got {j.shape}")

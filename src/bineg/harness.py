@@ -26,12 +26,13 @@ CPU, since one PPT pair costs milliseconds: a span first draws the chunk's
 earlier pairs to move its stream past them.  There is no option for it; a
 sweep of one item, or on one CPU, runs in the calling process.  Each gap
 kind is defined once, and ``recompute_gap`` uses the same definitions.
-A state chunk is screened without an eigensolve (``_screen``), ``nu`` and
-``n2`` with ``_nu_n2_screen`` and ``C`` with the concurrence of the sampler's
-own factor ``G`` of ``rho = G G^dagger / Tr``.  A state sweep measures with
-the reference kernels only the states near a hit or the chunk's top, so
-every recorded gap and ``max_gap`` is the reference's; a scatter chunk
-measures only the states whose screen is not certified to 1e-10.
+A chunk of states (``_state_chunk``) is screened without an eigensolve,
+``nu`` and ``n2`` with ``_nu_n2_screen`` and ``C`` with the concurrence of
+the sampler's own factor ``G`` of ``rho = G G^dagger / Tr``, and
+``measure_triple`` measures the states whose screen is not certified to
+1e-10.  A scatter chunk writes those values; a state sweep measures again
+only the certified states near a hit or the chunk's top, so every recorded
+gap and ``max_gap`` is the reference's.
 Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
 then build, apply and measure a block of pairs in stacked calls that give
 each pair the bits of a one-pair run, so a span's pairs come out as its
@@ -66,8 +67,6 @@ from .errors import OutOfRange
 from .measures import (
     _SCREEN_BOUND,
     MeasureTriple,
-    _negative_branch,
-    _nu_n2,
     _nu_n2_screen,
     _region_bounds,
     _uhlmann,
@@ -76,7 +75,6 @@ from .measures import (
     bineg_lower_given_nu,
     bineg_mems,
     closed_form_pqr,
-    concurrence,
     measure_triple,
     nu_of_c,
 )
@@ -362,77 +360,70 @@ def _bound_gaps(t):
     return {k: np.where(entangled, g, -math.inf) for k, g in gaps.items()}
 
 
-# A state sweep measures with the reference kernels every state whose screened
-# gap of some kind comes within this of min(tol, the chunk's top).  Outside it
-# the reference gaps are below both, as long as no gap moves by half of it
-# between the screen and the reference.  On the feasible region a gap moves by
-# at most 2 per unit of C (the slopes of nu_of_c and bineg_mems at c = 1), 1.5
-# per unit of nu (region_eq9's lower surface; bineg_lower_given_nu's is 1.06)
-# and 1 per unit of n2.
+# A state sweep measures with the reference kernels every certified state whose
+# screened gap of some kind comes within this of min(tol, the chunk's top).
+# Outside it the reference gaps are below both, as long as no gap moves by half
+# of it between the screen and the reference.  On the feasible region a gap
+# moves by at most 2 per unit of C (the slopes of nu_of_c and bineg_mems at
+# c = 1), 1.5 per unit of nu (region_eq9's lower surface; bineg_lower_given_nu's
+# is 1.06) and 1 per unit of n2.
 # Measured: the largest |screened gap - reference gap| over 9e5 states of ranks
 # 2-4 (seeds 101-104) was 2.8e-14; _nu_n2_screen left 7 of them unsettled.
-# Bounded, per term:
-# * C: only an eigenvalue eps <= _RANK_CUT of rho, which the reference drops,
-#   moves C by more than rounding.  It changes the matrix of _uhlmann by a
-#   term of rank 2 and norm about sqrt(eps), so the singular values by about 2
-#   sqrt(eps) in sum and C by at most that, 6.3e-7; a state has at most three
-#   such eigenvalues: under 3.8e-6 in a gap.  At rank 2 the closed form of
-#   _uhlmann loses a few sqrt(eps) s1 near s1 = s2, at most 3e-8 of Tr (s1 <=
-#   Tr): 6e-8 in a gap.
-# * nu and n2: _nu_n2_screen settles a state only with a certified bound of at
-#   most measures._SCREEN_BOUND = 1e-10 on both, and leaves the others NaN, so
-#   that they are measured: 2.5e-10 in a gap.
-# The sum, under 3.9e-6, is below half the margin.  Cost: about 1.2% of rank-2
-# region states come within it.
+# Bounded: _state_chunk certifies each measure to _SCREEN_BOUND, 4.5e-10 in a gap.
+# Cost: about 1.2% of rank-2 region states come within it.
 _SCREEN_MARGIN = 1e-5
 
 
-def _screen(g, rho):
-    """The measures of the states ``rho = _gram_state(g)`` without an
-    eigensolve: ``nu`` and ``n2`` from :func:`_nu_n2_screen`, NaN where it
-    does not settle a state, and ``c = max(_uhlmann(g) / Tr, 0)``, within
-    :func:`_uhlmann_bound` of the reference's.  A state sweep chooses from
-    them the states to measure, and a figure keeps those certified."""
-    nu, n2, _ = _nu_n2_screen(rho)
-    c = _uhlmann(g) / np.square(np.abs(g)).sum(axis=(-2, -1))
-    return MeasureTriple(np.maximum(c, 0.0), nu, n2)
+def _state_chunk(rank, rng, size):
+    """``(rho, triple, certified)`` of ``size`` random states ``rho = G
+    G^dagger / Tr`` of ``rank``: every scatter chunk, and every sweep chunk
+    above rank 1.  The screen makes no eigensolve: ``nu`` and ``n2`` come
+    from :func:`_nu_n2_screen` and ``c = max(_uhlmann(G) / Tr, 0)``.  A
+    state is ``certified`` where ``c`` is finite and both
+    :func:`_uhlmann_bound` and the screen's bound are at most
+    ``_SCREEN_BOUND``; the triple holds measure_triple's bits for every
+    other state, written before it is returned.
+    """
+    g = _ginibre(rank, rng, size)
+    rho = _gram_state(g)
+    nu, n2, bound = _nu_n2_screen(rho)
+    c = np.maximum(_uhlmann(g) / np.square(np.abs(g)).sum(axis=(-2, -1)), 0.0)
+    certified = np.isfinite(c) & (np.maximum(_uhlmann_bound(g, c), bound) <= _SCREEN_BOUND)
+    t = MeasureTriple(c, nu, n2)
+    if not certified.all():  # most chunks are all certified; an empty call costs 2% of a sweep
+        for name, exact in vars(measure_triple(rho[~certified])).items():
+            getattr(t, name)[~certified] = exact
+    return rho, t, certified
 
 
 def _state_sweep(op, gaps_of, n, rank, seed, tol):
     """Sweep of ``n`` random states of ``rank``, with gaps ``gaps_of(triple)``.
 
-    A chunk draws the factors ``G`` of its states ``G G^dagger / Tr`` and
-    screens them with :func:`_screen`, without an eigensolve.  Only the
-    states whose screen is not finite or whose screened gap of any kind
-    comes within ``_SCREEN_MARGIN`` of ``min(tol, top)``, ``top`` the
-    chunk's largest screened gap, are measured with the reference kernels,
-    :func:`_negative_branch` and :func:`concurrence`, as
-    :func:`measure_triple` measures them.  Their gaps replace the screened
-    ones, so every hit and the chunk's top carry the reference bits, and a
-    report is byte-identical to one that measures every state.  A state the
-    screen settles as PPT is never measured: ``gaps_of`` gives it, as both
-    sweeps' gaps do, the same gaps for any ``C >= 0`` (0 for the ordering,
-    none for the bounds), so its screened gaps are the reference's.  At rank
-    1 every state is measured and none is screened, since every pure state
-    sits at a gap of about 0, where the screen would settle none.
+    A chunk comes from :func:`_state_chunk`, its states measured by the
+    certified screen or by :func:`measure_triple`.  The certified states
+    whose gap of any kind comes within ``_SCREEN_MARGIN`` of ``min(tol,
+    top)``, ``top`` the chunk's largest gap, are measured again with
+    :func:`measure_triple`, and their gaps replace the screened ones, so
+    every hit and the chunk's top carry the reference bits, and a report is
+    byte-identical to one that measures every state.  A certified PPT state
+    is not measured again: ``gaps_of`` gives it, as both sweeps' gaps do,
+    the same gaps for any ``C >= 0`` (0 for the ordering, none for the
+    bounds), so its screened gaps are the reference's.  At rank 1 every
+    state is measured and none is screened, since every pure state sits at
+    a gap of about 0, where the screen would settle none.
     """
     rank = _check_rank(rank)
 
     def work(rng, size):
-        g = _ginibre(rank, rng, size)
-        rho = _gram_state(g)
         if rank == 1:
+            rho = _gram_state(_ginibre(rank, rng, size))
             yield rho, gaps_of(measure_triple(rho)), lambda j: {}
             return
-        t = _screen(g, rho)
-        settled, c_ok, ppt = np.isfinite(t.nu), np.isfinite(t.c), t.nu == 0.0
-        screened = np.where(c_ok, t.c, 0.0), np.where(settled, t.nu, 0.0), np.where(settled, t.n2, 0.0)
-        gaps = gaps_of(MeasureTriple(*screened))
-        for gap in gaps.values():
-            gap[~(settled & (c_ok | ppt))] = np.nan  # no part of the top, and measured below
+        rho, t, certified = _state_chunk(rank, rng, size)
+        gaps = gaps_of(t)
         cut = min(tol, np.fmax.reduce(list(gaps.values()), axis=None, initial=-math.inf)) - _SCREEN_MARGIN
-        near = np.flatnonzero(~ppt & np.any([~(gap < cut) for gap in gaps.values()], axis=0))
-        exact = gaps_of(MeasureTriple(concurrence(rho[near]), *_nu_n2(*_negative_branch(rho[near]))))
+        near = np.flatnonzero(certified & (t.nu != 0.0) & np.any([~(gap < cut) for gap in gaps.values()], axis=0))
+        exact = gaps_of(measure_triple(rho[near]))
         for kind, gap in gaps.items():
             gap[near] = exact[kind]
         yield rho, gaps, lambda j: {}
@@ -753,15 +744,10 @@ _SCATTER = {
 def _scatter_chunk(which, rank, chunk):
     """The rows of figure ``which``'s scatter sheet for one chunk of random
     states of ``rank``, as CSV text: a worker hands back text to write, and
-    its caller formats none of it.  A row holds its state's :func:`_screen`
-    where that is certified to ``_SCREEN_BOUND``, else measure_triple's bits."""
+    its caller formats none of it.  A row holds its state's measures from
+    :func:`_state_chunk`: screened where certified, else measure_triple's."""
     seq, size = chunk
-    g = _ginibre(rank, np.random.default_rng(seq), size)
-    rho = _gram_state(g)
-    t = _screen(g, rho)
-    rest = np.flatnonzero(~(np.isfinite(t.c) & np.isfinite(t.nu) & (_uhlmann_bound(g, t.c) <= _SCREEN_BOUND)))
-    for name, exact in vars(measure_triple(rho[rest])).items():
-        getattr(t, name)[rest] = exact
+    _, t, _ = _state_chunk(rank, np.random.default_rng(seq), size)
     return serialize.csv_rows(*_SCATTER[which][1](t))
 
 

@@ -1,5 +1,7 @@
 """Tests for channel construction, Choi conversion, and the PPT sampler."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -231,6 +233,34 @@ class TestOneWayLocc:
     def test_rejects_zero_outcomes(self):
         with pytest.raises(OutOfRange):
             one_way_locc_channel(0, 0)
+
+
+class TestSamplerCounts:
+    # each count of a channel sampler, the other arguments valid; I / 4 is
+    # a feasible PPT start, which leaves after one round
+    CALLS = {
+        "env_dim": lambda v: random_local_channel("A", v, 0),
+        "n_outcomes": lambda v: one_way_locc_channel(v, 0),
+        "dim": lambda v: haar_unitary(v, 0),
+        "dim_in": lambda v: haar_isometry(v, 3, 0),
+        "dim_out": lambda v: haar_isometry(2, v, 0),
+        "max_iter": lambda v: project_to_ppt_channel(np.eye(16, dtype=complex) / 4.0, max_iter=v),
+    }
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", 0, -1])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_a_count_is_an_integer_in_range(self, name, bad):
+        # a float is not truncated, and a bool or a string is no count
+        if type(bad) is int:
+            message = f"{name} must be {'1..4' if name == 'env_dim' else '>= 1'}, got {bad}"
+        else:
+            message = f"{name} must be an integer, got {bad!r}"
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            self.CALLS[name](bad)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_a_numpy_integer_is_a_count(self, name):
+        self.CALLS[name](np.int64(2))
 
 
 class TestChoi:

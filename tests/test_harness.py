@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bineg import channels, harness
+from bineg import channels, harness, measures
 from bineg.channels import (
     KrausChannel,
     _apply_kraus,
@@ -274,13 +274,13 @@ class TestStateSweepChunks:
         n, seed = CHUNK + 6, 8
         states, gaps = chunk_gaps(sweep, n, 2, seed)
         measured = []
-        reference = harness.concurrence
+        reference = measures.concurrence
 
         def spy(rho):
             measured.extend(r.tobytes() for r in rho)
             return reference(rho)
 
-        monkeypatch.setattr(harness, "concurrence", spy)
+        monkeypatch.setattr(measures, "concurrence", spy)
         want = dumps(sweep(n, seed=seed, tol=tol).to_json_dict())
         # the first state of the first chunk that the screen settles, and
         # that is entangled, so that its gaps are finite
@@ -333,13 +333,13 @@ class TestStateSweepChunks:
         n, seed = CHUNK + 6, 8
         states, gaps = chunk_gaps(sweep, n, 2, seed)
         measured = []
-        reference = harness._negative_branch
+        reference = measures._negative_branch
 
         def spy(rho):
             measured.extend(r.tobytes() for r in rho)
             return reference(rho)
 
-        monkeypatch.setattr(harness, "_negative_branch", spy)
+        monkeypatch.setattr(measures, "_negative_branch", spy)
         want = dumps(sweep(n, seed=seed, tol=tol).to_json_dict())
         # the first state of the first chunk that the screen settles as
         # entangled, so that its gaps are finite
@@ -360,22 +360,59 @@ class TestStateSweepChunks:
         assert dumps(sweep(n, seed=seed, tol=tol).to_json_dict()) == want
         assert states[j].tobytes() in measured
 
-    @pytest.mark.parametrize("rank", [3, 4])
-    def test_a_state_settled_as_ppt_is_not_measured(self, monkeypatch, rank):
-        # its ordering gap max(0 - 0, 0 - c) is 0.0 for every c >= 0, so the
-        # reference cannot change it, though it is the chunk's top
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    @pytest.mark.parametrize("sweep", [verify_ordering, verify_region])
+    def test_an_uncertified_c_is_measured_by_the_reference(self, monkeypatch, sweep, tol):
+        # a sweep trusts a finite screened C only under the certificate that
+        # a figure sheet trusts it under: with its bound spoiled, the state
+        # is measured, and the report keeps its bytes
         serial(monkeypatch)
+        n, seed = CHUNK + 6, 8
+        states, _ = chunk_gaps(sweep, n, 2, seed)
         measured = []
-        reference = harness.concurrence
+        reference = measures.concurrence
 
         def spy(rho):
             measured.extend(r.tobytes() for r in rho)
             return reference(rho)
 
-        monkeypatch.setattr(harness, "concurrence", spy)
+        monkeypatch.setattr(measures, "concurrence", spy)
+        want = dumps(sweep(n, seed=seed, tol=tol).to_json_dict())
+        # the first state of the first chunk that is certified, entangled and
+        # not near a hit or the top, so that only its bound can send it to
+        # the reference
+        j = next(
+            i for i in range(CHUNK)
+            if states[i].tobytes() not in measured and _nu_n2_screen(states[i])[0] > 0.0
+        )
+        measured.clear()
+
+        def bound(f, c):
+            b = _uhlmann_bound(f, c)
+            if len(b) == CHUNK:
+                b[j] = np.inf
+            return b
+
+        monkeypatch.setattr(harness, "_uhlmann_bound", bound)
+        assert dumps(sweep(n, seed=seed, tol=tol).to_json_dict()) == want
+        assert states[j].tobytes() in measured
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_a_state_settled_as_ppt_is_not_measured(self, monkeypatch, rank):
+        # its ordering gap max(0 - 0, 0 - c) is 0.0 for every c >= 0, so the
+        # reference cannot change it, though it is the chunk's top
+        serial(monkeypatch)
+        states, _ = chunk_gaps(verify_ordering, 2000, rank, 8)
+        measured = []
+        reference = measures.concurrence
+
+        def spy(rho):
+            measured.extend(r.tobytes() for r in rho)
+            return reference(rho)
+
+        monkeypatch.setattr(measures, "concurrence", spy)
         rep = verify_ordering(2000, rank=rank, seed=8)
         assert rep.max_gap == 0.0 and rep.n_violations == 0
-        states, _ = chunk_gaps(verify_ordering, 2000, rank, 8)
         ppt = _nu_n2_screen(states)[0] == 0.0
         assert ppt.sum() > 100
         assert not any(states[i].tobytes() in measured for i in np.flatnonzero(ppt))
@@ -1159,28 +1196,29 @@ class TestReportSerialization:
         assert rep.to_json_dict()["runtime_seconds"] is None
 
     @pytest.mark.parametrize(
-        "name, run",
+        "module, name, run",
         [
-            ("_closed_form_gap", lambda: verify_closed_forms(grid_density=2, seed=8)),
-            # the reference kernel runs in every chunk, on the states near
-            # a hit or the top, and the screen on all of them
-            ("_negative_branch", lambda: verify_region(CHUNK + 6, seed=8)),
-            ("_nu_n2_screen", lambda: verify_region(CHUNK + 6, seed=8)),
-            ("_gaps", lambda: counterexample_search(restarts=1, steps=0, seed=8)),
+            (harness, "_closed_form_gap", lambda: verify_closed_forms(grid_density=2, seed=8)),
+            # the reference kernel runs in every chunk, on the states the
+            # screen does not certify and on those near a hit or the top,
+            # and the screen on all of them
+            (measures, "_negative_branch", lambda: verify_region(CHUNK + 6, seed=8)),
+            (harness, "_nu_n2_screen", lambda: verify_region(CHUNK + 6, seed=8)),
+            (harness, "_gaps", lambda: counterexample_search(restarts=1, steps=0, seed=8)),
         ],
         ids=["closed_forms", "state_sweep", "state_screen", "search"],
     )
-    def test_runtime_covers_the_work(self, monkeypatch, name, run):
+    def test_runtime_covers_the_work(self, monkeypatch, module, name, run):
         # the clock starts before the work, so a 50 ms kernel shows in it,
         # in forked workers too
         forked(monkeypatch)
-        kernel = getattr(harness, name)
+        kernel = getattr(module, name)
 
         def slow(*args):
             time.sleep(0.05)
             return kernel(*args)
 
-        monkeypatch.setattr(harness, name, slow)
+        monkeypatch.setattr(module, name, slow)
         assert run().runtime_seconds >= 0.05
 
     def test_violation_record_round_trip(self):
@@ -1204,7 +1242,7 @@ def certified_bounds(g, rho):
     """Each state's certified bounds on its screened ``C`` and on its
     screened ``N`` and ``N2`` against ``measure_triple``'s, or 0.0 where the
     sheet must hold the reference's bits."""
-    c_bound = _uhlmann_bound(g, harness._screen(g, rho).c)
+    c_bound = _uhlmann_bound(g, np.maximum(_uhlmann(g) / np.square(np.abs(g)).sum(axis=(-2, -1)), 0.0))
     nu_bound = _nu_n2_screen(rho)[2]
     certified = np.maximum(c_bound, nu_bound) <= _SCREEN_BOUND
     return np.where(certified, c_bound, 0.0), np.where(certified, nu_bound, 0.0)
