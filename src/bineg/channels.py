@@ -21,6 +21,7 @@ from .errors import (
     NoConvergence,
     NotTracePreserving,
     OutOfRange,
+    ParseError,
     WrongDimension,
 )
 from .linalg import check_hermitian, dagger, frobenius_norm, kron, transpose_factors
@@ -63,8 +64,14 @@ class KrausChannel:
 
     @classmethod
     def from_json_dict(cls, data):
-        ops = [serialize.complex_matrix_from_json(k) for k in data["kraus"]]
-        return cls(tuple(ops), int(data["dim_in"]), int(data["dim_out"]))
+        """Inverse of :meth:`to_json_dict`: ParseError for a missing key, and
+        OutOfRange unless both dimensions are integers >= 1."""
+        try:
+            ops = [serialize.complex_matrix_from_json(k) for k in data["kraus"]]
+            dims = [_check_count(name, data[name], 1) for name in ("dim_in", "dim_out")]
+        except KeyError as exc:
+            raise ParseError(f"a Kraus channel needs its {exc.args[0]!r}") from None
+        return cls(tuple(ops), *dims)
 
 
 @dataclass(frozen=True)

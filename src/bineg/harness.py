@@ -30,8 +30,9 @@ A chunk of states (``_state_chunk``) is screened without an eigensolve,
 ``nu`` and ``n2`` with ``_nu_n2_screen`` and ``C`` with the concurrence of
 the sampler's own factor ``G`` of ``rho = G G^dagger / Tr``, and
 ``measure_triple`` measures the states whose screen is not certified to
-1e-10.  A scatter chunk writes those values; a state sweep measures again
-only the certified states near a hit or the chunk's top, so every recorded
+``_SCREEN_BOUND`` = 1e-10.  A scatter chunk writes those values; a state
+sweep measures again only the certified states within ``_SCREEN_MARGIN``,
+which the certificate sets, of a hit or the chunk's top, so every recorded
 gap and ``max_gap`` is the reference's.
 Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
 then build, apply and measure a block of pairs in stacked calls that give
@@ -47,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -63,7 +65,7 @@ from .channels import (
     _ppt_kraus,
     _ppt_start,
 )
-from .errors import OutOfRange
+from .errors import OutOfRange, ParseError
 from .measures import (
     _SCREEN_BOUND,
     MeasureTriple,
@@ -121,15 +123,14 @@ class ViolationRecord:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(
-            kind=data["kind"],
-            observed_gap=float(data["observed_gap"]),
-            seed=int(data["seed"]),
-            index=int(data["index"]),
-            state=data["state"],
-            channel=data.get("channel"),
-            params=data.get("params"),
-        )
+        """Inverse of :meth:`to_json_dict`: ParseError for a missing key, and
+        OutOfRange unless ``seed`` and ``index`` are integers >= 0."""
+        try:
+            kind, gap, state = data["kind"], float(data["observed_gap"]), data["state"]
+            seed, index = (_check_count(key, data[key], 0) for key in ("seed", "index"))
+        except KeyError as exc:
+            raise ParseError(f"a violation record needs its {exc.args[0]!r}") from None
+        return cls(kind, gap, seed, index, state, data.get("channel"), data.get("params"))
 
 
 @dataclass
@@ -360,18 +361,11 @@ def _bound_gaps(t):
     return {k: np.where(entangled, g, -math.inf) for k, g in gaps.items()}
 
 
-# A state sweep measures with the reference kernels every certified state whose
-# screened gap of some kind comes within this of min(tol, the chunk's top).
-# Outside it the reference gaps are below both, as long as no gap moves by half
-# of it between the screen and the reference.  On the feasible region a gap
-# moves by at most 2 per unit of C (the slopes of nu_of_c and bineg_mems at
-# c = 1), 1.5 per unit of nu (region_eq9's lower surface; bineg_lower_given_nu's
-# is 1.06) and 1 per unit of n2.
-# Measured: the largest |screened gap - reference gap| over 9e5 states of ranks
-# 2-4 (seeds 101-104) was 2.8e-14; _nu_n2_screen left 7 of them unsettled.
-# Bounded: _state_chunk certifies each measure to _SCREEN_BOUND, 4.5e-10 in a gap.
-# Cost: about 1.2% of rank-2 region states come within it.
-_SCREEN_MARGIN = 1e-5
+# A state sweep measures again every certified state whose screened gap comes
+# within this of min(tol, the chunk's top).  On the feasible region a gap moves
+# by at most 2 per unit of C, 1.5 per unit of nu and 1 per unit of n2, so by at
+# most 4.5 _SCREEN_BOUND from the certified screen; the cut needs twice that.
+_SCREEN_MARGIN = 9 * _SCREEN_BOUND
 
 
 def _state_chunk(rank, rng, size):
@@ -399,18 +393,17 @@ def _state_chunk(rank, rng, size):
 def _state_sweep(op, gaps_of, n, rank, seed, tol):
     """Sweep of ``n`` random states of ``rank``, with gaps ``gaps_of(triple)``.
 
-    A chunk comes from :func:`_state_chunk`, its states measured by the
-    certified screen or by :func:`measure_triple`.  The certified states
-    whose gap of any kind comes within ``_SCREEN_MARGIN`` of ``min(tol,
-    top)``, ``top`` the chunk's largest gap, are measured again with
-    :func:`measure_triple`, and their gaps replace the screened ones, so
-    every hit and the chunk's top carry the reference bits, and a report is
-    byte-identical to one that measures every state.  A certified PPT state
-    is not measured again: ``gaps_of`` gives it, as both sweeps' gaps do,
-    the same gaps for any ``C >= 0`` (0 for the ordering, none for the
-    bounds), so its screened gaps are the reference's.  At rank 1 every
-    state is measured and none is screened, since every pure state sits at
-    a gap of about 0, where the screen would settle none.
+    A chunk comes from :func:`_state_chunk`.  Its certified states whose
+    gap of any kind comes within ``_SCREEN_MARGIN`` of ``min(tol, top)``,
+    ``top`` the chunk's largest gap, are measured again with
+    :func:`measure_triple`.  That margin is twice the most a certified
+    screen moves a gap, so they include every hit and the top, which then
+    carry the reference bits, and a report is byte-identical to one that
+    measures every state.  A certified PPT state is not measured again:
+    ``gaps_of`` gives it the same gaps for any ``C >= 0`` (0 for the
+    ordering, none for the bounds).  At rank 1 every state is measured and
+    none is screened: every pure state sits at a gap of about 0, where the
+    screen settles none.
     """
     rank = _check_rank(rank)
 
@@ -421,8 +414,8 @@ def _state_sweep(op, gaps_of, n, rank, seed, tol):
             return
         rho, t, certified = _state_chunk(rank, rng, size)
         gaps = gaps_of(t)
-        cut = min(tol, np.fmax.reduce(list(gaps.values()), axis=None, initial=-math.inf)) - _SCREEN_MARGIN
-        near = np.flatnonzero(certified & (t.nu != 0.0) & np.any([~(gap < cut) for gap in gaps.values()], axis=0))
+        cut = min(tol, np.max(list(gaps.values()))) - _SCREEN_MARGIN
+        near = np.flatnonzero(certified & (t.nu != 0.0) & np.any([gap >= cut for gap in gaps.values()], axis=0))
         exact = gaps_of(measure_triple(rho[near]))
         for kind, gap in gaps.items():
             gap[near] = exact[kind]
@@ -473,9 +466,10 @@ def _check_kind(kind):
 
 
 def _check_tol(tol):
-    """Raise :class:`OutOfRange` unless ``tol`` is finite: no gap is above a NaN."""
-    if not math.isfinite(tol):
-        raise OutOfRange(f"tol must be finite, got {tol!r}")
+    """Raise :class:`OutOfRange` unless ``tol`` is a finite real, not a bool:
+    no gap is above a NaN."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not math.isfinite(tol):
+        raise OutOfRange(f"tol must be finite and real, got {tol!r}")
 
 
 def _draw_structure(kind, rng):

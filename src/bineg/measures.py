@@ -262,11 +262,8 @@ def concurrence(rho):
 
     These are the singular values of ``W^T (Y x Y) W`` for ``W = V
     diag(sqrt(w))`` from ``rho = V diag(w) V^dagger``; nothing is squared.
-    A chunk of sampled states screens with :func:`_uhlmann` of the
-    sampler's own factor, without this ``eigh``, and measures here the
-    states that :func:`_uhlmann_bound` does not certify to within
-    ``_SCREEN_BOUND`` of this; a state sweep measures here again those near
-    a hit or the top, so every ``C`` a report holds comes from here.
+    Sampled states are screened without this ``eigh``: see
+    ``harness._state_chunk``.
     """
     w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
     f = v * np.sqrt(np.where(w > _RANK_CUT, w, 0.0))[..., None, :]

@@ -37,6 +37,7 @@ from bineg.errors import (
     NotHermitian,
     NotTracePreserving,
     OutOfRange,
+    ParseError,
 )
 from bineg.linalg import dagger, frobenius_distance, kron, partial_transpose, transpose_factors
 from bineg.measures import binegativity, concurrence, negativity
@@ -116,6 +117,27 @@ class TestKrausChannel:
         assert len(back.kraus_ops) == len(ch.kraus_ops)
         for a, b in zip(back.kraus_ops, ch.kraus_ops):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dim_in", 4.9, "dim_in must be an integer, got 4.9"),
+            ("dim_in", True, "dim_in must be an integer, got True"),
+            ("dim_out", "4", "dim_out must be an integer, got '4'"),
+            ("dim_out", 0, "dim_out must be >= 1, got 0"),
+        ],
+    )
+    def test_json_dims_are_integers_in_range(self, key, value, message):
+        # a float is not truncated to the dimension of the operators
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            KrausChannel.from_json_dict({**IDENTITY.to_json_dict(), key: value})
+
+    @pytest.mark.parametrize("key", ["kraus", "dim_in", "dim_out"])
+    def test_json_without_a_key_is_a_parse_error(self, key):
+        data = IDENTITY.to_json_dict()
+        del data[key]
+        with pytest.raises(ParseError, match=f"^a Kraus channel needs its '{key}'$"):
+            KrausChannel.from_json_dict(data)
 
     def test_apply_preserves_trace_and_positivity(self):
         rng = np.random.default_rng(503)

@@ -7,6 +7,7 @@ counts are frozen from high-precision audits of the same seeds.
 import itertools
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -29,7 +30,7 @@ from bineg.channels import (
     random_local_unitary_pair,
 )
 from bineg.cli import parse_state_spec
-from bineg.errors import NotTracePreserving, OutOfRange
+from bineg.errors import NotTracePreserving, OutOfRange, ParseError
 from bineg.harness import (
     CHANNEL_KINDS,
     CHUNK,
@@ -53,7 +54,9 @@ from bineg.harness import (
 )
 from bineg.measures import (
     _SCREEN_BOUND,
+    MeasureTriple,
     _nu_n2_screen,
+    _region_bounds,
     _uhlmann,
     _uhlmann_bound,
     bineg_lower_given_nu,
@@ -174,6 +177,10 @@ class TestVerifyRegion:
         assert CONJECTURE_KINDS.isdisjoint(HARD_KINDS)
 
 
+# a tol 4.3e-13 below the reference gap of the seed-8 region finding at 1848
+NEAR_1848 = 3.12840132e-4
+
+
 def chunk_gaps(sweep, n, rank, seed):
     """The states of a sweep of ``n`` states and, per kind, the gap of each,
     measured with ``measure_triple`` one chunk at a time, as a sweep that
@@ -241,16 +248,45 @@ class TestStateSweepChunks:
         assert all(v.state == complex_matrix_to_json(states[v.index]) for v in rep.violations)
         assert rep.max_gap == max(np.fmax.reduce(g) for g in gaps.values())
 
-    @pytest.mark.parametrize(
-        "sweep, tol", [(verify_ordering, 1e-9), (verify_region, 1e-9), (verify_region, 3.1275e-4)]
-    )
+    @pytest.mark.parametrize("tol", [1e-9, 3.1275e-4])
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("sweep", [verify_ordering, verify_region])
+    def test_the_reference_measures_the_uncertified_the_hits_and_the_tops(self, monkeypatch, sweep, rank, tol):
+        # a margin set by the certificate measures again no state beyond the
+        # hits and each chunk's top, when that top is certified and entangled
+        serial(monkeypatch)
+        n, seed, want, index = 2000, 8, set(), {}
+        for seq, size in harness._chunks(seed, n):
+            g = _ginibre(rank, np.random.default_rng(seq), size)
+            rho, offset = _gram_state(g), len(index)
+            c = np.maximum(_uhlmann(g) / np.square(np.abs(g)).sum(axis=(-2, -1)), 0.0)
+            certified = np.maximum(_uhlmann_bound(g, c), _nu_n2_screen(rho)[2]) <= _SCREEN_BOUND
+            t = measure_triple(rho)
+            found = {"ordering": _ordering_gap(t)} if sweep is verify_ordering else _bound_gaps(t)
+            gap = np.max(list(found.values()), axis=0)
+            top = (gap == gap.max()) & certified & (t.nu > 0.0)
+            want.update(offset + int(j) for j in np.flatnonzero(~certified | (gap > tol) | top))
+            index.update((r.tobytes(), offset + j) for j, r in enumerate(rho))
+        measured, reference = set(), measures.concurrence
+
+        def spy(rho):
+            measured.update(index[r.tobytes()] for r in rho)
+            return reference(rho)
+
+        monkeypatch.setattr(measures, "concurrence", spy)
+        sweep(n, rank=rank, seed=seed, tol=tol)
+        assert measured == want
+
+    # tol 3.1275e-4 sits below the seed-8 finding at 1848 (gap 3.1284e-4, not
+    # the top of its chunk) by 9e-8, NEAR_1848 by 4.3e-13: a screen whose gap
+    # of 1848 is off by its certificate puts that hit either side of tol
+    SHIFTED = [(verify_ordering, 1e-9), (verify_region, 1e-9), (verify_region, 3.1275e-4), (verify_region, NEAR_1848)]
+
+    @pytest.mark.parametrize("sweep, tol", SHIFTED)
     def test_a_screen_off_by_its_bound_moves_no_byte(self, monkeypatch, sweep, tol):
-        # half the margin, and the 1.9e-6 that the comment at _SCREEN_MARGIN
-        # bounds the screen's error in C by, either way.  At tol 3.1275e-4 the
-        # seed-8 finding at 1848 (gap 3.1284e-4, slope 0.114 in C, not the
-        # top of its chunk) is a hit that a screen 1.9e-6 low puts below tol
+        # half the margin, and the certified bound, either way
         want = dumps(sweep(2000, seed=8, tol=tol).to_json_dict())
-        for shift in (harness._SCREEN_MARGIN / 2, -harness._SCREEN_MARGIN / 2, 1.9e-6, -1.9e-6):
+        for shift in (harness._SCREEN_MARGIN / 2, -harness._SCREEN_MARGIN / 2, _SCREEN_BOUND, -_SCREEN_BOUND):
             shifted_screen(monkeypatch, shift)
             assert dumps(sweep(2000, seed=8, tol=tol).to_json_dict()) == want
 
@@ -300,19 +336,23 @@ class TestStateSweepChunks:
         assert dumps(sweep(n, seed=seed, tol=tol).to_json_dict()) == want
         assert states[j].tobytes() in measured
 
-    @pytest.mark.parametrize(
-        "sweep, tol", [(verify_ordering, 1e-9), (verify_region, 1e-9), (verify_region, 3.1275e-4)]
-    )
+    @pytest.mark.parametrize("sweep, tol", SHIFTED)
     def test_a_nu_n2_screen_off_by_its_bound_moves_no_byte(self, monkeypatch, sweep, tol):
-        # the certified bound, and 2e-6, which moves a gap by at most 5e-6,
-        # half the margin (slope 1.5 in nu and 1 in n2), each way in each.  At
-        # tol 3.1275e-4 the seed-8 finding at 1848 (gap 3.1284e-4) is a hit
-        # that a screen 2e-6 low in n2 puts below tol
+        # the certified bound, each way in each
         want = dumps(sweep(2000, seed=8, tol=tol).to_json_dict())
-        for size in (_SCREEN_BOUND, 2e-6):
-            for nu_sign, n2_sign in itertools.product((1, -1), repeat=2):
-                shifted_nu_n2_screen(monkeypatch, nu_sign * size, n2_sign * size)
-                assert dumps(sweep(2000, seed=8, tol=tol).to_json_dict()) == want
+        for nu_sign, n2_sign in itertools.product((1, -1), repeat=2):
+            shifted_nu_n2_screen(monkeypatch, nu_sign * _SCREEN_BOUND, n2_sign * _SCREEN_BOUND)
+            assert dumps(sweep(2000, seed=8, tol=tol).to_json_dict()) == want
+
+    def test_a_record_screened_twice_the_margin_low_goes(self):
+        # the converse at NEAR_1848: a screen 2 x 9 _SCREEN_BOUND low in n2,
+        # twice the margin that the certificate sets, puts the hit at 1848
+        # below the cut, so its reference gap is never measured
+        with pytest.MonkeyPatch.context() as mp:
+            shifted_nu_n2_screen(mp, 0.0, -2 * 9 * _SCREEN_BOUND)
+            indices = [v.index for v in verify_region(2000, seed=8, tol=NEAR_1848).violations]
+        assert indices == [30, 262, 310, 1511]
+        assert [v.index for v in verify_region(2000, seed=8, tol=NEAR_1848).violations] == [30, 262, 310, 1511, 1848]
 
     def test_a_record_screened_below_the_nu_n2_cut_goes(self):
         # the converse: a screen 5e-4 low in n2 puts the seed-8 findings at
@@ -322,6 +362,31 @@ class TestStateSweepChunks:
             shifted_nu_n2_screen(mp, 0.0, -5e-4)
             indices = [v.index for v in verify_region(2000, seed=8).violations]
         assert indices == [30, 262, 1511]
+
+    def test_no_gap_moves_faster_than_the_margin_assumes(self):
+        # _SCREEN_MARGIN = 9 _SCREEN_BOUND rests on these slopes on the
+        # feasible region: 2 per unit of c (nu_of_c and bineg_mems as c -> 1),
+        # 1.5 per unit of nu (region_eq9's lower surface) and 1 per unit of n2.
+        # Central differences on a (c, nu) grid, n2 below, inside and above
+        # region_eq9's band
+        assert harness._SCREEN_MARGIN == 9 * _SCREEN_BOUND
+        c = np.linspace(0.0, 1.0, 801)[1:-1, None, None]
+        floor = nu_of_c(c)
+        nu = floor + np.linspace(0.0, 1.0, 201)[None, 1:-1, None] * (c - floor)
+        low, up = _region_bounds(c, nu)
+        n2 = low + np.linspace(-0.5, 1.5, 5) * (up - low)
+        point, h = np.broadcast_arrays(c, nu, n2), 1e-7
+
+        def gaps(step):
+            t = MeasureTriple(*(x + dx for x, dx in zip(point, step)))
+            return {**_bound_gaps(t), "ordering": _ordering_gap(t)}
+
+        for axis, bound in enumerate((2.0, 1.5, 1.0)):
+            step = np.eye(3)[axis] * h
+            ahead, behind = gaps(step), gaps(-step)
+            slopes = {k: np.max(np.abs(ahead[k] - behind[k])) / (2 * h) for k in ahead}
+            assert max(slopes.values()) <= bound + 1e-6
+            assert max(slopes.values()) == pytest.approx(bound, abs=1e-2)
 
     @pytest.mark.parametrize("tol", [1e-9, 0.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -755,8 +820,7 @@ class TestSeedType:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
-    @pytest.mark.parametrize(
+    RUNS = pytest.mark.parametrize(
         "run",
         [
             lambda tol: verify_ordering(2000, seed=8, tol=tol),
@@ -767,6 +831,9 @@ class TestTolerance:
         ],
         ids=["ordering", "region", "closed_forms", "monotonicity", "search"],
     )
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    @RUNS
     def test_non_finite_tol_is_rejected_before_any_chunk(self, monkeypatch, run, tol):
         # every "gap > tol" test is false for a NaN: verify_region(2000,
         # seed=8) reports 6 findings at tol 1e-9 and none at NaN
@@ -774,6 +841,18 @@ class TestTolerance:
         monkeypatch.setattr(harness, "_chunk_results", lambda task, items: pytest.fail("items were mapped"))
         with pytest.raises(OutOfRange, match="tol must be finite"):
             run(tol)
+
+    @pytest.mark.parametrize("tol", [True, np.False_, "1e-9", None, 1j])
+    @RUNS
+    def test_a_tol_that_is_no_real_number_is_rejected_before_any_chunk(self, monkeypatch, run, tol):
+        # a bool is not read as 1 or 0, and a string or None raises no TypeError
+        forked(monkeypatch)
+        monkeypatch.setattr(harness, "_chunk_results", lambda task, items: pytest.fail("items were mapped"))
+        with pytest.raises(OutOfRange, match=f"^{re.escape(f'tol must be finite and real, got {tol!r}')}$"):
+            run(tol)
+
+    def test_a_numpy_float_tol_is_a_tol(self):
+        assert verify_region(2000, seed=8, tol=np.float32(1e-3)).n_violations == 0
 
     @pytest.mark.parametrize(
         "run",
@@ -1229,6 +1308,30 @@ class TestReportSerialization:
         assert back.observed_gap == v.observed_gap
         assert back.seed == v.seed and back.index == v.index
         assert recompute_gap(back) == pytest.approx(v.observed_gap, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", 8.9, "seed must be an integer, got 8.9"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", "8", "seed must be an integer, got '8'"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("index", 30.7, "index must be an integer, got 30.7"),
+            ("index", -1, "index must be >= 0, got -1"),
+        ],
+    )
+    def test_a_record_count_is_an_integer_in_range(self, key, value, message):
+        # a float is not truncated, so no record agrees with its truncation
+        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            ViolationRecord.from_json_dict({**data, key: value})
+
+    @pytest.mark.parametrize("key", ["kind", "observed_gap", "seed", "index", "state"])
+    def test_a_record_without_a_key_is_a_parse_error(self, key):
+        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        del data[key]
+        with pytest.raises(ParseError, match=f"^a violation record needs its '{key}'$"):
+            ViolationRecord.from_json_dict(data)
 
 
 def scatter_states(rank, seed, n):
