@@ -64,10 +64,16 @@ class KrausChannel:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`: ParseError for a missing key, and
+        """Inverse of :meth:`to_json_dict`: ParseError for input that is not a
+        JSON object, a missing key or a ``kraus`` that is not a list, and
         OutOfRange unless both dimensions are integers >= 1."""
+        if not isinstance(data, dict):
+            raise ParseError(f"a Kraus channel is a JSON object, got {type(data).__name__}")
         try:
-            ops = [serialize.complex_matrix_from_json(k) for k in data["kraus"]]
+            kraus = data["kraus"]
+            if not isinstance(kraus, list):
+                raise ParseError(f"a Kraus channel's 'kraus' is a list, got {type(kraus).__name__}")
+            ops = [serialize.complex_matrix_from_json(k) for k in kraus]
             dims = [_check_count(name, data[name], 1) for name in ("dim_in", "dim_out")]
         except KeyError as exc:
             raise ParseError(f"a Kraus channel needs its {exc.args[0]!r}") from None

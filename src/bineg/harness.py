@@ -123,10 +123,13 @@ class ViolationRecord:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`: ParseError for a missing key, and
-        OutOfRange unless ``seed`` and ``index`` are integers >= 0."""
+        """Inverse of :meth:`to_json_dict`: ParseError for input that is not a
+        JSON object or lacks a key, and OutOfRange unless ``observed_gap`` is
+        a finite real and ``seed`` and ``index`` are integers >= 0."""
+        if not isinstance(data, dict):
+            raise ParseError(f"a violation record is a JSON object, got {type(data).__name__}")
         try:
-            kind, gap, state = data["kind"], float(data["observed_gap"]), data["state"]
+            kind, gap, state = data["kind"], _check_real("observed_gap", data["observed_gap"]), data["state"]
             seed, index = (_check_count(key, data[key], 0) for key in ("seed", "index"))
         except KeyError as exc:
             raise ParseError(f"a violation record needs its {exc.args[0]!r}") from None
@@ -148,8 +151,8 @@ class SweepReport:
     max_gap: float
     seed: int
     config: dict
-    violations: list = field(default_factory=list)
     runtime_seconds: float | None = None
+    violations: list = field(default_factory=list)
 
     def has_hard_failure(self):
         return any(v.kind in HARD_KINDS for v in self.violations)
@@ -158,16 +161,7 @@ class SweepReport:
         return any(v.kind in CONJECTURE_KINDS for v in self.violations)
 
     def to_json_dict(self):
-        return {
-            "op": self.op,
-            "n_samples": self.n_samples,
-            "n_violations": self.n_violations,
-            "max_gap": self.max_gap,
-            "seed": self.seed,
-            "config": self.config,
-            "runtime_seconds": None,
-            "violations": [v.to_json_dict() for v in self.violations],
-        }
+        return {**vars(self), "runtime_seconds": None, "violations": [v.to_json_dict() for v in self.violations]}
 
 
 def _spawn(seed, count):
@@ -293,7 +287,7 @@ def _records(op, seed, config, blocks, t0):
         offset += count
     violations.sort(key=lambda v: (v.seed, v.index, v.kind))
     runtime = time.perf_counter() - t0
-    return SweepReport(op, offset, len(violations), max_gap, int(seed), config, violations, runtime)
+    return SweepReport(op, offset, len(violations), max_gap, int(seed), config, runtime, violations)
 
 
 def _spans(chunks, parts):
@@ -322,7 +316,7 @@ def _sweep(op, seed, config, tol, work, items):
     the chunks of :func:`_chunks` or their :func:`_spans`, and their blocks
     reach :func:`_records` in item order as :func:`_chunk_results` yields
     them."""
-    _check_tol(tol)
+    _check_real("tol", tol)
     t0 = time.perf_counter()
     results = _chunk_results(functools.partial(_sweep_chunk, work, tol), items)
     return _records(op, seed, config, itertools.chain.from_iterable(results), t0)
@@ -402,8 +396,9 @@ def _state_sweep(op, gaps_of, n, rank, seed, tol):
     measures every state.  A certified PPT state is not measured again:
     ``gaps_of`` gives it the same gaps for any ``C >= 0`` (0 for the
     ordering, none for the bounds).  At rank 1 every state is measured and
-    none is screened: every pure state sits at a gap of about 0, where the
-    screen settles none.
+    none is screened: the screen certifies pure states, but each has
+    ``C = nu = n2`` and so gaps of about 0, within ``_SCREEN_MARGIN`` of the
+    cut, and the margin would send every one to the reference anyway.
     """
     rank = _check_rank(rank)
 
@@ -443,7 +438,7 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     a full (p, q, r) grid plus 100 random triples.  Disagreement beyond
     ``tol`` is a hard failure."""
     g = _check_count("grid_density", grid_density, 2)
-    _check_tol(tol)
+    _check_real("tol", tol)
     t0 = time.perf_counter()
     rng = np.random.default_rng(_spawn(seed, 1)[0])
     axis = np.linspace(0.0, 1.0, g)
@@ -465,11 +460,12 @@ def _check_kind(kind):
         raise OutOfRange(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
 
 
-def _check_tol(tol):
-    """Raise :class:`OutOfRange` unless ``tol`` is a finite real, not a bool:
-    no gap is above a NaN."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not math.isfinite(tol):
-        raise OutOfRange(f"tol must be finite and real, got {tol!r}")
+def _check_real(name, value):
+    """``value`` as a ``float`` if it is a finite real, not a bool, else raise
+    :class:`OutOfRange`: no gap is above a NaN tolerance, and a gap is a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise OutOfRange(f"{name} must be finite and real, got {value!r}")
+    return float(value)
 
 
 def _draw_structure(kind, rng):
@@ -692,7 +688,7 @@ def counterexample_search(
     steps = _check_count("steps", steps, 0)
     rank = _check_rank(rank)
     _check_kind(channel_kind)
-    _check_tol(tol)
+    _check_real("tol", tol)
     t0 = time.perf_counter()
     rngs = list(map(np.random.default_rng, _spawn(seed, restarts)))
     structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
@@ -752,7 +748,9 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
     * fig2: (nu, n2) scatter; curves n2 = nu and the fixed-nu lower curve.
     * fig3: (c, c - nu, nu - n2) scatter; the two-sided region surface on a
       50 x 50 feasible (c, nu) grid, the sigma_mems curve, and the segment
-      of states sharing (c, nu) = (1/2, 3/8).
+      of states sharing (c, nu) = (1/2, 3/8).  The grid is 50 values of c by
+      the 50 inner points of 52 from ``nu_of_c(c)`` to c, and one array call
+      of :func:`_region_bounds` gives its bounds, rounded as a sweep's are.
 
     The scatter's chunks come back from :func:`_chunk_results` as their rows
     of text, each written as it arrives, in chunk order, so that the sheet
@@ -782,17 +780,12 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
     elif which == "fig2":
         emit("fig2_bounds.csv", ["nu", "lower", "upper"], [rows(grid, bineg_lower_given_nu(grid), grid)])
     else:
-        region = []
-        for ci in np.linspace(0.02, 0.98, 50):
-            floor = nu_of_c(ci)
-            for nj in np.linspace(floor, ci, 52)[1:-1]:
-                low, up = _region_bounds(ci, nj)
-                region.append((ci, nj, ci - nj, nj - up, nj - low))
-        emit(
-            "fig3_region.csv",
-            ["c", "nu", "c_minus_nu", "nu_minus_n2_min", "nu_minus_n2_max"],
-            [rows(*np.transpose(region))],
-        )
+        c = np.linspace(0.02, 0.98, 50)
+        nu = np.linspace(nu_of_c(c), c, 52, axis=-1)[:, 1:-1].ravel()
+        c = np.repeat(c, 50)
+        low, up = _region_bounds(c, nu)
+        header = ["c", "nu", "c_minus_nu", "nu_minus_n2_min", "nu_minus_n2_max"]
+        emit("fig3_region.csv", header, [rows(c, nu, c - nu, nu - up, nu - low)])
         triple = _SCATTER["fig3"][0]
         mems_nu = nu_of_c(grid)
         emit("fig3_mems.csv", triple, [rows(grid, grid - mems_nu, mems_nu - bineg_mems(grid))])

@@ -139,6 +139,19 @@ class TestKrausChannel:
         with pytest.raises(ParseError, match=f"^a Kraus channel needs its '{key}'$"):
             KrausChannel.from_json_dict(data)
 
+    @pytest.mark.parametrize("data", [[], None, "x", 5])
+    def test_json_that_is_not_an_object_is_a_parse_error(self, data):
+        message = f"a Kraus channel is a JSON object, got {type(data).__name__}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            KrausChannel.from_json_dict(data)
+
+    @pytest.mark.parametrize("kraus", [5, None, 0.5, "x", {"0": []}])
+    def test_json_kraus_that_is_not_a_list_is_a_parse_error(self, kraus):
+        # no value escapes as a TypeError, and a string is not read per letter
+        message = f"a Kraus channel's 'kraus' is a list, got {type(kraus).__name__}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            KrausChannel.from_json_dict({**IDENTITY.to_json_dict(), "kraus": kraus})
+
     def test_apply_preserves_trace_and_positivity(self):
         rng = np.random.default_rng(503)
         kinds = [

@@ -536,7 +536,7 @@ class TestPinnedReports:
         },
         "fig3": {
             "fig3_mems.csv": "baf1355e970a1827",
-            "fig3_region.csv": "201897d6c929c779",
+            "fig3_region.csv": "1f395780f87431b3",
             "fig3_scatter.csv": "a8fe45e331ff66be",
             "fig3_segment.csv": "697bf06a7e5d02eb",
         },

@@ -5,6 +5,7 @@ counts are frozen from high-precision audits of the same seeds.
 """
 
 import itertools
+import json
 import multiprocessing
 import os
 import re
@@ -483,8 +484,9 @@ class TestStateSweepChunks:
         assert not any(states[i].tobytes() in measured for i in np.flatnonzero(ppt))
 
     def test_rank_1_screens_no_state(self, monkeypatch):
-        # every pure state sits at a gap of about 0, where the screen would
-        # settle none, so rank 1 measures every state and calls no screen
+        # the screen certifies pure states, but every one sits at gaps of
+        # about 0, within _SCREEN_MARGIN of the cut, so the margin would send
+        # each to the reference: rank 1 measures every state and calls no screen
         monkeypatch.setattr(harness, "_nu_n2_screen", None)
         monkeypatch.setattr(harness, "_uhlmann", None)
         for sweep in (verify_ordering, verify_region):
@@ -1303,11 +1305,9 @@ class TestReportSerialization:
     def test_violation_record_round_trip(self):
         rep = monotonicity_sweep(3, channel_kind="local", seed=8, tol=-10.0)
         v = rep.violations[0]
-        back = ViolationRecord.from_json_dict(v.to_json_dict())
-        assert back.kind == v.kind
-        assert back.observed_gap == v.observed_gap
-        assert back.seed == v.seed and back.index == v.index
-        assert recompute_gap(back) == pytest.approx(v.observed_gap, abs=1e-12)
+        back = ViolationRecord.from_json_dict(json.loads(dumps(v.to_json_dict())))
+        assert back == v
+        assert recompute_gap(back) == v.observed_gap
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -1331,6 +1331,20 @@ class TestReportSerialization:
         data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
         del data[key]
         with pytest.raises(ParseError, match=f"^a violation record needs its '{key}'$"):
+            ViolationRecord.from_json_dict(data)
+
+    @pytest.mark.parametrize("value", [True, False, "x", None, [0.5], float("nan"), float("inf"), -float("inf")])
+    def test_a_record_gap_is_a_finite_real(self, value):
+        # a bool is not read as 1.0, and no other value escapes as a TypeError
+        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        message = f"observed_gap must be finite and real, got {value!r}"
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            ViolationRecord.from_json_dict({**data, "observed_gap": value})
+
+    @pytest.mark.parametrize("data", [[], None, "x", 5])
+    def test_a_record_that_is_not_an_object_is_a_parse_error(self, data):
+        message = f"a violation record is a JSON object, got {type(data).__name__}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict(data)
 
 
@@ -1475,12 +1489,15 @@ class TestFigureData:
         assert seg.shape == (21, 3)
         assert seg[0].tolist() == [0.5, 0.125, 3.0 / 400.0]
         assert seg[-1].tolist() == [0.5, 0.125, 1.0 / 54.0]
-        # region sheet: wedge coordinates consistent, min sheet below max
+        # region sheet: min sheet below max, and its last three columns are
+        # the bits of one array evaluation on its own (c, nu) columns
         header, reg = read_csv(paths[1])
         assert header == ["c", "nu", "c_minus_nu", "nu_minus_n2_min", "nu_minus_n2_max"]
         assert np.all(reg[:, 2] > 0)
         assert np.all(reg[:, 3] <= reg[:, 4] + 1e-12)
-        assert np.allclose(reg[:, 0] - reg[:, 1], reg[:, 2], atol=1e-12)
+        c, nu = reg[:, 0], reg[:, 1]
+        low, up = _region_bounds(c, nu)
+        assert reg[:, 2:].tolist() == np.column_stack([c - nu, nu - up, nu - low]).tolist()
 
     def test_fig3_mems_curve_on_scatter_boundary(self, tmp_path):
         paths = figure_data("fig3", 50, seed=8, out_dir=str(tmp_path))
