@@ -119,11 +119,19 @@ def _check_choi(j, dim_in, dim_out):
 def _check_complete(kraus):
     """Raise :class:`NotTracePreserving` unless ``sum_k K_k^dagger K_k = I``
     to ``COMPLETENESS_TOL`` for every Kraus family in a stack of shape
-    ``(..., count, dim_out, dim_in)``.  Zero padding adds nothing to the sum."""
-    comp = (dagger(kraus) @ kraus).sum(axis=-3)
-    defect = float(np.abs(comp - np.eye(kraus.shape[-1])).max())
+    ``(..., count, dim_out, dim_in)``, each family's sum one matmul of its
+    operators stacked in a column (:func:`_column`).  Zero padding adds
+    nothing to the sum."""
+    column = _column(kraus)
+    defect = float(np.abs(dagger(column) @ column - np.eye(kraus.shape[-1])).max())
     if not defect <= COMPLETENESS_TOL:
         raise NotTracePreserving(f"sum K^dagger K deviates from identity by {defect:.3e}")
+
+
+def _column(kraus):
+    """Each family of a Kraus stack ``(..., count, d_out, d_in)`` as one
+    ``(count d_out, d_in)`` matrix, its operators stacked top to bottom."""
+    return kraus.reshape(kraus.shape[:-3] + (-1, kraus.shape[-1]))
 
 
 def _trace_out(j, dim_in, dim_out):
@@ -144,25 +152,52 @@ def apply(ch, rho):
 
 def _apply_kraus(kraus, rho):
     """``sum_k K_k rho K_k^dagger`` for a Kraus stack ``(..., count, d_out,
-    d_in)`` and states ``(..., d_in, d_in)``, one einsum over the stack.
+    d_in)`` and states ``(..., d_in, d_in)``, in two batched matmuls.  The
+    first takes each family's operators stacked in a column to the blocks
+    ``K_k rho``; the second multiplies those, laid side by side, with the
+    column of the ``K_k^dagger``, so its inner products sum over the Kraus
+    axis.
 
-    Zero operators padding a family to the stack's count add exact zeros,
-    so each item comes out bit for bit as its unpadded family gives it.
-    The einsum's summation order follows the operands' memory layout, so a
-    stack must hold each operator in the layout ``np.stack`` gives it.
+    Zero operators padding a family to the stack's count add exact zeros at
+    the end of each inner product, so each item comes out bit for bit as
+    its unpadded family gives it.
     """
-    return np.einsum("...aij,...jl,...akl->...ik", kraus, rho, np.conjugate(kraus))
+    count, d_out, d_in = kraus.shape[-3:]
+    blocks = _column(kraus) @ rho
+    lead = blocks.shape[:-2]
+    side = np.swapaxes(blocks.reshape(lead + (count, d_out, d_in)), -3, -2)
+    return side.reshape(lead + (d_out, count * d_in)) @ _column(dagger(kraus))
+
+
+# a unit column is dependent on the earlier ones when less than this of its
+# norm lies outside their span: a hundred times and more the rounding of a
+# projection in up to 16 dimensions
+_INDEPENDENT = 1e-13
 
 
 def _isometry(g):
     """Haar map of complex Gaussian matrices ``(..., rows, cols)``, rows >=
-    cols: the Q of their QR decomposition with the phases of R's diagonal
-    moved into it.  A zero diagonal entry leaves its column's phase alone,
-    so every input maps to an isometry."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    safe = np.where(np.abs(d) > 0.0, d, 1.0)
-    return q * (safe / np.abs(safe))[..., None, :]
+    cols: classical Gram-Schmidt applied twice (CGS2) to the columns, each
+    first scaled to norm 1.  That is the Q of the QR decomposition whose R
+    has a positive diagonal, which maps Ginibre matrices to the Haar
+    measure (Mezzadri, Notices AMS 54, 592 (2007)).  Raises
+    :class:`OutOfRange` if a column is zero, its norm is not finite, or
+    less than ``_INDEPENDENT`` of it lies outside the span of the earlier
+    columns."""
+    q = np.swapaxes(np.asarray(g, dtype=complex), -1, -2).copy()  # a row per column
+    size = np.sqrt(np.vecdot(q, q).real)
+    if not (np.isfinite(size) & (size > 0.0)).all():
+        raise OutOfRange("a Haar map needs finite nonzero columns")
+    q /= size[..., None]
+    for j in range(1, q.shape[-2]):
+        v, done = q[..., j, :], q[..., :j, :]
+        for _ in range(2):
+            v -= np.matvec(np.swapaxes(done, -1, -2), np.vecdot(done, v[..., None, :]))
+        r = np.sqrt(np.vecdot(v, v).real)
+        if not (r > _INDEPENDENT).all():
+            raise OutOfRange(f"a Haar map needs independent columns; column {j} depends on the earlier ones")
+        v /= r[..., None]
+    return np.swapaxes(q, -1, -2)
 
 
 def _stinespring_kraus(v, count):
@@ -190,14 +225,17 @@ def _one_way_locc_kraus(raw, n_outcomes):
     One outcome gives the local unitary pair ``U_A (x) U_B``."""
     raw = np.asarray(raw, dtype=float)
     m = n_outcomes
+    if m == 1:  # A's isometry is a 2x2 unitary too: both factors in one call
+        u = _isometry(_gaussian_matrices(raw.reshape(raw.shape[:-1] + (2, 8)), (2, 2)))
+        return kron(u[..., :1, :, :], u[..., 1:, :, :])
     v = _isometry(_gaussian_matrices(raw[..., : 8 * m], (2 * m, 2)))
     u = _isometry(_gaussian_matrices(raw[..., 8 * m :].reshape(raw.shape[:-1] + (m, 8)), (2, 2)))
     return kron(_stinespring_kraus(v, m), u)
 
 
 def haar_unitary(dim, seed, size=None):
-    """Haar-distributed unitaries via QR of a complex Gaussian matrix with
-    the R-diagonal phase fix.  ``size=k`` returns a stack ``(k, dim, dim)``.
+    """Haar-distributed unitaries: the Gram-Schmidt map :func:`_isometry` of
+    a complex Gaussian matrix.  ``size=k`` returns a stack ``(k, dim, dim)``.
     """
     dim = _check_count("dim", dim, 1)
     rng = as_generator(seed)
@@ -277,8 +315,7 @@ def _kraus_stack(j, dim_in, dim_out):
     ``(dim_in, dim_out)`` matrix and transposed.  Returns ``(kraus,
     counts)``: ``kraus`` has shape ``(n, K, dim_out, dim_in)`` with K the
     largest count, zero-padded, and holds each operator column-major, the
-    layout the transpose gives it, since :func:`_apply_kraus` sums in an
-    order that follows the layout.  Raises :class:`NotTracePreserving` if
+    layout the transpose gives it.  Raises :class:`NotTracePreserving` if
     an item has no eigenvalue above 1e-12.
     """
     w, v = np.linalg.eigh((j + dagger(j)) / 2.0)

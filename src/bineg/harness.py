@@ -124,8 +124,10 @@ class ViolationRecord:
     @classmethod
     def from_json_dict(cls, data):
         """Inverse of :meth:`to_json_dict`: ParseError for input that is not a
-        JSON object or lacks a key, and OutOfRange unless ``observed_gap`` is
-        a finite real and ``seed`` and ``index`` are integers >= 0."""
+        JSON object, lacks a key, or has a ``kind`` that is not a string or
+        ``params`` that are neither an object nor null, and OutOfRange unless
+        ``observed_gap`` is a finite real and ``seed`` and ``index`` are
+        integers >= 0."""
         if not isinstance(data, dict):
             raise ParseError(f"a violation record is a JSON object, got {type(data).__name__}")
         try:
@@ -133,7 +135,12 @@ class ViolationRecord:
             seed, index = (_check_count(key, data[key], 0) for key in ("seed", "index"))
         except KeyError as exc:
             raise ParseError(f"a violation record needs its {exc.args[0]!r}") from None
-        return cls(kind, gap, seed, index, state, data.get("channel"), data.get("params"))
+        params = data.get("params")
+        if not isinstance(kind, str):
+            raise ParseError(f"a violation record's 'kind' is a string, got {type(kind).__name__}")
+        if not isinstance(params, (dict, type(None))):
+            raise ParseError(f"a violation record's 'params' is an object or null, got {type(params).__name__}")
+        return cls(kind, gap, seed, index, state, data.get("channel"), params)
 
 
 @dataclass
@@ -490,9 +497,17 @@ def _draw_structure(kind, rng):
 
 
 def _draw_pairs(kind, rank, rng, count):
-    """Raw Gaussians of ``count`` (state, channel) pairs, drawn pair by pair
-    in the samplers' order: the state's, the channel's structure, then the
-    channel's.  Returns ``(state_raw, structures, channel_raw)``."""
+    """Raw Gaussians of ``count`` (state, channel) pairs, in the samplers'
+    order pair by pair: the state's, the channel's structure, then the
+    channel's.  A local unitary or PPT channel draws no structure, so one
+    ``(count, 8 rank + size)`` call draws the same stream; a local or one-way
+    LOCC channel's structure integers come between the normals, so those
+    pairs are drawn one at a time.  Returns ``(state_raw, structures,
+    channel_raw)``, ``channel_raw`` a list of flat arrays."""
+    if kind in ("local_unitary", "ppt"):
+        structure, size = _draw_structure(kind, rng)
+        raw = rng.standard_normal((count, 8 * rank + size))
+        return raw[:, : 8 * rank], [structure] * count, list(raw[:, 8 * rank :])
     states, structures, channels = [], [], []
     for _ in range(count):
         states.append(rng.standard_normal(8 * rank))
@@ -525,13 +540,13 @@ def _build_pairs(kind, structures, state_raw, channel_raw):
     rank = state_raw.shape[-1] // 8
     rho = _gram_state(_gaussian_matrices(state_raw, (4, rank)))
     if kind == "ppt":
-        _, kraus, counts = _ppt_kraus(_ppt_start(np.stack(channel_raw)))
+        _, kraus, counts = _ppt_kraus(_ppt_start(np.asarray(channel_raw)))
         return rho, kraus, counts.tolist()
     counts = [s[0] for s in structures]
     kraus = np.zeros((n, max(counts), 4, 4), dtype=complex)
     for count in sorted(set(counts)):
         idx = [i for i in range(n) if counts[i] == count]
-        raw = np.stack([channel_raw[i] for i in idx])
+        raw = np.asarray([channel_raw[i] for i in idx])
         if kind == "local":
             ops = _local_kraus(raw, count, np.array([structures[i][1] for i in idx]))
         else:
@@ -811,9 +826,7 @@ def recompute_gap(record):
         return float(_gaps(rho, kraus[None])[0])
     t = measure_triple(rho)
     if kind == "closed_form":
-        want, _ = closed_form_pqr(
-            float(record.params["p"]), float(record.params["q"]), float(record.params["r"])
-        )
+        want, _ = closed_form_pqr(*(_check_real(k, record.params.get(k)) for k in "pqr"))
         return float(_closed_form_gap(t, want)[0])
     if kind == "ordering":
         return float(_ordering_gap(t)[0])

@@ -1,6 +1,7 @@
 """Tests for channel construction, Choi conversion, and the PPT sampler."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bineg.channels import (
     _kraus_stack,
     _one_way_locc_kraus,
     _ppt_start,
+    _stinespring_kraus,
     apply,
     choi_from_kraus,
     haar_isometry,
@@ -39,7 +41,7 @@ from bineg.errors import (
     OutOfRange,
     ParseError,
 )
-from bineg.linalg import dagger, frobenius_distance, kron, partial_transpose, transpose_factors
+from bineg.linalg import dagger, frobenius_distance, frobenius_norm, kron, partial_transpose, transpose_factors
 from bineg.measures import binegativity, concurrence, negativity
 from bineg.states import _gaussian_matrices, is_ppt, random_mixed, sigma_pqr
 
@@ -187,6 +189,53 @@ class TestHaarSampling:
         v = haar_isometry(2, 6, 507)
         assert v.shape == (6, 2)
         assert_allclose(dagger(v) @ v, np.eye(2), atol=1e-12)
+
+    def test_unitary_corner_is_uniform(self):
+        # |U_00|^2 of a Haar 2x2 unitary is uniform on [0, 1]: the
+        # Kolmogorov-Smirnov statistic of 2e4 draws stays below its 1%
+        # critical value, 1.628 / sqrt(n)
+        x = np.sort(np.abs(haar_unitary(2, 519, size=20_000)[:, 0, 0]) ** 2)
+        n = len(x)
+        ks = max((np.arange(1, n + 1) / n - x).max(), (x - np.arange(n) / n).max())
+        assert ks < 1.628 / np.sqrt(n)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (6, 2), (8, 2), (16, 16)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("parallel", [False, True], ids=["ginibre", "parallel"])
+    def test_map_of_adversarial_factors_is_an_isometry(self, shape, scale, parallel):
+        rng = np.random.default_rng(520)
+        g = rng.standard_normal((64,) + shape) + 1j * rng.standard_normal((64,) + shape)
+        if parallel:  # each column 1e-8 from a multiple of one column
+            g = g[..., :1] * (rng.standard_normal(shape[-1]) + 1j) + 1e-8 * g
+        q = _isometry(scale * g)
+        assert frobenius_norm(dagger(q) @ q - np.eye(shape[-1])).max() <= 1e-14
+        # the Kraus families read from the isometry, or a square one as one operator
+        _check_complete(q[:, None] if shape == (16, 16) else _stinespring_kraus(q, shape[0] // 2))
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda g: g[..., 0].fill(0.0), "a Haar map needs finite nonzero columns"),
+            (lambda g: g[..., 1].fill(0.0), "a Haar map needs finite nonzero columns"),
+            (
+                lambda g: np.copyto(g[..., 1], (0.5 - 2j) * g[..., 0]),
+                "a Haar map needs independent columns; column 1 depends on the earlier ones",
+            ),
+            (
+                lambda g: np.copyto(g[..., 2], g[..., 0] - 3.0 * g[..., 1]),
+                "a Haar map needs independent columns; column 2 depends on the earlier ones",
+            ),
+        ],
+        ids=["zero_first", "zero_second", "multiple", "combination"],
+    )
+    def test_map_of_a_zero_or_dependent_column_raises(self, spoil, message):
+        rng = np.random.default_rng(521)
+        g = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
+        spoil(g[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+                _isometry(g)
 
 
 class TestLocalChannels:

@@ -508,7 +508,7 @@ class TestPinnedReports:
         "ordering": ("verify ordering --samples 3000 --seed 42 --tol -1", "34b968a81b48eb05", EXIT_HARD),
         "closed-forms": ("verify closed-forms --grid 4 --tol -1", "e75cb9a5764d31ac", EXIT_HARD),
         "monotonic-local": (
-            "monotonic --channel local --samples 2100 --seed 7 --tol -1", "8e600f3bb96e43ae", EXIT_FINDING
+            "monotonic --channel local --samples 2100 --seed 7 --tol -1", "b2ae01bce365d8fc", EXIT_FINDING
         ),
         "monotonic-ppt": (
             "monotonic --channel ppt --rank 3 --samples 70 --seed 9 --tol -1", "58f3bca8a9aff6e2", EXIT_FINDING

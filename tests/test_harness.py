@@ -29,6 +29,7 @@ from bineg.channels import (
     project_to_ppt_channel,
     random_local_channel,
     random_local_unitary_pair,
+    random_ppt_channel,
 )
 from bineg.cli import parse_state_spec
 from bineg.errors import NotTracePreserving, OutOfRange, ParseError
@@ -92,8 +93,10 @@ def reference_pairs(kind, rank, seed, n):
             elif kind == "local":
                 side = "A" if int(rng.integers(2)) == 0 else "B"
                 ch = random_local_channel(side, int(rng.integers(1, 5)), rng)
-            else:
+            elif kind == "one_way_locc":
                 ch = one_way_locc_channel(int(rng.integers(2, 5)), rng)
+            else:
+                _, ch = random_ppt_channel(rng)
             yield rho, ch
 
 
@@ -957,6 +960,35 @@ class TestMonotonicitySweep:
         assert len(gaps) == n
         assert rep.max_gap == max(gaps)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ppt_blocks_match_pair_by_pair_reference(self, monkeypatch, cpus):
+        # 40 pairs, each block drawn in one call: on one CPU a block of 32
+        # and one of 8; on two, a forked span of 20 each, the second after
+        # one call that draws the first's 20; tol=-1 records every pair
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        n, seed = 40, 15
+        rep = monotonicity_sweep(n, channel_kind="ppt", seed=seed, tol=-1.0)
+        assert rep.n_violations == n
+        gaps = []
+        for v, (rho, ch) in zip(rep.violations, reference_pairs("ppt", 2, seed, n)):
+            gaps.append(binegativity(apply(ch, rho)) - binegativity(rho))
+            assert v.index == len(gaps) - 1
+            assert v.observed_gap == gaps[-1]
+            assert v.state == complex_matrix_to_json(rho)
+            assert v.channel == ch.to_json_dict()
+        assert len(gaps) == n
+        assert rep.max_gap == max(gaps)
+
+    def test_no_sweep_or_search_calls_qr(self, monkeypatch):
+        # the Haar maps are Gram-Schmidt, so no kind reaches LAPACK's QR
+        def qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr was called")
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        for kind in CHANNEL_KINDS:
+            monotonicity_sweep(3 if kind == "ppt" else 300, channel_kind=kind, seed=16)
+            counterexample_search(kind, restarts=2, steps=1 if kind == "ppt" else 10, seed=16)
+
     @pytest.mark.parametrize("kind", ["local", "one_way_locc"])
     def test_records_carry_no_padding(self, kind):
         rep = monotonicity_sweep(64, channel_kind=kind, seed=13, tol=-1.0)
@@ -1346,6 +1378,43 @@ class TestReportSerialization:
         message = f"a violation record is a JSON object, got {type(data).__name__}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict(data)
+
+    @pytest.mark.parametrize("kind", [["x"], {"a": 1}, 5, None])
+    def test_a_record_kind_is_a_string(self, kind):
+        # an unhashable kind would otherwise escape recompute_gap as a TypeError
+        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        message = f"a violation record's 'kind' is a string, got {type(kind).__name__}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ViolationRecord.from_json_dict({**data, "kind": kind})
+
+    @pytest.mark.parametrize("params", [5, [1, 2, 3], "p", True])
+    def test_record_params_are_an_object_or_null(self, params):
+        data = verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0].to_json_dict()
+        message = f"a violation record's 'params' is an object or null, got {type(params).__name__}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ViolationRecord.from_json_dict({**data, "params": params})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"p": "x"}, "p must be finite and real, got 'x'"),
+            ({"q": None}, "q must be finite and real, got None"),
+            ({"r": True}, "r must be finite and real, got True"),
+            ({"p": float("nan")}, "p must be finite and real, got nan"),
+            ({"r": [0.5]}, "r must be finite and real, got [0.5]"),
+        ],
+    )
+    def test_closed_form_params_are_finite_reals(self, change, message):
+        data = verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0].to_json_dict()
+        record = ViolationRecord.from_json_dict({**data, "params": {**data["params"], **change}})
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            recompute_gap(record)
+
+    def test_closed_form_params_without_a_key_are_out_of_range(self):
+        data = verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0].to_json_dict()
+        params = {k: v for k, v in data["params"].items() if k != "q"}
+        with pytest.raises(OutOfRange, match="^q must be finite and real, got None$"):
+            recompute_gap(ViolationRecord.from_json_dict({**data, "params": params}))
 
 
 def scatter_states(rank, seed, n):
