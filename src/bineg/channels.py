@@ -400,76 +400,60 @@ def _fails_ppt(j, basis, tol):
     return quotient < -(tol + _CERTIFICATE_MARGIN * np.maximum(1.0, frobenius_norm(g)))
 
 
-def _feasible(j, basis, tol, trace_preserving):
-    """Per-item stopping test: both cone defects at most ``tol`` and, if
-    ``trace_preserving`` holds, the output partial trace within ``tol`` of
-    the identity.  The exact test runs only on the items that
-    :func:`_fails_ppt` does not reject on ``basis``."""
+def _feasible(j, basis, tol):
+    """Per-item stopping test: both cone defects at most ``tol``.  The
+    exact test runs only on the items that :func:`_fails_ppt` does not
+    reject on ``basis``.  Every iterate is an output of ``P_tp``, whose
+    partial trace is the identity to rounding, so the test leaves it out;
+    :func:`_check_choi` checks it on the results."""
     out = np.zeros(len(j), dtype=bool)
     open_ = np.flatnonzero(~_fails_ppt(j, basis, tol))
-    rest = j[open_]
-    d_psd, d_ppt = _cone_defects(rest)
-    ok = (d_psd <= tol) & (d_ppt <= tol)
-    if trace_preserving:
-        ok &= np.abs(_trace_out(rest, 4, 4) - np.eye(4)).max(axis=(-2, -1)) <= tol
-    out[open_] = ok
+    d_psd, d_ppt = _cone_defects(j[open_])
+    out[open_] = (d_psd <= tol) & (d_ppt <= tol)
     return out
 
 
 # Anderson memory: how many past residual differences a round combines
 AA_MEMORY = 2
-_UPPER = np.triu(np.ones((16, 16), dtype=bool))
-_PACK_WEIGHT = np.where(np.eye(16, dtype=bool), 1.0, 2.0)  # packed Re tr(A^dagger B)
-
-
-def _pack(h):
-    """Real parts of Hermitian matrices on and above the diagonal, imaginary parts below."""
-    return np.where(_UPPER, h.real, h.imag)
-
-
-def _unpack(r):
-    """The Hermitian matrices whose packing is ``r``."""
-    im = np.where(_UPPER, 0.0, r)
-    return np.where(_UPPER, r, np.swapaxes(r, -1, -2)) + 1j * (im - np.swapaxes(im, -1, -2))
 
 
 def _dykstra_step(state, k):
     """Dykstra round ``k``, Anderson-accelerated (type II, Walker & Ni 2011).
 
     ``state`` is ``[x, start, pair, ring, gram]``, updated in place.
-    The plain round ``G`` maps the packed PSD and PPT corrections ``pair``
-    through ``x = P_tp(start - p - q)``, the two cone projections and P_tp.
-    The new pair is ``G - dG gamma``, ``gamma`` the least-squares fit of ``f
-    = G - pair`` by the differences ``df`` in ``ring``, from their Gram matrix
-    ``gram``; if its determinant is at most 1e-12 times its diagonal's
-    product, or ``gamma`` is not finite, the item takes the plain step.
+    The plain round ``G`` maps the Hermitian PSD and PPT corrections
+    ``pair`` through ``x = P_tp(start - p - q)``, the two cone projections
+    and P_tp.  The new pair is ``G - dG gamma``, ``gamma`` the least-squares
+    fit of ``f = G - pair`` by the differences ``df`` in ``ring``, from
+    their Gram matrix ``gram`` under ``Re tr(A^dagger B)``: the dot product
+    of the matrices' float views.  If its determinant is at most 1e-12
+    times its diagonal's product, or ``gamma`` is not finite, the item
+    takes the plain step.
     """
     start, pair, ring, gram = state[1:]
     state[0] = None  # the last iterate, freed for the round's peak memory
     fg = np.empty_like(ring[:, :, 0])  # this round's f and G
-    shifted = _unpack(pair[:, 0])
-    shifted += _proj_tp(start - shifted - _unpack(pair[:, 1]))
+    shifted = pair[:, 0] + _proj_tp(start - pair[:, 0] - pair[:, 1])
     x, _ = _proj_psd(shifted)
-    fg[:, 1, 0] = _pack(np.subtract(shifted, x, out=shifted))
+    np.subtract(shifted, x, out=fg[:, 1, 0])
     shifted = x
-    shifted += _unpack(pair[:, 1])
+    shifted += pair[:, 1]
     x, basis = _proj_ppt(shifted)
-    fg[:, 1, 1] = _pack(np.subtract(shifted, x, out=shifted))
+    np.subtract(shifted, x, out=fg[:, 1, 1])
     state[0] = _proj_tp(x)
     np.subtract(fg[:, 1], pair, out=fg[:, 0])
     n = len(fg)
-    d_f = ring[:, 0].reshape(n, AA_MEMORY, -1)
+    d_f, d_g = (ring[:, i].reshape(n, AA_MEMORY, -1).view(float) for i in (0, 1))
     if k:  # the last round's slot holds its f and G
         slot = (k - 1) % AA_MEMORY
         np.subtract(fg, ring[:, :, slot], out=ring[:, :, slot])
-        row = (d_f @ (ring[:, 0, slot] * _PACK_WEIGHT).reshape(n, -1, 1))[..., 0]
-        gram[:, slot] = gram[:, :, slot] = row
+        gram[:, slot] = gram[:, :, slot] = (d_f @ d_f[:, slot, :, None])[..., 0]
     ok = np.linalg.det(gram) > 1e-12 * np.diagonal(gram, 0, 1, 2).prod(axis=1)
-    rhs = d_f @ (fg[:, 0] * _PACK_WEIGHT).reshape(n, -1, 1)
+    rhs = d_f @ fg[:, 0].reshape(n, -1).view(float)[..., None]
     gamma = np.linalg.solve(np.where(ok[:, None, None], gram, np.eye(AA_MEMORY)), rhs)[..., 0]
-    step = gamma[:, None, :] @ ring[:, 1].reshape(n, AA_MEMORY, -1)
+    step = gamma[:, None, :] @ d_g
     step[~(ok & np.isfinite(gamma).all(axis=-1))] = 0.0
-    np.subtract(fg[:, 1], step.reshape(pair.shape), out=pair)
+    np.subtract(fg[:, 1], step.view(complex).reshape(pair.shape), out=pair)
     ring[:, :, k % AA_MEMORY] = fg
     return basis
 
@@ -515,18 +499,19 @@ def _ppt_choi(stack, max_iter=10000):
     :func:`project_to_ppt_channel`."""
     n, m = len(stack), AA_MEMORY
     # one list, so that no name keeps the arrays the loop has replaced
-    state = [stack, stack, np.zeros((n, 2, 16, 16)), np.zeros((n, 2, m, 2, 16, 16)), np.tile(np.eye(m), (n, 1, 1))]
+    pair, ring = (n, 2, 16, 16), (n, 2, m, 2, 16, 16)
+    state = [stack, stack, np.zeros(pair, complex), np.zeros(ring, complex), np.tile(np.eye(m), (n, 1, 1))]
     stack = _iterate_each(
         state,
         _dykstra_step,
-        lambda j, basis: _feasible(j, basis, 1e-9, True),
+        lambda j, basis: _feasible(j, basis, 1e-9),
         max_iter,
         f"Dykstra did not reach tolerance 1.0e-09 in {max_iter} iterations",
     )
     stack = _iterate_each(
         [stack],
         _polish_step,
-        lambda j, basis: _feasible(j, basis, 1e-12, False),
+        lambda j, basis: _feasible(j, basis, 1e-12),
         200,
         "polishing projections stalled above 1e-12",
     )

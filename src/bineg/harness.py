@@ -704,6 +704,7 @@ def counterexample_search(
     rank = _check_rank(rank)
     _check_kind(channel_kind)
     _check_real("tol", tol)
+    step_size = _check_real("step_size", step_size)
     t0 = time.perf_counter()
     rngs = list(map(np.random.default_rng, _spawn(seed, restarts)))
     structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
@@ -731,7 +732,7 @@ def counterexample_search(
         "channel_kind": channel_kind,
         "restarts": restarts,
         "steps": steps,
-        "step_size": float(step_size),
+        "step_size": step_size,
         "rank": rank,
         "tol": tol,
     }

@@ -350,8 +350,12 @@ def closed_form_pqr(p, q, r):
       mapped to ``max(mu, 1-mu)``
     * ``n2 = nu (1/2 + sqrt(mu(1-mu)))``
 
-    Elementwise on arrays; floats for scalar input.  At ``alpha = beta`` both
-    negativity branches give 0 and the binegativity is 0 regardless of mu.
+    ``rho^G`` is an X state: its negative eigenvalue lies in the block
+    ``[[x, z], [z, y]]`` on ``|00>, |11>`` with ``z = sqrt(beta)`` when
+    ``alpha <= beta``, else on ``|01>, |10>`` with ``z = sqrt(alpha)``.  With
+    ``R = hypot(x - y, 2z)`` these forms are evaluated as ``nu = R - (x + y)``,
+    ``mu = (1 + |x - y| / R) / 2`` (1 where R = 0) and ``n2 = nu (1/2 + z / R)``.
+    Elementwise on arrays; floats for scalar input.
     """
     p = _unit_interval("p", p)
     q = _unit_interval("q", q)
@@ -360,20 +364,13 @@ def closed_form_pqr(p, q, r):
     beta = (1.0 - p) ** 2 * r * (1.0 - r)
     c = 2.0 * np.abs(np.sqrt(alpha) - np.sqrt(beta))
     le = alpha <= beta
-    with np.errstate(invalid="ignore"):
-        # each root is valid only on its own branch; np.where picks that one
-        root_le = np.sqrt(4.0 * (beta - alpha) + p**2)
-        root_ge = np.sqrt(4.0 * (alpha - beta) + (1.0 - p) ** 2)
-        nu = np.where(le, root_le - p, root_ge - (1.0 - p))
-        den_le = 4.0 * beta + (root_le + p * (1.0 - 2.0 * q)) ** 2
-        den_ge = 4.0 * alpha + (root_ge + (1.0 - p) * (1.0 - 2.0 * r)) ** 2
-        mu_le = 4.0 * beta / np.where(den_le > 0.0, den_le, 1.0)
-        mu_ge = 4.0 * alpha / np.where(den_ge > 0.0, den_ge, 1.0)
-        den_ok = np.where(le, den_le > 0.0, den_ge > 0.0)
-        mu_raw = np.where(den_ok, np.where(le, mu_le, mu_ge), 0.0)
-    mu = np.maximum(mu_raw, 1.0 - mu_raw)
-    nu = np.maximum(nu, 0.0)
-    n2 = nu * (0.5 + np.sqrt(mu * (1.0 - mu)))
+    x = np.where(le, p * q, (1.0 - p) * r)
+    y = np.where(le, p * (1.0 - q), (1.0 - p) * (1.0 - r))
+    z = np.sqrt(np.where(le, beta, alpha))
+    root = np.hypot(x - y, 2.0 * z)
+    nu = np.maximum(root - (x + y), 0.0)
+    mu = (1.0 + np.divide(np.abs(x - y), root, out=np.ones_like(root), where=root > 0.0)) / 2.0
+    n2 = nu * (0.5 + np.divide(z, root, out=np.zeros_like(root), where=root > 0.0))
     return MeasureTriple(*map(_scalar, (c, nu, n2))), PqrDerived(*map(_scalar, (alpha, beta, mu)))
 
 

@@ -117,10 +117,11 @@ def schmidt(psi):
 
 
 def as_generator(seed):
-    """Accept an integer seed or pass an existing Generator through."""
+    """Pass a Generator through, else seed a new one with ``seed``: raises
+    :class:`OutOfRange` unless that is an integer >= 0."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_check_count("seed", seed, 0))
 
 
 def random_pure(seed, size=None):

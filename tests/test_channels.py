@@ -508,8 +508,6 @@ def reference_projection(start, tol=1e-9):
     returns the symmetrized result."""
     dims, factors = (2, 2, 2, 2), (1, 3)
     memory = channels.AA_MEMORY
-    upper = np.triu(np.ones((16, 16), dtype=bool))
-    weight = np.where(np.eye(16, dtype=bool), 1.0, 2.0)  # packed Re tr(A^dagger B)
 
     def psd(j):
         w, v = np.linalg.eigh((j + dagger(j)) / 2.0)
@@ -518,33 +516,28 @@ def reference_projection(start, tol=1e-9):
     def ppt(j):
         return transpose_factors(psd(transpose_factors(j, dims, factors)), dims, factors)
 
-    def trace_out(j):
-        return np.einsum("iojo->ij", j.reshape(4, 4, 4, 4))
-
     def tp(j):
-        return j - kron(trace_out(j) - np.eye(4), np.eye(4)) / 4
+        delta = np.einsum("iojo->ij", j.reshape(4, 4, 4, 4)) - np.eye(4)
+        return j - kron(delta, np.eye(4)) / 4
 
     def cone_defect(j):
         g = transpose_factors(j, dims, factors)
         low = min(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0] for m in (j, g))
         return max(0.0, -low)
 
-    def pack(h):
-        return np.where(upper, h.real, h.imag)
+    def real(h):
+        # the float view, whose dot products are Re tr(A^dagger B)
+        return h.reshape(len(h), -1).view(float)
 
-    def unpack(r):
-        im = np.where(upper, 0.0, r)
-        return np.where(upper, r, r.T) + 1j * (im - im.T)
-
-    # the pair (p, q) of PSD and PPT corrections, packed; a ring of the
-    # last `memory` differences of the residual f = G(pair) - pair and of G,
-    # with the Gram matrix of the former (unfilled slots: zero, unit diagonal)
-    pair = np.zeros((2, 16, 16))
-    d_f = np.zeros((memory, 2, 16, 16))
-    d_g = np.zeros((memory, 2, 16, 16))
+    # the pair (p, q) of PSD and PPT corrections; a ring of the last
+    # `memory` differences of the residual f = G(pair) - pair and of G, with
+    # the Gram matrix of the former (unfilled slots: zero, unit diagonal)
+    pair = np.zeros((2, 16, 16), dtype=complex)
+    d_f = np.zeros((memory, 2, 16, 16), dtype=complex)
+    d_g = np.zeros((memory, 2, 16, 16), dtype=complex)
     gram = np.eye(memory)
     for k in range(10000):
-        p, q = unpack(pair[0]), unpack(pair[1])
+        p, q = pair
         shifted = tp(start - p - q) + p
         j = psd(shifted)
         p = shifted - j
@@ -552,24 +545,23 @@ def reference_projection(start, tol=1e-9):
         j = ppt(shifted)
         q = shifted - j
         j = tp(j)
-        g = np.stack([pack(p), pack(q)])
+        g = np.stack([p, q])
         f = g - pair
         pair = g
         if k:
             slot = (k - 1) % memory
             d_f[slot] = f - d_f[slot]
             d_g[slot] = g - d_g[slot]
-            row = (d_f.reshape(memory, -1) @ (d_f[slot] * weight).reshape(-1, 1))[:, 0]
+            row = (real(d_f) @ real(d_f[slot : slot + 1]).T)[:, 0]
             gram[slot] = row
             gram[:, slot] = row
             if np.linalg.det(gram) > 1e-12 * np.prod(np.diag(gram)):
-                rhs = d_f.reshape(memory, -1) @ (f * weight).reshape(-1, 1)
-                gamma = np.linalg.solve(gram, rhs)[:, 0]
+                gamma = np.linalg.solve(gram, real(d_f) @ real(f[None]).T)[:, 0]
                 if np.isfinite(gamma).all():
-                    pair = g - (gamma[None, :] @ d_g.reshape(memory, -1)).reshape(g.shape)
+                    pair = g - (gamma[None, :] @ real(d_g)).view(complex).reshape(g.shape)
         d_f[k % memory] = f
         d_g[k % memory] = g
-        if cone_defect(j) <= tol and np.abs(trace_out(j) - np.eye(4)).max() <= tol:
+        if cone_defect(j) <= tol:
             break
     for _ in range(200):
         j = tp(ppt(psd(j)))
@@ -692,6 +684,45 @@ class TestAndersonEdgeCases:
         assert np.array_equal(second, first)  # the plain step G(0)
         assert len(seen) > 3
         assert_valid_channels(choi)
+
+
+class TestHermitianDykstra:
+    def test_stopping_test_sees_trace_preserving_iterates(self, monkeypatch):
+        # _feasible tests the two cones only: every iterate it is given comes
+        # out of P_tp, so its output partial trace is the identity to
+        # rounding, also a few rounds into starts far outside the set
+        feasible = channels._feasible
+        defects = []
+
+        def recorded(j, basis, tol):
+            defects.append(np.abs(channels._trace_out(j, 4, 4) - np.eye(4)).max())
+            return feasible(j, basis, tol)
+
+        monkeypatch.setattr(channels, "_feasible", recorded)
+        starts = ppt_starts(543, 16)
+        channels._ppt_choi(starts)
+        rounds = len(defects)
+        with pytest.raises(NoConvergence):
+            channels._ppt_choi(30.0 * starts, max_iter=5)
+        assert rounds > 5 and len(defects) == rounds + 5
+        assert max(defects) <= 1e-12
+
+    def test_corrections_stay_hermitian(self, monkeypatch):
+        # the corrections are kept as complex matrices: only rounding gives
+        # them an anti-Hermitian part, which stays at that size
+        step = channels._dykstra_step
+        worst = []
+
+        def recorded(state, k):
+            basis = step(state, k)
+            pair = state[2]
+            anti = frobenius_norm(pair - dagger(pair)) / 2.0
+            worst.append((anti / np.maximum(1.0, frobenius_norm(pair))).max())
+            return basis
+
+        monkeypatch.setattr(channels, "_dykstra_step", recorded)
+        channels._ppt_choi(_ppt_start(np.random.default_rng(544).standard_normal((256, 512))))
+        assert len(worst) > 5 and max(worst) <= 1e-13
 
 
 def boundary_items(tol, count, seed):

@@ -506,15 +506,15 @@ class TestPinnedReports:
         "region-csv": ("verify region --samples 2000 --seed 8 --format csv", "49b967bc6264915d", EXIT_FINDING),
         # three chunks, so forked workers on a host with more than one CPU
         "ordering": ("verify ordering --samples 3000 --seed 42 --tol -1", "34b968a81b48eb05", EXIT_HARD),
-        "closed-forms": ("verify closed-forms --grid 4 --tol -1", "e75cb9a5764d31ac", EXIT_HARD),
+        "closed-forms": ("verify closed-forms --grid 4 --tol -1", "3691ec00fd47fcc0", EXIT_HARD),
         "monotonic-local": (
             "monotonic --channel local --samples 2100 --seed 7 --tol -1", "b2ae01bce365d8fc", EXIT_FINDING
         ),
         "monotonic-ppt": (
-            "monotonic --channel ppt --rank 3 --samples 70 --seed 9 --tol -1", "58f3bca8a9aff6e2", EXIT_FINDING
+            "monotonic --channel ppt --rank 3 --samples 70 --seed 9 --tol -1", "264b262411a2e095", EXIT_FINDING
         ),
         "search-ppt": (
-            "search --channel ppt --restarts 2 --steps 10 --seed 8 --tol -1", "d71a62a21046cb7b", EXIT_FINDING
+            "search --channel ppt --restarts 2 --steps 10 --seed 8 --tol -1", "30415cd5ade6a673", EXIT_FINDING
         ),
         "compute-rho1-json": ("compute --state rho1", "8283e28145240b78", EXIT_OK),
         "compute-rho1-csv": ("compute --state rho1 --format csv", "0f9b44d9c1ab73fe", EXIT_OK),

@@ -1079,6 +1079,15 @@ class TestCounterexampleSearch:
         with pytest.raises(OutOfRange):
             counterexample_search(channel_kind="local", restarts=1, steps=2, seed=1, rank=rank)
 
+    @pytest.mark.parametrize("step_size", ["0.1", None, [0.1], True, float("nan")])
+    def test_a_step_size_that_is_no_finite_real_is_rejected_before_any_draw(self, monkeypatch, step_size):
+        # a string or None raised numpy's TypeError, a list did so only after
+        # the whole climb, True ran as 1.0, and NaN failed as an overflow
+        monkeypatch.setattr(harness, "_spawn", lambda seed, count: pytest.fail("a stream was drawn"))
+        message = f"step_size must be finite and real, got {step_size!r}"
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            counterexample_search("local", restarts=1, steps=2, seed=1, step_size=step_size)
+
     @pytest.mark.parametrize("step_size", [1e308, 1e200, 1e160])
     @pytest.mark.parametrize("kind", CHANNEL_KINDS)
     def test_overflowing_steps_are_out_of_range(self, kind, step_size):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bineg import channels
 from bineg.channels import haar_unitary
 from bineg.errors import InfeasibleRegion, InvalidState, OutOfRange
 from bineg.linalg import dagger, frobenius_distance
@@ -207,6 +208,30 @@ class TestRandomSampling:
         a = random_pure(rng)
         b = random_pure(rng)
         assert np.linalg.norm(a - b) > 1e-3
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda seed: random_mixed(2, seed),
+            lambda seed: random_pure(seed),
+            lambda seed: haar_unitary(2, seed),
+            lambda seed: channels.haar_isometry(2, 4, seed),
+            lambda seed: channels.random_local_channel("A", 2, seed).kraus_ops,
+            lambda seed: channels.one_way_locc_channel(2, seed).kraus_ops,
+            lambda seed: channels.random_local_unitary_pair(seed).kraus_ops,
+            lambda seed: channels.random_ppt_channel(seed)[0].matrix,
+        ],
+    )
+    def test_a_seed_is_an_integer_at_least_zero(self, sample):
+        # numpy raised its own ValueError or TypeError for these, and ran
+        # seed=True as seed 1
+        for bad in (1.5, "x", True):
+            with pytest.raises(OutOfRange, match="^seed must be an integer, got "):
+                sample(bad)
+        with pytest.raises(OutOfRange, match="^seed must be >= 0, got -1$"):
+            sample(-1)
+        assert np.array_equal(np.asarray(sample(np.int64(3))), np.asarray(sample(3)))
+        assert np.array_equal(np.asarray(sample(np.random.default_rng(3))), np.asarray(sample(3)))
 
     def test_mixed_rank_one_is_pure(self):
         rho = random_mixed(1, 11, size=20)
