@@ -323,7 +323,6 @@ def _sweep(op, seed, config, tol, work, items):
     the chunks of :func:`_chunks` or their :func:`_spans`, and their blocks
     reach :func:`_records` in item order as :func:`_chunk_results` yields
     them."""
-    _check_real("tol", tol)
     t0 = time.perf_counter()
     results = _chunk_results(functools.partial(_sweep_chunk, work, tol), items)
     return _records(op, seed, config, itertools.chain.from_iterable(results), t0)
@@ -408,6 +407,7 @@ def _state_sweep(op, gaps_of, n, rank, seed, tol):
     cut, and the margin would send every one to the reference anyway.
     """
     rank = _check_rank(rank)
+    tol = _check_real("tol", tol)
 
     def work(rng, size):
         if rank == 1:
@@ -445,7 +445,7 @@ def verify_closed_forms(grid_density=20, seed=42, tol=1e-9):
     a full (p, q, r) grid plus 100 random triples.  Disagreement beyond
     ``tol`` is a hard failure."""
     g = _check_count("grid_density", grid_density, 2)
-    _check_real("tol", tol)
+    tol = _check_real("tol", tol)
     t0 = time.perf_counter()
     rng = np.random.default_rng(_spawn(seed, 1)[0])
     axis = np.linspace(0.0, 1.0, g)
@@ -608,6 +608,7 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
     """
     rank = _check_rank(rank)
     _check_kind(channel_kind)
+    tol = _check_real("tol", tol)
     parts, block, _ = _stacking(channel_kind)
 
     def work(rng, begin, length):
@@ -703,7 +704,7 @@ def counterexample_search(
     steps = _check_count("steps", steps, 0)
     rank = _check_rank(rank)
     _check_kind(channel_kind)
-    _check_real("tol", tol)
+    tol = _check_real("tol", tol)
     step_size = _check_real("step_size", step_size)
     t0 = time.perf_counter()
     rngs = list(map(np.random.default_rng, _spawn(seed, restarts)))

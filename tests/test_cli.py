@@ -511,10 +511,10 @@ class TestPinnedReports:
             "monotonic --channel local --samples 2100 --seed 7 --tol -1", "b2ae01bce365d8fc", EXIT_FINDING
         ),
         "monotonic-ppt": (
-            "monotonic --channel ppt --rank 3 --samples 70 --seed 9 --tol -1", "264b262411a2e095", EXIT_FINDING
+            "monotonic --channel ppt --rank 3 --samples 70 --seed 9 --tol -1", "1aff1304c9698c89", EXIT_FINDING
         ),
         "search-ppt": (
-            "search --channel ppt --restarts 2 --steps 10 --seed 8 --tol -1", "30415cd5ade6a673", EXIT_FINDING
+            "search --channel ppt --restarts 2 --steps 10 --seed 8 --tol -1", "38e574817ff7af1e", EXIT_FINDING
         ),
         "compute-rho1-json": ("compute --state rho1", "8283e28145240b78", EXIT_OK),
         "compute-rho1-csv": ("compute --state rho1 --format csv", "0f9b44d9c1ab73fe", EXIT_OK),

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -855,6 +856,25 @@ class TestTolerance:
         monkeypatch.setattr(harness, "_chunk_results", lambda task, items: pytest.fail("items were mapped"))
         with pytest.raises(OutOfRange, match=f"^{re.escape(f'tol must be finite and real, got {tol!r}')}$"):
             run(tol)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 1000), 1, -1])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda tol: verify_ordering(300, seed=8, tol=tol),
+            lambda tol: verify_region(300, seed=8, tol=tol),
+            lambda tol: verify_closed_forms(grid_density=2, seed=8, tol=tol),
+            lambda tol: monotonicity_sweep(300, seed=8, tol=tol),
+            lambda tol: counterexample_search(restarts=1, steps=2, seed=8, tol=tol),
+        ],
+        ids=["ordering", "region", "closed_forms", "monotonicity", "search"],
+    )
+    def test_the_report_holds_the_checked_tol(self, run, tol):
+        # the config echoes the float the check returns: a Fraction echoed
+        # as given made the report fail to serialize
+        report = run(tol)
+        assert type(report.config["tol"]) is float
+        assert dumps(report.to_json_dict()) == dumps(run(float(tol)).to_json_dict())
 
     def test_a_numpy_float_tol_is_a_tol(self):
         assert verify_region(2000, seed=8, tol=np.float32(1e-3)).n_violations == 0
