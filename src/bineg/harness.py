@@ -23,7 +23,7 @@ scatter chunk comes back as its rows of CSV text, formatted in the worker by
 ``serialize.csv_rows``, and the caller writes each as it arrives.  A PPT
 sweep maps ``_spans`` instead, each chunk cut into one span of pairs per
 CPU, since one PPT pair costs milliseconds: a span first draws the chunk's
-earlier pairs to move its stream past them.  There is no option for it; a
+earlier rows to move its stream past them.  There is no option for it; a
 sweep of one item, or on one CPU, runs in the calling process.  Each gap
 kind is defined once, and ``recompute_gap`` uses the same definitions.
 A chunk of states (``_state_chunk``) is screened without an eigensolve,
@@ -34,11 +34,15 @@ the sampler's own factor ``G`` of ``rho = G G^dagger / Tr``, and
 sweep measures again only the certified states within ``_SCREEN_MARGIN``,
 which the certificate sets, of a hit or the chunk's top, so every recorded
 gap and ``max_gap`` is the reference's.
-Channel sweeps draw the raw Gaussians of each pair in the samplers' order,
-then build, apply and measure a block of pairs in stacked calls that give
-each pair the bits of a one-pair run, so a span's pairs come out as its
-chunk's would; ``_stacking`` sets the block size by what a pair of the kind
-costs.  ``counterexample_search`` runs in the calling process, its climbs in
+A (state, channel) pair is one row of raw Gaussians of a fixed width per
+channel kind, ``[state | channel | unused tail]``, plus the channel's Kraus
+count and side (``_draw_structures``), all drawn as arrays.  A channel
+sweep's chunk draws its integers first, then a block's rows in one call;
+``_build_pairs`` builds, and ``_gaps`` applies and measures, a block of
+pairs in stacked calls that give each pair the bits of a one-pair run, so a
+span's pairs come out as its chunk's would; ``_stacking`` sets the block
+size by what a pair of the kind costs.  ``counterexample_search`` climbs
+on the same rows and runs in the calling process, its climbs in
 ``_climb``: one stacked call per round evaluates a window of candidates per
 restart, and gives the bits of a climb that takes one candidate at a time.
 """
@@ -65,7 +69,7 @@ from .channels import (
     _ppt_kraus,
     _ppt_start,
 )
-from .errors import OutOfRange, ParseError
+from .errors import DimensionMismatch, OutOfRange, ParseError, WrongDimension
 from .measures import (
     _SCREEN_BOUND,
     MeasureTriple,
@@ -299,10 +303,11 @@ def _records(op, seed, config, blocks, t0):
 
 def _spans(chunks, parts):
     """Each ``(substream, size)`` of ``chunks`` cut into ``parts`` contiguous
-    spans ``(substream, begin, length)`` of its draws, the k-th beginning at
-    ``size * k // parts``, in order and with the empty spans dropped."""
+    spans ``(substream, size, begin, length)`` of its draws, the k-th
+    beginning at ``size * k // parts``, in order and with the empty spans
+    dropped."""
     return [
-        (seq, begin, end - begin)
+        (seq, size, begin, end - begin)
         for seq, size in chunks
         for begin, end in itertools.pairwise(size * k // parts for k in range(parts + 1))
         if end > begin
@@ -311,7 +316,7 @@ def _spans(chunks, parts):
 
 def _sweep_chunk(work, tol, item):
     """The :func:`_block` results of one item, a chunk ``(substream, size)``
-    or a span ``(substream, begin, length)``: ``work(rng, *rest)`` on the
+    or a span ``(substream, size, begin, length)``: ``work(rng, *rest)`` on the
     item's substream yields its blocks of ``(states, {kind: gaps},
     extra_of)``."""
     seq, *rest = item
@@ -475,83 +480,59 @@ def _check_real(name, value):
     return float(value)
 
 
-def _draw_structure(kind, rng):
-    """Draw the discrete part of a channel of ``kind``.
+# the real Gaussians of a channel's row: the most its sampler draws, 8 per
+# environment dimension of a local channel and 16 per one-way LOCC outcome
+_CHANNEL_WIDTH = {"local_unitary": 16, "local": 32, "one_way_locc": 64, "ppt": 512}
 
-    Returns ``(structure, size)``: ``size`` counts the real Gaussians the
-    channel is built from, and ``structure`` is a tuple that starts with the
-    Kraus count (``(1,)``, ``(env, on_a)`` for local, ``(outcomes,)``), or
-    None for PPT, whose count comes out of the projection.  ``kind`` has
-    passed :func:`_check_kind`.
-    """
-    if kind == "local_unitary":
-        return (1,), 16
+
+def _draw_structures(kind, rng, count):
+    """The discrete part of ``count`` channels of ``kind``: ``(counts,
+    on_a)``, each channel's Kraus count and whether a local channel acts on
+    A.  Each integer is one generator call for all ``count`` channels: a
+    local channel's side, then its environment dimension 1..4, and a one-way
+    LOCC channel's outcome count 2..4.  A local unitary channel has one
+    Kraus operator, and a PPT channel's count comes out of its projection;
+    neither draws."""
     if kind == "local":
-        on_a = int(rng.integers(2)) == 0
-        env = int(rng.integers(1, 5))
-        return (env, on_a), 8 * env
-    if kind == "one_way_locc":
-        m = int(rng.integers(2, 5))
-        return (m,), 16 * m
-    return None, 512  # ppt
+        on_a = rng.integers(2, size=count) == 0
+        return rng.integers(1, 5, count), on_a
+    counts = rng.integers(2, 5, count) if kind == "one_way_locc" else np.ones(count, dtype=int)
+    return counts, np.zeros(count, dtype=bool)
 
 
-def _draw_pairs(kind, rank, rng, count):
-    """Raw Gaussians of ``count`` (state, channel) pairs, in the samplers'
-    order pair by pair: the state's, the channel's structure, then the
-    channel's.  A local unitary or PPT channel draws no structure, so one
-    ``(count, 8 rank + size)`` call draws the same stream; a local or one-way
-    LOCC channel's structure integers come between the normals, so those
-    pairs are drawn one at a time.  Returns ``(state_raw, structures,
-    channel_raw)``, ``channel_raw`` a list of flat arrays."""
-    if kind in ("local_unitary", "ppt"):
-        structure, size = _draw_structure(kind, rng)
-        raw = rng.standard_normal((count, 8 * rank + size))
-        return raw[:, : 8 * rank], [structure] * count, list(raw[:, 8 * rank :])
-    states, structures, channels = [], [], []
-    for _ in range(count):
-        states.append(rng.standard_normal(8 * rank))
-        structure, size = _draw_structure(kind, rng)
-        structures.append(structure)
-        channels.append(rng.standard_normal(size))
-    return np.stack(states), structures, channels
-
-
-def _build_pairs(kind, structures, state_raw, channel_raw):
-    """States and zero-padded Kraus stacks from raw Gaussians, one pair per
-    row: ``state_raw`` is ``(n, 8 rank)``, ``channel_raw`` a list of n flat
-    arrays sized by their structures.  The samplers and the hill climb both
-    map their draws to pairs here.
+def _build_pairs(kind, rank, counts, on_a, raw):
+    """States and zero-padded Kraus stacks of pairs, one per row of raw
+    Gaussians ``raw`` ``(n, 8 rank + _CHANNEL_WIDTH[kind])``: the state's
+    ``8 rank``, then the channel's, of which a channel reads the prefix its
+    count in ``counts`` needs, with its side in ``on_a`` if it is local
+    (:func:`_draw_structures`).  The sweeps and the hill climb both map
+    their rows to pairs here.
 
     Returns ``(rho, kraus, counts)``: states ``(n, 4, 4)``, Kraus operators
     ``(n, K, 4, 4)`` with K the largest count, and each pair's own count.
-    Raises :class:`OutOfRange` if the raw Gaussians' sum of squares is not
-    finite (a climb that overflowed; a finite sum keeps the Gram products of
-    states and PPT starts finite), :class:`NotTracePreserving` if any channel
+    Raises :class:`OutOfRange` if the rows' sum of squares is not finite (a
+    climb that overflowed; a finite sum keeps the Gram products of states
+    and PPT starts finite), :class:`NotTracePreserving` if any channel
     fails the completeness check, and for PPT channels also the error of a
     Choi matrix that fails the checks of :class:`ChoiMatrix`.
     """
-    raw = np.concatenate([state_raw.ravel(), *channel_raw])
-    # a ufunc sum, not ``raw @ raw``: a BLAS dot this long wakes a second
-    # OpenBLAS thread, which then spins on another core
+    # a ufunc sum, not a BLAS dot: a dot this long wakes a second OpenBLAS
+    # thread, which then spins on another core
     if not np.isfinite(np.square(raw).sum()):
         raise OutOfRange("raw Gaussians of the pairs must have a finite sum of squares")
-    n = len(structures)
-    rank = state_raw.shape[-1] // 8
-    rho = _gram_state(_gaussian_matrices(state_raw, (4, rank)))
+    split = 8 * rank
+    rho = _gram_state(_gaussian_matrices(raw[:, :split], (4, rank)))
     if kind == "ppt":
-        _, kraus, counts = _ppt_kraus(_ppt_start(np.asarray(channel_raw)))
-        return rho, kraus, counts.tolist()
-    counts = [s[0] for s in structures]
-    kraus = np.zeros((n, max(counts), 4, 4), dtype=complex)
-    for count in sorted(set(counts)):
-        idx = [i for i in range(n) if counts[i] == count]
-        raw = np.asarray([channel_raw[i] for i in idx])
+        _, kraus, counts = _ppt_kraus(_ppt_start(raw[:, split:]))
+        return rho, kraus, counts
+    kraus = np.zeros((len(raw), counts.max(), 4, 4), dtype=complex)
+    # not np.unique, whose first call imports numpy.ma: a megabyte of peak memory
+    for count in sorted(set(counts.tolist())):
+        idx = np.flatnonzero(counts == count)
         if kind == "local":
-            ops = _local_kraus(raw, count, np.array([structures[i][1] for i in idx]))
+            kraus[idx, :count] = _local_kraus(raw[idx, split : split + 8 * count], count, on_a[idx])
         else:
-            ops = _one_way_locc_kraus(raw, count)
-        kraus[idx, :count] = ops
+            kraus[idx, :count] = _one_way_locc_kraus(raw[idx, split : split + 16 * count], count)
     _check_complete(kraus)
     return rho, kraus, counts
 
@@ -560,9 +541,10 @@ def _stacking(kind):
     """``(parts, block, window)`` for the pairs of channel ``kind``: the
     spans a sweep cuts each chunk into, the pairs it draws ahead and then
     builds, applies and measures in stacked calls, and the candidates per
-    restart in one stacked call of :func:`_climb`.  Every stacked step is
-    bit-identical per item and draws no randomness, so these set speed and
-    memory, not streams, and follow from what one pair costs.
+    restart in one stacked call of :func:`_climb`.  Every span draws the
+    integers of its whole chunk first, then rows of a fixed width, and every
+    stacked step is bit-identical per item and draws no randomness, so these
+    set speed and memory, not streams, and follow from what one pair costs.
 
     An LOCC pair costs tens of microseconds, mostly numpy call overhead,
     which larger stacks share out: blocks of 128 pairs, a window of 8, and
@@ -610,15 +592,16 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
     _check_kind(channel_kind)
     tol = _check_real("tol", tol)
     parts, block, _ = _stacking(channel_kind)
+    width = 8 * rank + _CHANNEL_WIDTH[channel_kind]
 
-    def work(rng, begin, length):
-        if begin:  # the chunk's earlier pairs, drawn only to move the stream past them
-            _draw_pairs(channel_kind, rank, rng, begin)
-        for first in range(0, length, block):
-            count = min(block, length - first)
-            state_raw, structures, channel_raw = _draw_pairs(channel_kind, rank, rng, count)
-            rho, kraus, counts = _build_pairs(channel_kind, structures, state_raw, channel_raw)
-            yield rho, {"monotonicity": _gaps(rho, kraus)}, _channel_of(kraus, counts)
+    def work(rng, size, begin, length):
+        counts, on_a = _draw_structures(channel_kind, rng, size)
+        rng.standard_normal((begin, width))  # the chunk's earlier rows, drawn only to move the stream past them
+        for first in range(begin, begin + length, block):
+            end = min(first + block, begin + length)
+            raw = rng.standard_normal((end - first, width))
+            rho, kraus, pair_counts = _build_pairs(channel_kind, rank, counts[first:end], on_a[first:end], raw)
+            yield rho, {"monotonicity": _gaps(rho, kraus)}, _channel_of(kraus, pair_counts)
 
     config = {"channel_kind": channel_kind, "rank": rank, "tol": tol}
     return _sweep("monotonicity_sweep", seed, config, tol, work, _spans(_chunks(seed, n_pairs), parts))
@@ -687,8 +670,9 @@ def counterexample_search(
     tol=1e-8,
 ):
     """Random-restart hill climb on ``f = n2(E(sigma)) - n2(sigma)`` over a
-    joint (state, channel) parameter vector: the raw Gaussians the samplers
-    draw, mapped to a pair by the same constructors.
+    pair's row of raw Gaussians, mapped to a pair by :func:`_build_pairs` as
+    a sweep's rows are; each restart draws its channel's integers, which the
+    climb keeps, then its start row.
 
     Accept-on-improvement Gaussian steps; the report's ``max_gap`` is the
     best ``f`` found.  Each restart climbs on its own substream with its own
@@ -708,19 +692,17 @@ def counterexample_search(
     step_size = _check_real("step_size", step_size)
     t0 = time.perf_counter()
     rngs = list(map(np.random.default_rng, _spawn(seed, restarts)))
-    structures, sizes = zip(*(_draw_structure(channel_kind, rng) for rng in rngs))
-    split = 8 * rank  # a parameter vector is the state's Gaussians, then the channel's
+    counts, on_a = map(np.concatenate, zip(*(_draw_structures(channel_kind, rng, 1) for rng in rngs)))
 
     def build(which, thetas):
-        raw = np.stack([t[:split] for t in thetas]), [t[split:] for t in thetas]
-        return _build_pairs(channel_kind, [structures[i] for i in which], *raw)
+        return _build_pairs(channel_kind, rank, counts[which], on_a[which], np.asarray(thetas))
 
     def objective(which, thetas):
         rho, kraus, _ = build(which, thetas)
         return _gaps(rho, kraus)
 
     every = range(restarts)
-    thetas = [rng.standard_normal(split + size) for rng, size in zip(rngs, sizes)]
+    thetas = [rng.standard_normal(8 * rank + _CHANNEL_WIDTH[channel_kind]) for rng in rngs]
     best, thetas = _climb(objective, thetas, rngs, steps, step_size, _stacking(channel_kind)[2])
     best_idx = max(every, key=lambda i: best[i])
     best_f = float(best[best_idx])
@@ -824,8 +806,12 @@ def recompute_gap(record):
     if need and getattr(record, need) is None:
         raise OutOfRange(f"a {kind} record needs its {need}")
     if kind == "monotonicity":
-        kraus = np.stack(KrausChannel.from_json_dict(record.channel).kraus_ops)
-        return float(_gaps(rho, kraus[None])[0])
+        ch = KrausChannel.from_json_dict(record.channel)
+        if rho.shape[1:] != (4, 4):
+            raise WrongDimension(f"a monotonicity record's state is 4x4, got shape {rho.shape[1:]}")
+        if (ch.dim_in, ch.dim_out) != (4, 4):
+            raise DimensionMismatch(f"a monotonicity record's channel maps 4 to 4, got {ch.dim_in} to {ch.dim_out}")
+        return float(_gaps(rho, np.stack(ch.kraus_ops)[None])[0])
     t = measure_triple(rho)
     if kind == "closed_form":
         want, _ = closed_form_pqr(*(_check_real(k, record.params.get(k)) for k in "pqr"))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
+from .errors import InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange, WrongDimension
 from .linalg import ZERO_EIG_TOL, partial_transpose, zero_threshold
 
 # Eigenvalues of rho below this are rounding residue of its null space (~1e-17
@@ -263,9 +263,13 @@ def concurrence(rho):
     These are the singular values of ``W^T (Y x Y) W`` for ``W = V
     diag(sqrt(w))`` from ``rho = V diag(w) V^dagger``; nothing is squared.
     Sampled states are screened without this ``eigh``: see
-    ``harness._state_chunk``.
+    ``harness._state_chunk``.  Raises :class:`WrongDimension` unless the
+    trailing shape is ``(4, 4)``.
     """
-    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise WrongDimension(f"expected a 4x4 state or a stack of them, got shape {rho.shape}")
+    w, v = np.linalg.eigh(rho)
     f = v * np.sqrt(np.where(w > _RANK_CUT, w, 0.0))[..., None, :]
     return _scalar(np.maximum(_uhlmann(f), 0.0))
 

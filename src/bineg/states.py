@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidState, OutOfRange
+from .errors import InvalidState, OutOfRange, WrongDimension
 from .linalg import dagger, frobenius_distance, trace
 from .measures import _family_point, _negative_branch, _unit_interval
 
@@ -111,8 +111,12 @@ def boundary_family(c, nu, p):
 
 
 def schmidt(psi):
-    """Larger Schmidt coefficient ``mu >= 1/2`` of a two-qubit unit vector."""
-    s = np.linalg.svd(np.asarray(psi, dtype=complex).reshape(2, 2), compute_uv=False)
+    """Larger Schmidt coefficient ``mu >= 1/2`` of a two-qubit unit vector.
+    Raises :class:`WrongDimension` unless it has 4 entries."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.size != 4:
+        raise WrongDimension(f"expected a two-qubit vector of 4 entries, got shape {psi.shape}")
+    s = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
     return min(float(s[0] ** 2), 1.0)
 
 

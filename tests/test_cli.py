@@ -508,7 +508,13 @@ class TestPinnedReports:
         "ordering": ("verify ordering --samples 3000 --seed 42 --tol -1", "34b968a81b48eb05", EXIT_HARD),
         "closed-forms": ("verify closed-forms --grid 4 --tol -1", "3691ec00fd47fcc0", EXIT_HARD),
         "monotonic-local": (
-            "monotonic --channel local --samples 2100 --seed 7 --tol -1", "b2ae01bce365d8fc", EXIT_FINDING
+            "monotonic --channel local --samples 2100 --seed 7 --tol -1", "fe59ac85d51d7230", EXIT_FINDING
+        ),
+        "monotonic-one-way-locc": (
+            "monotonic --channel one_way_locc --samples 3000 --seed 5 --tol -1", "fedb8d8b02180c80", EXIT_FINDING
+        ),
+        "search-one-way-locc": (
+            "search --channel one_way_locc --restarts 3 --steps 40 --seed 5 --tol -1", "7a3ae3ecde9aa98f", EXIT_FINDING
         ),
         "monotonic-ppt": (
             "monotonic --channel ppt --rank 3 --samples 70 --seed 9 --tol -1", "1aff1304c9698c89", EXIT_FINDING

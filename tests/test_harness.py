@@ -33,7 +33,7 @@ from bineg.channels import (
     random_ppt_channel,
 )
 from bineg.cli import parse_state_spec
-from bineg.errors import NotTracePreserving, OutOfRange, ParseError
+from bineg.errors import DimensionMismatch, NotTracePreserving, OutOfRange, ParseError, WrongDimension
 from bineg.harness import (
     CHANNEL_KINDS,
     CHUNK,
@@ -44,8 +44,7 @@ from bineg.harness import (
     _bound_gaps,
     _build_pairs,
     _climb,
-    _draw_pairs,
-    _draw_structure,
+    _draw_structures,
     _ordering_gap,
     counterexample_search,
     figure_data,
@@ -81,23 +80,33 @@ def read_csv(path):
     return header, np.array(rows)
 
 
+# the real Gaussians of a channel's row in a pair sweep or climb, per kind
+CHANNEL_WIDTH = {"local_unitary": 16, "local": 32, "one_way_locc": 64, "ppt": 512}
+
+
 def reference_pairs(kind, rank, seed, n):
     """(state, channel) pairs of a sweep, drawn one by one through the public
-    samplers from the sweep's fixed-size chunk substreams."""
+    samplers from the sweep's fixed-size chunk substreams: a chunk draws its
+    channels' integers first, then per pair the state, the channel and the
+    rest of the pair's row of ``8 rank + CHANNEL_WIDTH[kind]`` Gaussians."""
     sizes = [CHUNK] * (n // CHUNK) + ([n % CHUNK] if n % CHUNK else [])
     for child, size in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
         rng = np.random.default_rng(child)
-        for _ in range(size):
+        if kind == "local":
+            sides, envs = rng.integers(2, size=size), rng.integers(1, 5, size)
+        elif kind == "one_way_locc":
+            outcomes = rng.integers(2, 5, size)
+        for i in range(size):
             rho = random_mixed(rank, rng)
             if kind == "local_unitary":
-                ch = random_local_unitary_pair(rng)
+                ch, used = random_local_unitary_pair(rng), 16
             elif kind == "local":
-                side = "A" if int(rng.integers(2)) == 0 else "B"
-                ch = random_local_channel(side, int(rng.integers(1, 5)), rng)
+                ch, used = random_local_channel("A" if sides[i] == 0 else "B", int(envs[i]), rng), 8 * envs[i]
             elif kind == "one_way_locc":
-                ch = one_way_locc_channel(int(rng.integers(2, 5)), rng)
+                ch, used = one_way_locc_channel(int(outcomes[i]), rng), 16 * outcomes[i]
             else:
-                _, ch = random_ppt_channel(rng)
+                (_, ch), used = random_ppt_channel(rng), 512
+            rng.standard_normal(CHANNEL_WIDTH[kind] - used)
             yield rho, ch
 
 
@@ -944,6 +953,29 @@ class TestMonotonicitySweep:
         with pytest.raises(OutOfRange, match="channel"):
             recompute_gap(bare)
 
+    @pytest.mark.parametrize(
+        "state, channel, error, message",
+        [
+            (np.eye(3) / 3, None, WrongDimension, "a monotonicity record's state is 4x4, got shape (3, 3)"),
+            (np.eye(2) / 2, None, WrongDimension, "a monotonicity record's state is 4x4, got shape (2, 2)"),
+            (None, KrausChannel((np.eye(2),), 2, 2), DimensionMismatch, "a monotonicity record's channel maps 4 to 4, got 2 to 2"),
+        ],
+        ids=["state-3x3", "state-2x2", "channel-2-to-2"],
+    )
+    def test_a_record_off_the_two_qubit_shapes_is_a_dimension_error(self, state, channel, error, message):
+        # each raised numpy's ValueError from a matmul before
+        v = monotonicity_sweep(2, channel_kind="local", seed=8, tol=-10.0).violations[0]
+        record = ViolationRecord(
+            v.kind,
+            v.observed_gap,
+            v.seed,
+            v.index,
+            v.state if state is None else complex_matrix_to_json(state),
+            v.channel if channel is None else channel.to_json_dict(),
+        )
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            recompute_gap(record)
+
     def test_violations_sorted_for_stable_output(self):
         rep = monotonicity_sweep(20, channel_kind="local", seed=8, tol=-10.0)
         keys = [(v.seed, v.index, v.kind) for v in rep.violations]
@@ -979,6 +1011,18 @@ class TestMonotonicitySweep:
             assert v.channel == ch.to_json_dict()
         assert len(gaps) == n
         assert rep.max_gap == max(gaps)
+
+    @pytest.mark.parametrize("kind", ["local", "one_way_locc", "local_unitary"])
+    def test_locc_report_bytes_do_not_depend_on_the_stacking(self, monkeypatch, kind):
+        # three spans per chunk and blocks of 7: each span draws its whole
+        # chunk's integers, skips the rows before it and draws its own; the
+        # reports are compared line by line, as in TestChunkWorkers
+        def report():
+            return dumps(monotonicity_sweep(1030, channel_kind=kind, seed=11, tol=-1.0).to_json_dict()).splitlines()
+
+        want = report()
+        monkeypatch.setattr(harness, "_stacking", lambda kind: (3, 7, 8))
+        assert report() == want
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_ppt_blocks_match_pair_by_pair_reference(self, monkeypatch, cpus):
@@ -1024,8 +1068,10 @@ class TestMonotonicitySweep:
     @pytest.mark.parametrize("kind", CHANNEL_KINDS)
     def test_padded_apply_equals_apply_of_each_channel(self, kind):
         n = 5 if kind == "ppt" else 40
-        state_raw, structures, channel_raw = _draw_pairs(kind, 2, np.random.default_rng(14), n)
-        rho, kraus, counts = _build_pairs(kind, structures, state_raw, channel_raw)
+        rng = np.random.default_rng(14)
+        counts, on_a = _draw_structures(kind, rng, n)
+        raw = rng.standard_normal((n, 16 + CHANNEL_WIDTH[kind]))
+        rho, kraus, counts = _build_pairs(kind, 2, counts, on_a, raw)
         assert kraus.shape == (n, max(counts), 4, 4)
         out = _apply_kraus(kraus, rho)
         for i in range(n):
@@ -1033,7 +1079,7 @@ class TestMonotonicitySweep:
             ch = KrausChannel(tuple(kraus[i, : counts[i]]), 4, 4)
             assert np.array_equal(out[i], apply(ch, rho[i]))
             if kind == "ppt":
-                _, alone = project_to_ppt_channel(_ppt_start(channel_raw[i]))
+                _, alone = project_to_ppt_channel(_ppt_start(raw[i, 16:]))
                 assert np.array_equal(out[i], apply(alone, rho[i]))
 
     def test_incomplete_channel_in_a_block_raises(self, monkeypatch):
@@ -1124,14 +1170,14 @@ class TestCounterexampleSearch:
         bests = []
         for child in np.random.SeedSequence(seed).spawn(restarts):
             rng = np.random.default_rng(child)
-            structure, size = _draw_structure(kind, rng)
+            counts, on_a = _draw_structures(kind, rng, 1)
 
             def f(theta):
-                rho, kraus, counts = _build_pairs(kind, [structure], theta[None, :16], [theta[16:]])
-                ch = KrausChannel(tuple(kraus[0, : counts[0]]), 4, 4)
+                rho, kraus, pair_counts = _build_pairs(kind, 2, counts, on_a, theta[None])
+                ch = KrausChannel(tuple(kraus[0, : pair_counts[0]]), 4, 4)
                 return binegativity(apply(ch, rho[0])) - binegativity(rho[0])
 
-            theta = rng.standard_normal(16 + size)
+            theta = rng.standard_normal(16 + CHANNEL_WIDTH[kind])
             best = f(theta)
             for _ in range(steps):
                 cand = theta + step_size * rng.standard_normal(theta.size)

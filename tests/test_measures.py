@@ -9,6 +9,7 @@ with the 40-digit mpmath oracle of ``mp_oracle.py`` on adversarial families.
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bineg.errors import BinegError, InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange
+from bineg.errors import BinegError, InfeasibleRegion, MultipleNegativeEigenvalues, OutOfRange, WrongDimension
 from bineg.linalg import ZERO_EIG_TOL, kron, negative_part, partial_transpose, trace
 from bineg.measures import (
     _RANK_CUT,
@@ -157,6 +158,17 @@ class TestConcurrence:
             mu = schmidt(v)
             want = 2.0 * np.sqrt(mu * (1.0 - mu))
             assert concurrence(projector(v)) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2), (8, 8), (5, 3, 3), (16,)])
+    def test_a_matrix_that_is_not_4x4_is_a_wrong_dimension(self, shape):
+        # 3x3 and 2x2 input raised IndexError, 8x8 a ValueError; the other
+        # measures raise WrongDimension for the same input
+        rho = np.zeros(shape)
+        message = f"expected a 4x4 state or a stack of them, got shape {shape}"
+        with pytest.raises(WrongDimension, match=f"^{re.escape(message)}$"):
+            concurrence(rho)
+        with pytest.raises(WrongDimension):
+            measure_triple(rho)
 
 
 class TestBinegativity:

@@ -1,12 +1,14 @@
 """Tests for state constructors, the boundary family, and random sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from bineg import channels
 from bineg.channels import haar_unitary
-from bineg.errors import InfeasibleRegion, InvalidState, OutOfRange
+from bineg.errors import InfeasibleRegion, InvalidState, OutOfRange, WrongDimension
 from bineg.linalg import dagger, frobenius_distance
 from bineg.measures import boundary_p_range, concurrence, negativity, nu_of_c
 from bineg.states import (
@@ -194,6 +196,13 @@ class TestSchmidt:
         rng = np.random.default_rng(200)
         for v in random_pure(rng, size=50):
             assert schmidt(v) >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("shape", [(3,), (8,), (0,), (2, 3)])
+    def test_a_vector_without_4_entries_is_a_wrong_dimension(self, shape):
+        # it raised numpy's ValueError from the reshape to 2x2
+        message = f"expected a two-qubit vector of 4 entries, got shape {shape}"
+        with pytest.raises(WrongDimension, match=f"^{re.escape(message)}$"):
+            schmidt(np.ones(shape))
 
 
 class TestRandomSampling:
