@@ -20,12 +20,13 @@ of the ``figure_data`` scatter, over the usable CPUs in forked workers and
 yields their results in chunk order, which ``_records`` reads as they come:
 a report is byte-identical for a given seed, and to a one-process run.  A
 scatter chunk comes back as its rows of CSV text, formatted in the worker by
-``serialize.csv_rows``, and the caller writes each as it arrives.  A PPT
-sweep maps ``_spans`` instead, each chunk cut into one span of pairs per
-CPU, since one PPT pair costs milliseconds: a span first draws the chunk's
-earlier rows to move its stream past them.  There is no option for it; a
-sweep of one item, or on one CPU, runs in the calling process.  Each gap
-kind is defined once, and ``recompute_gap`` uses the same definitions.
+``serialize.csv_rows`` with array operations, and the caller writes each as
+it arrives.  A PPT sweep maps ``_spans`` instead, each chunk cut into one
+span of pairs per CPU, since one PPT pair costs milliseconds: a span first
+draws the chunk's earlier rows to move its stream past them.  There is no
+option for it; a sweep of one item, or on one CPU, runs in the calling
+process.  Each gap kind is defined once, and ``recompute_gap`` uses the same
+definitions.
 A chunk of states (``_state_chunk``) is screened without an eigensolve,
 ``nu`` and ``n2`` with ``_nu_n2_screen`` and ``C`` with the concurrence of
 the sampler's own factor ``G`` of ``rho = G G^dagger / Tr``, and

@@ -112,10 +112,15 @@ def boundary_family(c, nu, p):
 
 def schmidt(psi):
     """Larger Schmidt coefficient ``mu >= 1/2`` of a two-qubit unit vector.
-    Raises :class:`WrongDimension` unless it has 4 entries."""
+    Raises :class:`WrongDimension` unless it has 4 entries, and
+    :class:`InvalidState` unless their norm is 1 to within 1e-11, the trace
+    tolerance of :func:`validate_density_matrix`; a NaN or an infinity fails."""
     psi = np.asarray(psi, dtype=complex)
     if psi.size != 4:
         raise WrongDimension(f"expected a two-qubit vector of 4 entries, got shape {psi.shape}")
+    norm = float(np.linalg.norm(psi))
+    if not abs(norm - 1.0) <= 1e-11:
+        raise InvalidState(f"norm: {norm!r} differs from 1 by more than 1e-11")
     s = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
     return min(float(s[0] ** 2), 1.0)
 

@@ -154,6 +154,14 @@ class TestKrausChannel:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             KrausChannel.from_json_dict({**IDENTITY.to_json_dict(), "kraus": kraus})
 
+    @pytest.mark.parametrize("entry, bad", [(True, "True"), ("0.5", "'0.5'"), (None, "None")])
+    def test_json_kraus_entries_are_finite_numbers(self, entry, bad):
+        # they were read as 1.0, 0.5 and NaN
+        data = IDENTITY.to_json_dict()
+        data["kraus"][0][0][0][0] = entry
+        with pytest.raises(ParseError, match=f"^matrix entries are finite numbers, got {bad}$"):
+            KrausChannel.from_json_dict(data)
+
     def test_apply_preserves_trace_and_positivity(self):
         rng = np.random.default_rng(503)
         kinds = [

@@ -146,6 +146,18 @@ class TestComputeErrors:
         assert code == EXIT_HARD
         assert "positivity" in err
 
+    @pytest.mark.parametrize("entry, bad", [(False, "False"), ("0", "'0'"), (None, "None")])
+    def test_a_state_file_entry_is_a_finite_number(self, capsys, tmp_path, entry, bad):
+        # with false or "0" for an imaginary part of 0.0 the file was read as
+        # MEMS(0.7); null was read as NaN
+        path = tmp_path / "state.json"
+        data = complex_matrix_to_json(sigma_mems(0.7))
+        data[0][0][1] = entry
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "compute", "--state", str(path))
+        assert code == EXIT_HARD
+        assert f"matrix entries are finite numbers, got {bad}" in err
+
     def test_unknown_flag_exits_hard(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--state", "rho1", "--frobnicate"])

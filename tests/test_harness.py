@@ -1448,6 +1448,15 @@ class TestReportSerialization:
         with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict({**data, "observed_gap": value})
 
+    @pytest.mark.parametrize("entry, bad", [(True, "True"), ("0.5", "'0.5'"), (None, "None")])
+    def test_a_record_state_entry_is_a_finite_number(self, entry, bad):
+        # they were read as 1.0, 0.5 and NaN
+        data = json.loads(dumps(verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()))
+        data["state"][0][0][0] = entry
+        record = ViolationRecord.from_json_dict(data)
+        with pytest.raises(ParseError, match=f"^matrix entries are finite numbers, got {bad}$"):
+            recompute_gap(record)
+
     @pytest.mark.parametrize("data", [[], None, "x", 5])
     def test_a_record_that_is_not_an_object_is_a_parse_error(self, data):
         message = f"a violation record is a JSON object, got {type(data).__name__}"

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bineg.errors import ParseError
 from bineg.serialize import (
+    _cells,
     complex_matrix_from_json,
     complex_matrix_to_json,
     csv_rows,
@@ -54,6 +56,23 @@ class TestMatrixJson:
     def test_rejects_wrong_pair_shape(self):
         with pytest.raises(ParseError):
             complex_matrix_from_json([[[1.0, 2.0, 3.0]]])
+
+    def test_reads_ints_as_floats(self):
+        assert complex_matrix_from_json([[[1, -2]]]) == np.array([[1 - 2j]])
+
+    @pytest.mark.parametrize(
+        "pair, bad",
+        [([True, False], True), ([0.5, False], False), (["0.5", "1e-3"], "'0.5'"), ([0.5, None], None),
+         ([float("nan"), 0.0], "nan"), ([0.0, -float("inf")], "-inf")],
+    )
+    def test_rejects_entries_that_are_not_finite_numbers(self, pair, bad):
+        # numpy reads a bool as 1.0, a numeric string as its number and null as NaN
+        with pytest.raises(ParseError, match=f"^matrix entries are finite numbers, got {bad}$"):
+            complex_matrix_from_json([[[0.5, 0.0], pair]])
+
+    def test_an_int_too_large_for_a_float_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^matrix entries are not numeric"):
+            complex_matrix_from_json([[[10**400, 0]]])
 
 
 class TestDumps:
@@ -202,6 +221,80 @@ class TestCsvRows:
         want = np.array(rows)
         back = np.array([[float(x) for x in line.split(",")] for line in csv_rows(*want.T).splitlines()])
         assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+
+
+def fast_range(rng, n):
+    """``n`` doubles of random bits, either sign, with ``1e-200 < |x| <
+    1e200``: the cells :func:`_cells` formats itself."""
+    exponent = rng.integers(1023 - 664, 1023 + 665, n, dtype=np.uint64)
+    bits = rng.integers(0, 2**52, n, dtype=np.uint64) | exponent << np.uint64(52)
+    x = (bits | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)).view(np.float64)
+    return x[(abs(x) > 1e-200) & (abs(x) < 1e200)]
+
+
+def oracle(*cols):
+    return "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in zip(*(np.asarray(c).tolist() for c in cols)))
+
+
+class TestCsvRowsExact:
+    """csv_rows builds each cell from a double-double product with array
+    operations; ``format(x, ".17g")`` is the oracle of every byte.  Each
+    fast case first checks that the call did not fall back."""
+
+    def fast(self, *cols):
+        x = np.column_stack(cols).ravel()
+        assert _cells(x, len(cols)) is not None
+        assert csv_rows(*cols) == oracle(*cols)
+
+    def test_random_bit_patterns(self):
+        x = fast_range(np.random.default_rng(29), 100_200)
+        assert len(x) >= 100_000 and (x < 0).any() and (x > 0).any()
+        self.fast(x)
+        self.fast(*x[: len(x) // 3 * 3].reshape(3, -1))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # and the ends of the fast range: the double 1e-200 lies below 10**-200
+        p = np.array([float(f"1e{k}") for k in range(-199, 200)])
+        x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf), np.nextafter([1e-200, 1e200], 1)])
+        # some round up to the power at 17 digits: 1e-14 is below 10**-14
+        up = [v for v in x.tolist() if Fraction(v) < Fraction(10) ** math.floor(math.log10(v) + 0.5)
+              and format(v, ".17g").startswith("1e")]
+        assert 1e-14 in up
+        self.fast(x)
+        self.fast(-x)
+
+    def test_the_g_switches(self):
+        # fixed notation from 1e-4 up to below 1e17, exponent notation outside
+        edges = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17])
+        x = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), [0.0]]
+                           + [edges * (1 + k * 2.0**-50) for k in (-3, -2, 2, 3)])
+        self.fast(x, -x)
+
+    def test_exact_ties_are_rounded_half_even(self):
+        # below 2**51 a double has quarter units, and 10 x is a tie: exact
+        # products, so no fallback
+        n = np.random.default_rng(31).integers(10**15, 2**51, 500).astype(float)
+        x = np.concatenate([n + 0.25, n + 0.75, n + 0.5, [1e15 + 0.25, 2.0**51 - 0.25]])
+        assert {format(v, ".17g")[-1] for v in (n + 0.25).tolist()} == {"2"}
+        assert {format(v, ".17g")[-1] for v in (n + 0.75).tolist()} == {"8"}
+        self.fast(x)
+
+    def test_a_tie_through_an_inexact_power_falls_back(self):
+        # 3 * 2**-24 * 10**23 is a half-integer, but 10**23 is not a double
+        x = np.array([3 * 2.0**-24, 0.5])
+        assert _cells(x, 1) is None
+        assert csv_rows(x) == "1.7881393432617188e-07\n0.5\n"
+
+    @pytest.mark.parametrize("cell", [np.nan, -np.inf, 5e-324, 1e-300, -1e-200, 1e200, -1.7976931348623157e308])
+    def test_one_cell_out_of_reach_sends_the_call_to_the_fallback(self, cell):
+        cols = np.random.default_rng(37).random((3, 1024))
+        cols[1, 700] = cell
+        assert _cells(np.column_stack(cols).ravel(), 3) is None
+        assert csv_rows(*cols) == oracle(*cols)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_empty_columns(self, width):
+        assert csv_rows(*[np.array([])] * width) == ""
 
 
 class TestFiles:

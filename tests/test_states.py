@@ -197,6 +197,18 @@ class TestSchmidt:
         for v in random_pure(rng, size=50):
             assert schmidt(v) >= 0.5 - 1e-12
 
+    @pytest.mark.parametrize(
+        "psi, message",
+        [([1, 0, 0, 1], "norm: 1.4142135623730951 differs from 1 by more than 1e-11"),
+         ([0.1, 0, 0, 0.1], "norm: 0.14142135623730953 differs from 1 by more than 1e-11"),
+         ([np.nan, 0, 0, 1], "norm: nan differs from 1 by more than 1e-11"),
+         ([np.inf, 0, 0, 0], "norm: inf differs from 1 by more than 1e-11")],
+    )
+    def test_a_vector_that_is_not_a_finite_unit_vector_is_invalid(self, psi, message):
+        # they gave 1.0 and 0.01, and a NaN its own NaN, below mu >= 1/2
+        with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
+            schmidt(psi)
+
     @pytest.mark.parametrize("shape", [(3,), (8,), (0,), (2, 3)])
     def test_a_vector_without_4_entries_is_a_wrong_dimension(self, shape):
         # it raised numpy's ValueError from the reshape to 2x2
