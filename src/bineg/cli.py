@@ -116,12 +116,14 @@ def _resolve_seed(args):
     return 42
 
 
-def _write_text(out, text):
+def _write(out, write):
+    """Call ``write(f)`` with ``f`` the text file ``out``, or stdout if
+    ``out`` is None."""
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            write(f)
 
 
 def _csv_row(fields):
@@ -137,9 +139,10 @@ def _emit_report(report, args):
     print(summary, file=sys.stderr)
     if args.format == "csv":
         keys = ("op", "n_samples", "n_violations", "max_gap", "seed")
-        _write_text(args.out, _csv_row({k: getattr(report, k) for k in keys}))
+        _write(args.out, lambda f: f.write(_csv_row({k: getattr(report, k) for k in keys})))
     else:
-        _write_text(args.out, serialize.dumps(report.to_json_dict()))
+        # streamed record by record: the report's text is never held whole
+        _write(args.out, lambda f: serialize.dump(report.to_json_dict(), f))
 
 
 def _cmd_compute(args):
@@ -152,9 +155,9 @@ def _cmd_compute(args):
     mu = _mu(lam, a)
     result = {"c": concurrence(rho), "nu": nu, "n2": n2, "mu": mu, "is_ppt": bool(lam == 0.0)}
     if args.format == "csv":
-        _write_text(args.out, _csv_row({**result, "mu": math.nan if mu is None else mu}))
+        _write(args.out, lambda f: f.write(_csv_row({**result, "mu": math.nan if mu is None else mu})))
     else:
-        _write_text(args.out, serialize.dumps({**echo, **result}))
+        _write(args.out, lambda f: serialize.dump({**echo, **result}, f))
     return EXIT_OK
 
 

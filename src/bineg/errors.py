@@ -46,7 +46,9 @@ class NoConvergence(BinegError):
 
 
 class ParseError(BinegError):
-    """Malformed state-family specification string."""
+    """Malformed input: a state-family specification string, a state file,
+    the ``BINEG_SEED`` variable, a JSON violation record or Kraus channel, or
+    a matrix of ``[re, im]`` pairs."""
 
 
 class InvalidState(BinegError):

@@ -129,10 +129,12 @@ class ViolationRecord:
     @classmethod
     def from_json_dict(cls, data):
         """Inverse of :meth:`to_json_dict`: ParseError for input that is not a
-        JSON object, lacks a key, or has a ``kind`` that is not a string or
-        ``params`` that are neither an object nor null, and OutOfRange unless
+        JSON object, lacks a key, has a ``kind`` that is not a string,
+        ``params`` or a ``channel`` that are neither an object nor null, or a
+        ``state`` that :func:`serialize.complex_matrix_from_json` does not
+        read; WrongDimension unless that state is 4x4; and OutOfRange unless
         ``observed_gap`` is a finite real and ``seed`` and ``index`` are
-        integers >= 0."""
+        integers >= 0.  The state is kept as the lists it came as."""
         if not isinstance(data, dict):
             raise ParseError(f"a violation record is a JSON object, got {type(data).__name__}")
         try:
@@ -140,12 +142,15 @@ class ViolationRecord:
             seed, index = (_check_count(key, data[key], 0) for key in ("seed", "index"))
         except KeyError as exc:
             raise ParseError(f"a violation record needs its {exc.args[0]!r}") from None
-        params = data.get("params")
         if not isinstance(kind, str):
             raise ParseError(f"a violation record's 'kind' is a string, got {type(kind).__name__}")
-        if not isinstance(params, (dict, type(None))):
-            raise ParseError(f"a violation record's 'params' is an object or null, got {type(params).__name__}")
-        return cls(kind, gap, seed, index, state, data.get("channel"), params)
+        for key in ("params", "channel"):
+            if not isinstance(data.get(key), (dict, type(None))):
+                raise ParseError(f"a violation record's {key!r} is an object or null, got {type(data[key]).__name__}")
+        shape = serialize.complex_matrix_from_json(state).shape
+        if shape != (4, 4):
+            raise WrongDimension(f"a violation record's state is 4x4, got shape {shape}")
+        return cls(kind, gap, seed, index, state, data.get("channel"), data.get("params"))
 
 
 @dataclass

@@ -5,17 +5,19 @@ can be asserted exactly; one subprocess test covers the installed entry
 point.
 """
 
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bineg import cli, measures, states
+from bineg import cli, harness, measures, states
 from bineg.cli import EXIT_FINDING, EXIT_HARD, EXIT_OK, main
-from bineg.serialize import complex_matrix_to_json
+from bineg.serialize import complex_matrix_to_json, dumps
 from bineg.states import random_mixed, sigma_mems
 
 
@@ -248,6 +250,40 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0] == "op,n_samples,n_violations,max_gap,seed"
         assert lines[1].startswith("verify_ordering,50,0,")
+
+
+class TestReportStreaming:
+    @pytest.mark.parametrize(
+        "command",
+        ["verify region --samples 2000 --seed 8", "monotonic --channel local --samples 30 --seed 7 --tol -1"],
+        ids=["region", "monotonic"],
+    )
+    def test_stdout_and_out_file_are_the_same_bytes(self, capsys, tmp_path, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert run_cli(capsys, *command.split(), "--out", str(tmp_path / "report"))[0] == code == EXIT_FINDING
+        assert json.loads(out)["n_violations"] > 0
+        assert out.encode() == (tmp_path / "report").read_bytes()
+
+    def test_a_report_is_written_without_holding_its_text(self, capsys, tmp_path):
+        # 600 records of 4x4 states, about 1 MB of text; the emission holds a
+        # record's text at a time, and the report's dicts of records
+        rng = np.random.default_rng(30)
+        records = [
+            harness.ViolationRecord("region_eq9", gap, 30, i, complex_matrix_to_json(random_mixed(2, rng)))
+            for i, gap in enumerate(rng.random(600).tolist())
+        ]
+        report = harness.SweepReport("verify_region", 10**5, len(records), 1.0, 30, {"rank": 2}, 1.5, records)
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            cli._emit_report(report, argparse.Namespace(format="json", out=str(path)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert path.read_text() == dumps(report.to_json_dict())
+        assert size > 500_000 and peak < size / 4
 
 
 class TestMonotonicAndSearch:

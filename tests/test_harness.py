@@ -1450,12 +1450,34 @@ class TestReportSerialization:
 
     @pytest.mark.parametrize("entry, bad", [(True, "True"), ("0.5", "'0.5'"), (None, "None")])
     def test_a_record_state_entry_is_a_finite_number(self, entry, bad):
-        # they were read as 1.0, 0.5 and NaN
+        # they were read as 1.0, 0.5 and NaN, and then refused only by recompute_gap
         data = json.loads(dumps(verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()))
         data["state"][0][0][0] = entry
-        record = ViolationRecord.from_json_dict(data)
         with pytest.raises(ParseError, match=f"^matrix entries are finite numbers, got {bad}$"):
-            recompute_gap(record)
+            ViolationRecord.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "state, error, message",
+        [
+            ("x", ParseError, "matrix entries are not numeric: could not convert string to float: 'x'"),
+            ([[[True, 0]]], ParseError, "matrix entries are finite numbers, got True"),
+            ([[[0.5, 0]]], WrongDimension, "a violation record's state is 4x4, got shape (1, 1)"),
+            (None, ParseError, "expected nested [re, im] pairs, got array of shape ()"),
+        ],
+        ids=["string", "bool", "1x1", "null"],
+    )
+    def test_a_record_state_is_a_4x4_matrix(self, state, error, message):
+        # each was accepted, and failed only in a later recompute_gap
+        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ViolationRecord.from_json_dict({**data, "state": state})
+
+    @pytest.mark.parametrize("channel", ["x", 5])
+    def test_a_record_channel_is_an_object_or_null(self, channel):
+        data = monotonicity_sweep(3, channel_kind="local", seed=8, tol=-10.0).violations[0].to_json_dict()
+        message = f"a violation record's 'channel' is an object or null, got {type(channel).__name__}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ViolationRecord.from_json_dict({**data, "channel": channel})
 
     @pytest.mark.parametrize("data", [[], None, "x", 5])
     def test_a_record_that_is_not_an_object_is_a_parse_error(self, data):

@@ -1,5 +1,6 @@
 """Tests for deterministic JSON/CSV emission."""
 
+import io
 import json
 import math
 from fractions import Fraction
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from bineg.errors import ParseError
 from bineg.serialize import (
     _cells,
+    _emit,
     complex_matrix_from_json,
     complex_matrix_to_json,
     csv_rows,
+    dump,
     dumps,
     fmt_float,
     write_csv,
@@ -154,8 +157,15 @@ MATRICES = st.builds(
         )
     ),
 )
+# 4x4 states of finite floats, which take the template path
+STATES = st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=16, max_size=16).map(
+    lambda z: complex_matrix_to_json(np.array(z).reshape(4, 4))
+)
 DOCUMENTS = st.recursive(
-    st.one_of(SCALARS, PAIRS, MATRICES),
+    st.one_of(
+        SCALARS, PAIRS, MATRICES, STATES, st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+        st.builds(np.bool_, st.booleans()), st.just([]), st.just(()), st.just({}),
+    ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.tuples(inner, inner),
@@ -196,6 +206,47 @@ class TestDumpsTemplate:
         text = dumps({"state": [[[0.1, -0.0], [1e-300, 3.0]]]})
         assert text == '{\n  "state": [\n    [\n      [\n        0.10000000000000001,\n        -0\n      ],\n' \
             '      [\n        1e-300,\n        3\n      ]\n    ]\n  ]\n}\n'
+
+
+class WriteLog(io.StringIO):
+    """A text file that keeps each write's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestDump:
+    @settings(max_examples=300, derandomize=True)
+    @given(DOCUMENTS)
+    def test_writes_the_bytes_of_dumps(self, obj):
+        f = io.StringIO()
+        dump(obj, f)
+        assert f.getvalue() == dumps(obj)
+
+    def test_a_state_is_one_piece(self):
+        # one ``%`` of the template, where a list off the template path is a
+        # piece per row and its closing bracket
+        state = complex_matrix_to_json(np.random.default_rng(3).normal(size=(4, 4)) + 0j)
+        assert len(list(_emit(state, 1))) == 1
+        assert len(list(_emit(state[:3] + [[[0.5, True]] * 4], 1))) == 5
+
+    def test_one_write_per_record(self):
+        rng = np.random.default_rng(5)
+        records = [{"kind": "region_eq9", "observed_gap": g, "state": complex_matrix_to_json(rng.normal(size=(4, 4)))}
+                   for g in rng.random(50).tolist()]
+        report = {"op": "verify_region", "violations": records, "seed": 5}
+        f = WriteLog()
+        dump(report, f)
+        assert f.getvalue() == dumps(report)
+        holding = [w for w in f.writes if '"kind"' in w]
+        assert len(holding) == 50 and all(w.count('"kind"') == 1 for w in holding)
+        # and one write per key, scalar value, closing bracket and the last newline
+        assert len(f.writes) == 50 + 8
 
 
 class TestCsvRows:
