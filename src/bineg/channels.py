@@ -34,8 +34,9 @@ COMPLETENESS_TOL = 1e-10
 class KrausChannel:
     """Completely positive trace-preserving map as a finite Kraus family.
 
-    Operators have shape ``(dim_out, dim_in)``; the constructor enforces
-    ``sum_k K_k^dagger K_k = I`` to ``COMPLETENESS_TOL``.
+    Operators have shape ``(dim_out, dim_in)``, each a copy that owns its
+    data; the constructor enforces ``sum_k K_k^dagger K_k = I`` to
+    ``COMPLETENESS_TOL``.
     """
 
     kraus_ops: tuple
@@ -43,7 +44,7 @@ class KrausChannel:
     dim_out: int
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
+        ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)
         if not ops:
             raise DimensionMismatch("need at least one Kraus operator")
         for k in ops:
@@ -56,17 +57,15 @@ class KrausChannel:
         _check_complete(np.stack(ops))
 
     def to_json_dict(self):
-        return {
-            "dim_in": self.dim_in,
-            "dim_out": self.dim_out,
-            "kraus": [serialize.complex_matrix_to_json(k) for k in self.kraus_ops],
-        }
+        """The dict ``serialize.dump`` writes; matrices are arrays."""
+        return {"dim_in": self.dim_in, "dim_out": self.dim_out, "kraus": list(self.kraus_ops)}
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`: ParseError for input that is not a
-        JSON object, a missing key or a ``kraus`` that is not a list, and
-        OutOfRange unless both dimensions are integers >= 1."""
+        """Inverse of :meth:`to_json_dict` as written, each operator parsed
+        once: ParseError for input that is not a JSON object, a missing key
+        or a ``kraus`` that is not a list, and OutOfRange unless both
+        dimensions are integers >= 1."""
         if not isinstance(data, dict):
             raise ParseError(f"a Kraus channel is a JSON object, got {type(data).__name__}")
         try:

@@ -12,7 +12,7 @@ Every report has one path.  The sampling sweeps (``verify_ordering``,
 are cut into fixed-size chunks, each on its own substream of the seed
 (``_chunks``), and ``_sweep_chunk`` turns a chunk into blocks of gaps per
 kind.  ``_block`` applies the threshold once: it keeps a block's largest gap
-and one hit per gap above ``tol``, with only the hit states serialized.
+and one hit per gap above ``tol``, and only the hit states leave a worker.
 ``_records`` turns the blocks of any check, the closed-form grid and the
 search's best climb included, into a sorted ``SweepReport``.  No chunk
 depends on another, so ``_chunk_results`` spreads the chunks of a sweep, and
@@ -108,23 +108,25 @@ CHANNEL_KINDS = ("local_unitary", "local", "one_way_locc", "ppt")
 class ViolationRecord:
     """One observed break of a checked inequality.
 
-    ``state`` is the serialized density matrix; ``channel`` the serialized
-    Kraus family when one was involved; ``params`` the family parameters for
-    closed-form checks.  ``seed`` is the sweep's root seed and ``index`` the
-    global sample index, so the record pinpoints the draw that produced it.
+    ``state`` is the density matrix, a (4, 4) complex array that owns its
+    data; ``channel`` the :class:`KrausChannel` when one was involved;
+    ``params`` the family parameters for closed-form checks.  ``seed`` is
+    the sweep's root seed and ``index`` the global sample index, so the
+    record pinpoints the draw that produced it.
     """
 
     kind: str
     observed_gap: float
     seed: int
     index: int
-    state: list
-    channel: dict | None = None
+    state: np.ndarray
+    channel: KrausChannel | None = None
     params: dict | None = None
 
     def to_json_dict(self):
-        """The record's fields in their order, leaving out those that are None."""
-        return {k: v for k, v in vars(self).items() if v is not None}
+        """The dict ``serialize.dump`` writes; matrices are arrays.  The
+        record's fields in their order, leaving out those that are None."""
+        return {k: v.to_json_dict() if k == "channel" else v for k, v in vars(self).items() if v is not None}
 
     @classmethod
     def from_json_dict(cls, data):
@@ -132,9 +134,11 @@ class ViolationRecord:
         JSON object, lacks a key, has a ``kind`` that is not a string,
         ``params`` or a ``channel`` that are neither an object nor null, or a
         ``state`` that :func:`serialize.complex_matrix_from_json` does not
-        read; WrongDimension unless that state is 4x4; and OutOfRange unless
+        read; WrongDimension unless that state is 4x4; OutOfRange unless
         ``observed_gap`` is a finite real and ``seed`` and ``index`` are
-        integers >= 0.  The state is kept as the lists it came as."""
+        integers >= 0; and the errors of :meth:`KrausChannel.from_json_dict`
+        for a channel.  The state and the channel are parsed here, each
+        once, and kept as an array and a :class:`KrausChannel`."""
         if not isinstance(data, dict):
             raise ParseError(f"a violation record is a JSON object, got {type(data).__name__}")
         try:
@@ -147,10 +151,12 @@ class ViolationRecord:
         for key in ("params", "channel"):
             if not isinstance(data.get(key), (dict, type(None))):
                 raise ParseError(f"a violation record's {key!r} is an object or null, got {type(data[key]).__name__}")
-        shape = serialize.complex_matrix_from_json(state).shape
-        if shape != (4, 4):
-            raise WrongDimension(f"a violation record's state is 4x4, got shape {shape}")
-        return cls(kind, gap, seed, index, state, data.get("channel"), data.get("params"))
+        state = serialize.complex_matrix_from_json(state)
+        if state.shape != (4, 4):
+            raise WrongDimension(f"a violation record's state is 4x4, got shape {state.shape}")
+        channel = data.get("channel")
+        channel = None if channel is None else KrausChannel.from_json_dict(channel)
+        return cls(kind, gap, seed, index, state, channel, data.get("params"))
 
 
 @dataclass
@@ -277,16 +283,15 @@ def _block(tol, states, gaps, extra_of):
     """A block of ``states`` with ``{kind: gaps}`` in the form that
     :func:`_records` takes: ``(count, top, hits)``.  ``top`` is the largest
     gap of any kind, skipping NaN, and ``hits`` holds ``(kind, j, gap,
-    state, extra)`` for each gap above ``tol``: the serialized state and its
+    state, extra)`` for each gap above ``tol``: a copy of the state, which
+    owns its data so that the record does not keep the block alive, and its
     ``extra_of(j)`` keywords, the record's ``channel`` or ``params``.  Only
-    those states are serialized, each once, and only they leave a worker."""
-    top, hits, rows = -math.inf, [], {}
+    those states leave a worker."""
+    top, hits = -math.inf, []
     for kind, gap in gaps.items():
         top = float(np.fmax.reduce(gap, initial=top))
         for j in map(int, np.flatnonzero(gap > tol)):
-            if j not in rows:
-                rows[j] = serialize.complex_matrix_to_json(states[j]), extra_of(j)
-            hits.append((kind, j, float(gap[j]), *rows[j]))
+            hits.append((kind, j, float(gap[j]), states[j].copy(), extra_of(j)))
     return len(states), top, hits
 
 
@@ -574,8 +579,8 @@ def _gaps(rho, kraus):
 
 
 def _channel_of(kraus, counts):
-    """Map of a pair's index in a block to its serialized channel, padding dropped."""
-    return lambda j: {"channel": KrausChannel(tuple(kraus[j, : counts[j]]), 4, 4).to_json_dict()}
+    """Map of a pair's index in a block to its channel, padding dropped."""
+    return lambda j: {"channel": KrausChannel(tuple(kraus[j, : counts[j]]), 4, 4)}
 
 
 def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9):
@@ -715,8 +720,7 @@ def counterexample_search(
     hits = []
     if best_f > tol:
         rho, kraus, counts = build([best_idx], [thetas[best_idx]])
-        state = serialize.complex_matrix_to_json(rho[0])
-        hits.append(("monotonicity", best_idx, best_f, state, _channel_of(kraus, counts)(0)))
+        hits.append(("monotonicity", best_idx, best_f, rho[0].copy(), _channel_of(kraus, counts)(0)))
     config = {
         "channel_kind": channel_kind,
         "restarts": restarts,
@@ -801,18 +805,20 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
 
 
 def recompute_gap(record):
-    """Recompute a violation record's observed gap from its serialized state
-    (and channel), for audit round-trips; it equals the sweep's gap bit for
-    bit."""
+    """Recompute a violation record's observed gap from its state (and
+    channel), as :meth:`ViolationRecord.from_json_dict` parsed them or a
+    sweep built them, for audit round-trips; it equals the sweep's gap bit
+    for bit.  It parses nothing; the shape checks guard records built in
+    Python."""
     # a stack of one, so that each gap is computed as a sweep computes it:
     # numpy's scalar path rounds some bound curves differently in the last bit
-    rho = serialize.complex_matrix_from_json(record.state)[None]
+    rho = np.asarray(record.state)[None]
     kind = record.kind
     need = {"monotonicity": "channel", "closed_form": "params"}.get(kind)
     if need and getattr(record, need) is None:
         raise OutOfRange(f"a {kind} record needs its {need}")
     if kind == "monotonicity":
-        ch = KrausChannel.from_json_dict(record.channel)
+        ch = record.channel
         if rho.shape[1:] != (4, 4):
             raise WrongDimension(f"a monotonicity record's state is 4x4, got shape {rho.shape[1:]}")
         if (ch.dim_in, ch.dim_out) != (4, 4):

@@ -7,7 +7,10 @@ Dictionaries serialize in insertion order; nothing here consults the clock,
 the platform, or hash randomization.
 
 JSON text comes from one emitter, :func:`_emit`, in pieces: a dict yields
-its entries' pieces as they come, a list one piece per entry.
+its entries' pieces as they come, a list one piece per entry.  A complex
+matrix, a record's state or a Kraus operator, stays an array until here:
+a finite one is written as its ``[re, im]`` pairs in one ``%`` of a cached
+template, any other as :func:`complex_matrix_to_json`'s lists, NaN as null.
 :func:`dumps` joins them; :func:`dump` writes them to a file, so the CLI
 writes a report record by record and never holds its text whole.  The
 seed-42 ``verify region`` report of 1e5 rank-2 states (532 records,
@@ -98,26 +101,6 @@ def _pairs_template(depth, rows, cols):
     return "".join(_bracket([[row]] * rows, depth))
 
 
-def _pairs(obj):
-    """The floats of ``obj``, in order, if it holds equally long, non-empty
-    lists of ``[re, im]`` lists of finite floats, else None."""
-    if not obj or type(obj[0]) is not list or not obj[0]:
-        return None
-    flat, cols = [], len(obj[0])
-    for row in obj:
-        if type(row) is not list or len(row) != cols:
-            return None
-        for pair in row:
-            if type(pair) is not list or len(pair) != 2:
-                return None
-            flat += pair
-    # a NaN or an infinity makes the sum one; a finite sum may overflow, which
-    # only sends the list down the general path
-    if not all(type(x) is float for x in flat) or not math.isfinite(sum(flat)):
-        return None
-    return flat
-
-
 def _scalar(obj):
     """The JSON text of a value that is not a container."""
     if obj is None:
@@ -143,12 +126,16 @@ def _emit(obj, depth):
         entries = (itertools.chain((f"{json.dumps(str(k))}: ",), _emit(v, depth + 1)) for k, v in obj.items())
         yield from _bracket(entries, depth, "{}")
     elif isinstance(obj, (list, tuple)):
-        # a state matrix is formatted in one ``%``, as fmt_float formats each float
-        flat = _pairs(obj)
-        if flat is not None:
-            yield _pairs_template(depth, len(obj), len(obj[0])) % tuple(flat)
+        yield from _bracket((("".join(_emit(v, depth + 1)),) for v in obj), depth)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c" and obj.ndim == 2:
+        flat = np.ascontiguousarray(obj).view(float).ravel().tolist()
+        # a finite matrix in one ``%``, as fmt_float formats each float; a NaN
+        # or an infinity makes the sum one, and so may an overflowing finite
+        # sum: such a matrix goes through its lists, which write NaN as null
+        if math.isfinite(sum(flat)):
+            yield _pairs_template(depth, *obj.shape) % tuple(flat)
         else:
-            yield from _bracket((("".join(_emit(v, depth + 1)),) for v in obj), depth)
+            yield from _emit(complex_matrix_to_json(obj), depth)
     elif isinstance(obj, np.ndarray):
         yield from _emit(obj.tolist(), depth)
     else:

@@ -11,6 +11,8 @@ the measures, not a replay of the same code.
 
 import mpmath
 
+from bineg.serialize import complex_matrix_to_json
+
 DPS = 40
 
 # Eigenvalues of the stored double-precision state below this are rounding
@@ -112,7 +114,7 @@ def certify(records, tol, match=1e-12):
         if v.kind != "region_eq9":
             problems.append(f"index {v.index}: no oracle for kind {v.kind!r}")
             continue
-        below, above = region_excesses(v.state)
+        below, above = region_excesses(complex_matrix_to_json(v.state))
         gap = float(max(below, above))
         gaps.append(gap)
         if not above > tol:

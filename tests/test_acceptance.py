@@ -38,7 +38,6 @@ from bineg.measures import (
     nu_of_c,
     region_bounds,
 )
-from bineg.serialize import complex_matrix_from_json
 from bineg.states import (
     boundary_family,
     is_ppt,
@@ -241,7 +240,7 @@ def test_criterion_5_conjecture_sweeps(tmp_path):
         )
     if abs(region.max_gap - 4.082e-3) > 1e-6:
         failures.append(f"region sweep worst gap {region.max_gap:.4e}, expected 4.082e-3")
-    rho = np.array([complex_matrix_from_json(v.state) for v in region.violations])
+    rho = np.array([v.state for v in region.violations])
     if len(rho):
         lower, upper = _region_bounds(concurrence(rho), negativity(rho))
         n2 = binegativity(rho)

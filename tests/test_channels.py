@@ -1,5 +1,6 @@
 """Tests for channel construction, Choi conversion, and the PPT sampler."""
 
+import json
 import re
 import warnings
 
@@ -43,9 +44,16 @@ from bineg.errors import (
 )
 from bineg.linalg import dagger, frobenius_distance, frobenius_norm, kron, partial_transpose, transpose_factors
 from bineg.measures import binegativity, concurrence, negativity
+from bineg.serialize import dumps
 from bineg.states import _gaussian_matrices, is_ppt, random_mixed, sigma_pqr
 
 IDENTITY = KrausChannel((np.eye(4, dtype=complex),), 4, 4)
+
+
+def written(ch):
+    """The JSON object a report holds for channel ``ch``: its operators as
+    ``[re, im]`` lists, as :meth:`KrausChannel.from_json_dict` reads them."""
+    return json.loads(dumps(ch.to_json_dict()))
 
 # sixteen basis-transfer operators |i><j| / 2: sends every input to the
 # maximally mixed state
@@ -115,10 +123,18 @@ class TestKrausChannel:
 
     def test_json_round_trip(self):
         ch = one_way_locc_channel(3, 502)
-        back = KrausChannel.from_json_dict(ch.to_json_dict())
+        back = KrausChannel.from_json_dict(written(ch))
         assert len(back.kraus_ops) == len(ch.kraus_ops)
         for a, b in zip(back.kraus_ops, ch.kraus_ops):
             assert np.array_equal(a, b)
+
+    def test_owns_its_operators(self):
+        # a view would keep the whole stack it was cut from alive
+        stack = np.stack([np.eye(4, dtype=complex)] * 2) / np.sqrt(2)
+        ch = KrausChannel(tuple(stack), 4, 4)
+        assert all(k.base is None for k in ch.kraus_ops)
+        stack[0] = 0
+        assert np.array_equal(ch.kraus_ops[0], np.eye(4) / np.sqrt(2))
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -132,11 +148,11 @@ class TestKrausChannel:
     def test_json_dims_are_integers_in_range(self, key, value, message):
         # a float is not truncated to the dimension of the operators
         with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
-            KrausChannel.from_json_dict({**IDENTITY.to_json_dict(), key: value})
+            KrausChannel.from_json_dict({**written(IDENTITY), key: value})
 
     @pytest.mark.parametrize("key", ["kraus", "dim_in", "dim_out"])
     def test_json_without_a_key_is_a_parse_error(self, key):
-        data = IDENTITY.to_json_dict()
+        data = written(IDENTITY)
         del data[key]
         with pytest.raises(ParseError, match=f"^a Kraus channel needs its '{key}'$"):
             KrausChannel.from_json_dict(data)
@@ -152,12 +168,12 @@ class TestKrausChannel:
         # no value escapes as a TypeError, and a string is not read per letter
         message = f"a Kraus channel's 'kraus' is a list, got {type(kraus).__name__}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-            KrausChannel.from_json_dict({**IDENTITY.to_json_dict(), "kraus": kraus})
+            KrausChannel.from_json_dict({**written(IDENTITY), "kraus": kraus})
 
     @pytest.mark.parametrize("entry, bad", [(True, "True"), ("0.5", "'0.5'"), (None, "None")])
     def test_json_kraus_entries_are_finite_numbers(self, entry, bad):
         # they were read as 1.0, 0.5 and NaN
-        data = IDENTITY.to_json_dict()
+        data = written(IDENTITY)
         data["kraus"][0][0][0][0] = entry
         with pytest.raises(ParseError, match=f"^matrix entries are finite numbers, got {bad}$"):
             KrausChannel.from_json_dict(data)

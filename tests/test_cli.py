@@ -269,7 +269,7 @@ class TestReportStreaming:
         # record's text at a time, and the report's dicts of records
         rng = np.random.default_rng(30)
         records = [
-            harness.ViolationRecord("region_eq9", gap, 30, i, complex_matrix_to_json(random_mixed(2, rng)))
+            harness.ViolationRecord("region_eq9", gap, 30, i, random_mixed(2, rng))
             for i, gap in enumerate(rng.random(600).tolist())
         ]
         report = harness.SweepReport("verify_region", 10**5, len(records), 1.0, 30, {"rank": 2}, 1.5, records)

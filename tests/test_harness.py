@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bineg import channels, harness, measures
+from bineg import channels, harness, measures, serialize
 from bineg.channels import (
     KrausChannel,
     _apply_kraus,
@@ -71,6 +71,12 @@ from bineg.serialize import complex_matrix_to_json, dumps
 from bineg.states import _ginibre, _gram_state, random_mixed
 
 import mp_oracle
+
+
+def written(record):
+    """The JSON object a report holds for ``record``: its matrices as
+    ``[re, im]`` lists, as :meth:`ViolationRecord.from_json_dict` reads them."""
+    return json.loads(dumps(record.to_json_dict()))
 
 
 def read_csv(path):
@@ -239,7 +245,7 @@ class TestStateSweepChunks:
         want = sorted((i, kind, g[i]) for kind, g in gaps.items() for i in range(n) if g[i] > -1.0)
         got = [(v.index, v.kind, v.observed_gap) for v in rep.violations]
         assert got == want
-        assert all(v.state == complex_matrix_to_json(states[v.index]) for v in rep.violations)
+        assert all(np.array_equal(v.state, states[v.index]) for v in rep.violations)
         # region records only entangled states, ordering records all of them
         indices = sorted({v.index for v in rep.violations})
         assert indices[0] < CHUNK <= indices[-1]
@@ -259,7 +265,7 @@ class TestStateSweepChunks:
         states, gaps = chunk_gaps(sweep, n, rank, seed)
         want = sorted((i, kind, g[i]) for kind, g in gaps.items() for i in range(n) if g[i] > tol)
         assert [(v.index, v.kind, v.observed_gap) for v in rep.violations] == want
-        assert all(v.state == complex_matrix_to_json(states[v.index]) for v in rep.violations)
+        assert all(np.array_equal(v.state, states[v.index]) for v in rep.violations)
         assert rep.max_gap == max(np.fmax.reduce(g) for g in gaps.values())
 
     @pytest.mark.parametrize("tol", [1e-9, 3.1275e-4])
@@ -615,11 +621,30 @@ class TestChunkWorkers:
 
         count, top, hits = harness._block(0.5, states, gaps, extra_of)
         assert count == 4 and top == 2.0
-        row = {j: (complex_matrix_to_json(states[j]), {"params": {"j": j}}) for j in (0, 3)}
-        assert hits == [("first", 0, 2.0, *row[0]), ("first", 3, 0.75, *row[3]), ("last", 3, 1.0, *row[3])]
-        assert asked == [0, 3] and hits[1][3] is hits[2][3]  # state 3 serialized once
+        assert [hit[:3] for hit in hits] == [("first", 0, 2.0), ("first", 3, 0.75), ("last", 3, 1.0)]
+        for _, j, _, state, extra in hits:
+            # an owned copy, so a record does not keep the block alive
+            assert np.array_equal(state, states[j]) and state.base is None
+            assert extra == {"params": {"j": j}}
+        assert asked == [0, 3, 3]
         assert all(type(x) in (int, float) for hit in hits for x in hit[1:3])
         assert harness._block(0.5, states[:1], {"first": np.array([np.nan])}, extra_of) == (1, -np.inf, [])
+
+    def test_records_own_their_arrays(self, monkeypatch):
+        # in one process a record's state, or a Kraus operator, that is a view
+        # would keep its chunk's whole stack of states, or its block's stack
+        # of Kraus operators, alive as long as the report
+        serial(monkeypatch)
+        reports = [
+            verify_region(2000, rank=2, seed=8),
+            monotonicity_sweep(300, channel_kind="local", seed=5, tol=-1.0),
+            counterexample_search("one_way_locc", restarts=2, steps=5, seed=8, tol=-1.0),
+        ]
+        for rep in reports:
+            assert rep.violations
+            for v in rep.violations:
+                assert v.state.base is None
+                assert v.channel is None or all(k.base is None for k in v.channel.kraus_ops)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         build = harness._one_way_locc_kraus
@@ -970,8 +995,8 @@ class TestMonotonicitySweep:
             v.observed_gap,
             v.seed,
             v.index,
-            v.state if state is None else complex_matrix_to_json(state),
-            v.channel if channel is None else channel.to_json_dict(),
+            v.state if state is None else state,
+            v.channel if channel is None else channel,
         )
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             recompute_gap(record)
@@ -1007,8 +1032,8 @@ class TestMonotonicitySweep:
             gaps.append(binegativity(apply(ch, rho)) - binegativity(rho))
             assert v.index == len(gaps) - 1
             assert v.observed_gap == gaps[-1]
-            assert v.state == complex_matrix_to_json(rho)
-            assert v.channel == ch.to_json_dict()
+            assert np.array_equal(v.state, rho)
+            assert dumps(v.channel.to_json_dict()) == dumps(ch.to_json_dict())
         assert len(gaps) == n
         assert rep.max_gap == max(gaps)
 
@@ -1038,8 +1063,8 @@ class TestMonotonicitySweep:
             gaps.append(binegativity(apply(ch, rho)) - binegativity(rho))
             assert v.index == len(gaps) - 1
             assert v.observed_gap == gaps[-1]
-            assert v.state == complex_matrix_to_json(rho)
-            assert v.channel == ch.to_json_dict()
+            assert np.array_equal(v.state, rho)
+            assert dumps(v.channel.to_json_dict()) == dumps(ch.to_json_dict())
         assert len(gaps) == n
         assert rep.max_gap == max(gaps)
 
@@ -1058,7 +1083,7 @@ class TestMonotonicitySweep:
         rep = monotonicity_sweep(64, channel_kind=kind, seed=13, tol=-1.0)
         counts = []
         for v, (_, ch) in zip(rep.violations, reference_pairs(kind, 2, 13, 64)):
-            ops = KrausChannel.from_json_dict(v.channel).kraus_ops
+            ops = v.channel.kraus_ops
             counts.append(len(ops))
             assert len(ops) == len(ch.kraus_ops)  # env or the outcome count
             assert all(np.any(k != 0) for k in ops)
@@ -1412,9 +1437,22 @@ class TestReportSerialization:
     def test_violation_record_round_trip(self):
         rep = monotonicity_sweep(3, channel_kind="local", seed=8, tol=-10.0)
         v = rep.violations[0]
-        back = ViolationRecord.from_json_dict(json.loads(dumps(v.to_json_dict())))
-        assert back == v
+        back = ViolationRecord.from_json_dict(written(v))
+        assert written(back) == written(v)  # JSON reads "-0" as 0, so a zero may lose its sign
         assert recompute_gap(back) == v.observed_gap
+
+    def test_a_record_is_parsed_once(self, monkeypatch):
+        # its state, and each Kraus operator of its channel, in from_json_dict;
+        # recompute_gap uses them as they are and parses nothing again
+        region = verify_region(2000, rank=2, seed=8).violations[0]
+        locc = monotonicity_sweep(3, channel_kind="one_way_locc", seed=8, tol=-10.0).violations[0]
+        parse, calls = serialize.complex_matrix_from_json, []
+        monkeypatch.setattr(serialize, "complex_matrix_from_json", lambda data: calls.append(data) or parse(data))
+        assert region.kind == "region_eq9" and len(locc.channel.kraus_ops) > 1
+        for v, want in ((region, 1), (locc, 1 + len(locc.channel.kraus_ops))):
+            calls.clear()
+            assert recompute_gap(ViolationRecord.from_json_dict(written(v))) == v.observed_gap
+            assert len(calls) == want
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -1429,13 +1467,13 @@ class TestReportSerialization:
     )
     def test_a_record_count_is_an_integer_in_range(self, key, value, message):
         # a float is not truncated, so no record agrees with its truncation
-        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        data = written(verify_ordering(5, seed=1, tol=-10.0).violations[0])
         with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict({**data, key: value})
 
     @pytest.mark.parametrize("key", ["kind", "observed_gap", "seed", "index", "state"])
     def test_a_record_without_a_key_is_a_parse_error(self, key):
-        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        data = written(verify_ordering(5, seed=1, tol=-10.0).violations[0])
         del data[key]
         with pytest.raises(ParseError, match=f"^a violation record needs its '{key}'$"):
             ViolationRecord.from_json_dict(data)
@@ -1443,7 +1481,7 @@ class TestReportSerialization:
     @pytest.mark.parametrize("value", [True, False, "x", None, [0.5], float("nan"), float("inf"), -float("inf")])
     def test_a_record_gap_is_a_finite_real(self, value):
         # a bool is not read as 1.0, and no other value escapes as a TypeError
-        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        data = written(verify_ordering(5, seed=1, tol=-10.0).violations[0])
         message = f"observed_gap must be finite and real, got {value!r}"
         with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict({**data, "observed_gap": value})
@@ -1451,7 +1489,7 @@ class TestReportSerialization:
     @pytest.mark.parametrize("entry, bad", [(True, "True"), ("0.5", "'0.5'"), (None, "None")])
     def test_a_record_state_entry_is_a_finite_number(self, entry, bad):
         # they were read as 1.0, 0.5 and NaN, and then refused only by recompute_gap
-        data = json.loads(dumps(verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()))
+        data = written(verify_ordering(5, seed=1, tol=-10.0).violations[0])
         data["state"][0][0][0] = entry
         with pytest.raises(ParseError, match=f"^matrix entries are finite numbers, got {bad}$"):
             ViolationRecord.from_json_dict(data)
@@ -1468,13 +1506,13 @@ class TestReportSerialization:
     )
     def test_a_record_state_is_a_4x4_matrix(self, state, error, message):
         # each was accepted, and failed only in a later recompute_gap
-        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        data = written(verify_ordering(5, seed=1, tol=-10.0).violations[0])
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict({**data, "state": state})
 
     @pytest.mark.parametrize("channel", ["x", 5])
     def test_a_record_channel_is_an_object_or_null(self, channel):
-        data = monotonicity_sweep(3, channel_kind="local", seed=8, tol=-10.0).violations[0].to_json_dict()
+        data = written(monotonicity_sweep(3, channel_kind="local", seed=8, tol=-10.0).violations[0])
         message = f"a violation record's 'channel' is an object or null, got {type(channel).__name__}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict({**data, "channel": channel})
@@ -1488,14 +1526,14 @@ class TestReportSerialization:
     @pytest.mark.parametrize("kind", [["x"], {"a": 1}, 5, None])
     def test_a_record_kind_is_a_string(self, kind):
         # an unhashable kind would otherwise escape recompute_gap as a TypeError
-        data = verify_ordering(5, seed=1, tol=-10.0).violations[0].to_json_dict()
+        data = written(verify_ordering(5, seed=1, tol=-10.0).violations[0])
         message = f"a violation record's 'kind' is a string, got {type(kind).__name__}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict({**data, "kind": kind})
 
     @pytest.mark.parametrize("params", [5, [1, 2, 3], "p", True])
     def test_record_params_are_an_object_or_null(self, params):
-        data = verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0].to_json_dict()
+        data = written(verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0])
         message = f"a violation record's 'params' is an object or null, got {type(params).__name__}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ViolationRecord.from_json_dict({**data, "params": params})
@@ -1511,13 +1549,13 @@ class TestReportSerialization:
         ],
     )
     def test_closed_form_params_are_finite_reals(self, change, message):
-        data = verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0].to_json_dict()
+        data = written(verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0])
         record = ViolationRecord.from_json_dict({**data, "params": {**data["params"], **change}})
         with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
             recompute_gap(record)
 
     def test_closed_form_params_without_a_key_are_out_of_range(self):
-        data = verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0].to_json_dict()
+        data = written(verify_closed_forms(grid_density=2, seed=8, tol=-1.0).violations[0])
         params = {k: v for k, v in data["params"].items() if k != "q"}
         with pytest.raises(OutOfRange, match="^q must be finite and real, got None$"):
             recompute_gap(ViolationRecord.from_json_dict({**data, "params": params}))

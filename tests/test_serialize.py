@@ -110,6 +110,8 @@ def recursive_dumps(obj):
 
     def emit(obj, depth):
         pad, inner = "  " * depth, "  " * (depth + 1)
+        if isinstance(obj, np.ndarray):
+            obj = complex_matrix_to_json(obj)
         if obj is None:
             return "null"
         if isinstance(obj, (bool, np.bool_)):
@@ -157,13 +159,37 @@ MATRICES = st.builds(
         )
     ),
 )
-# 4x4 states of finite floats, which take the template path
-STATES = st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=16, max_size=16).map(
-    lambda z: complex_matrix_to_json(np.array(z).reshape(4, 4))
+# the parts of complex arrays: finite floats and the edges of their text
+PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315, 1e300, -1e300]),
+)
+
+
+def complex_array(rows, cols, parts, bad):
+    """A ``rows`` x ``cols`` complex array of the floats ``parts``, real and
+    imaginary in turn, with each ``(i, x)`` of ``bad`` setting part ``i``."""
+    x = np.array(parts)
+    for i, value in bad:
+        x[i] = value
+    return x.view(complex).reshape(rows, cols)
+
+
+# complex matrices of 1..4 x 1..4, a state's or a Kraus operator's layout:
+# finite ones take the template, those with a NaN or an infinity the lists
+ARRAYS = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.builds(
+        complex_array,
+        st.just(shape[0]),
+        st.just(shape[1]),
+        st.lists(PARTS, min_size=2 * shape[0] * shape[1], max_size=2 * shape[0] * shape[1]),
+        st.lists(st.tuples(st.integers(0, 2 * shape[0] * shape[1] - 1),
+                           st.sampled_from([float("nan"), float("inf"), -float("inf")])), max_size=2),
+    )
 )
 DOCUMENTS = st.recursive(
     st.one_of(
-        SCALARS, PAIRS, MATRICES, STATES, st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+        SCALARS, PAIRS, MATRICES, ARRAYS, st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
         st.builds(np.bool_, st.booleans()), st.just([]), st.just(()), st.just({}),
     ),
     lambda inner: st.one_of(
@@ -177,9 +203,15 @@ DOCUMENTS = st.recursive(
 
 class TestDumpsTemplate:
     @settings(max_examples=200, derandomize=True)
-    @given(DOCUMENTS)
-    def test_equals_the_plain_recursion(self, obj):
+    @given(DOCUMENTS, ARRAYS)
+    def test_equals_the_plain_recursion(self, obj, arr):
         assert dumps(obj) == recursive_dumps(obj)
+        # an array writes the bytes of its [re, im] lists, a NaN or an
+        # infinity as null in the same slots, and reads back as those lists
+        lists = complex_matrix_to_json(arr)
+        text = dumps(arr)
+        assert text == dumps(lists)
+        assert json.loads(text) == [[[x if math.isfinite(x) else None for x in pair] for pair in row] for row in lists]
 
     @pytest.mark.parametrize(
         "matrix",
@@ -202,8 +234,9 @@ class TestDumpsTemplate:
         for obj in (matrix, {"state": matrix}, [{"state": matrix}, matrix]):
             assert dumps(obj) == recursive_dumps(obj)
 
-    def test_a_state_matrix_is_pairs_of_17_digit_floats(self):
-        text = dumps({"state": [[[0.1, -0.0], [1e-300, 3.0]]]})
+    @pytest.mark.parametrize("state", [[[[0.1, -0.0], [1e-300, 3.0]]], np.array([[complex(0.1, -0.0), 1e-300 + 3j]])])
+    def test_a_state_matrix_is_pairs_of_17_digit_floats(self, state):
+        text = dumps({"state": state})
         assert text == '{\n  "state": [\n    [\n      [\n        0.10000000000000001,\n        -0\n      ],\n' \
             '      [\n        1e-300,\n        3\n      ]\n    ]\n  ]\n}\n'
 
@@ -229,15 +262,17 @@ class TestDump:
         assert f.getvalue() == dumps(obj)
 
     def test_a_state_is_one_piece(self):
-        # one ``%`` of the template, where a list off the template path is a
-        # piece per row and its closing bracket
-        state = complex_matrix_to_json(np.random.default_rng(3).normal(size=(4, 4)) + 0j)
+        # one ``%`` of the template, where its lists, and an array holding a
+        # NaN, are a piece per row and its closing bracket
+        state = np.random.default_rng(3).normal(size=(4, 4)) + 0j
         assert len(list(_emit(state, 1))) == 1
-        assert len(list(_emit(state[:3] + [[[0.5, True]] * 4], 1))) == 5
+        assert len(list(_emit(complex_matrix_to_json(state), 1))) == 5
+        state[3, 0] = np.nan
+        assert len(list(_emit(state, 1))) == 5
 
     def test_one_write_per_record(self):
         rng = np.random.default_rng(5)
-        records = [{"kind": "region_eq9", "observed_gap": g, "state": complex_matrix_to_json(rng.normal(size=(4, 4)))}
+        records = [{"kind": "region_eq9", "observed_gap": g, "state": rng.normal(size=(4, 4)) + 0j}
                    for g in rng.random(50).tolist()]
         report = {"op": "verify_region", "violations": records, "seed": 5}
         f = WriteLog()
