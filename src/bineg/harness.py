@@ -10,31 +10,35 @@ failures.  Reports keep that distinction through the ``HARD_KINDS`` /
 Every report has one path.  The sampling sweeps (``verify_ordering``,
 ``verify_region``, ``monotonicity_sweep``) run through ``_sweep``: the draws
 are cut into fixed-size chunks, each on its own substream of the seed
-(``_chunks``), and ``_sweep_chunk`` turns a chunk into blocks of gaps per
-kind.  ``_block`` applies the threshold once: it keeps a block's largest gap
-and one hit per gap above ``tol``, and only the hit states leave a worker.
-``_records`` turns the blocks of any check, the closed-form grid and the
-search's best climb included, into a sorted ``SweepReport``.  No chunk
-depends on another, so ``_chunk_results`` spreads the chunks of a sweep, and
-of the ``figure_data`` scatter, over the usable CPUs in forked workers and
-yields their results in chunk order, which ``_records`` reads as they come:
-a report is byte-identical for a given seed, and to a one-process run.  A
-scatter chunk comes back as its rows of CSV text, formatted in the worker by
-``serialize.csv_rows`` with array operations, and the caller writes each as
-it arrives.  A PPT sweep maps ``_spans`` instead, each chunk cut into one
-span of pairs per CPU, since one PPT pair costs milliseconds: a span first
-draws the chunk's earlier rows to move its stream past them.  There is no
-option for it; a sweep of one item, or on one CPU, runs in the calling
-process.  Each gap kind is defined once, and ``recompute_gap`` uses the same
+(``_chunks``), and a stack of up to ``STACK`` chunks is sampled at once
+into each chunk's blocks of gaps per kind.  ``_block`` applies the threshold
+once: it keeps a block's largest gap and one hit per gap above ``tol``, and
+only the hit states leave a worker.  ``_records`` turns the blocks of any
+check, the closed-form grid and the search's best climb included, into a
+sorted ``SweepReport``.  No chunk depends on another, so ``_chunk_results``
+spreads the chunks of a sweep, and of the ``figure_data`` scatter, over the
+usable CPUs in forked workers and yields their results in chunk order,
+which ``_records`` reads as they come: a report is byte-identical for a
+given seed, and to a one-process run.  A worker, or the one process, runs
+its chunks a stack at a time, and a sweep forks only with two full-size
+chunks.  A scatter chunk comes back as its rows of CSV text, formatted in
+the worker by ``serialize.csv_rows`` with array operations, and the caller
+writes each as it arrives.  A PPT sweep maps ``_spans`` instead, each chunk
+cut into one span of pairs per CPU, since one PPT pair costs milliseconds:
+a span first draws the chunk's earlier rows to move its stream past them.
+There is no option for it; a sweep of one full-size item, or on one CPU,
+runs in the calling process.  Each gap kind is defined once, and ``recompute_gap`` uses the same
 definitions.
-A chunk of states (``_state_chunk``) is screened without an eigensolve,
-``nu`` and ``n2`` with ``_nu_n2_screen`` and ``C`` with the concurrence of
-the sampler's own factor ``G`` of ``rho = G G^dagger / Tr``, and
-``measure_triple`` measures the states whose screen is not certified to
-``_SCREEN_BOUND`` = 1e-10.  A scatter chunk writes those values; a state
-sweep measures again only the certified states within ``_SCREEN_MARGIN``,
-which the certificate sets, of a hit or the chunk's top, so every recorded
-gap and ``max_gap`` is the reference's.
+A stack of states (``_state_stack``) is screened without an eigensolve, each
+chunk drawn from its own substream, ``nu`` and ``n2`` with
+``_nu_n2_screen`` and ``C`` with the concurrence of the sampler's own
+factor ``G`` of ``rho = G G^dagger / Tr``, and ``measure_triple`` measures
+the states whose screen is not certified to ``_SCREEN_BOUND`` = 1e-10.  A
+scatter stack writes those values; a state sweep measures again only the
+certified states within ``_SCREEN_MARGIN``, which the certificate sets, of
+a hit or their chunk's top, so every recorded gap and ``max_gap`` is the
+reference's.  Each of these steps acts on every state alone, so a state has
+the same bits in any stack, and the stack pays each step's fixed cost once.
 A (state, channel) pair is one row of raw Gaussians of a fixed width per
 channel kind, ``[state | channel | unused tail]``, plus the channel's Kraus
 count and side (``_draw_structures``), all drawn as arrays.  A channel
@@ -97,6 +101,13 @@ from .states import (
 # Fixed chunk size for substream spawning.  Changing it would change every
 # sampled stream, so it is a constant, not a knob.
 CHUNK = 1024
+# Chunks measured together in one pass.  A state pass pays some 300 numpy
+# calls and a near-set measure_triple whatever its size, once per stack; each
+# chunk keeps its own draws, cut and blocks, so no byte depends on it.  For a
+# 1e5 rank-2 verify_region on 2 CPUs, 16 alternating rounds in one process:
+# 311 ms at 1, 266 at 2, 256 at 3, 251 at 4.  The largest forked worker then
+# peaks at 30.8, 32.0, 33.6 and 35.0 MB, so 4 breaks the 10% memory bound.
+STACK = 3
 
 HARD_KINDS = frozenset({"ordering", "closed_form", "bound_eq4"})
 CONJECTURE_KINDS = frozenset({"bound_eq5_lower", "bound_eq7", "region_eq9", "monotonicity"})
@@ -210,16 +221,59 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _stack_results(task, chunks):
+    """The result of each of ``chunks``, in order, from ``task`` run on
+    consecutive stacks of up to ``STACK`` of them.  Should a stack of more
+    than one raise, its chunks run one at a time, so the chunks before the
+    one that raises still give their results and the error comes in place
+    of that chunk's, as if every stack were of one."""
+    for i in range(0, len(chunks), STACK):
+        stack = chunks[i : i + STACK]
+        try:
+            results = task(stack)
+        except Exception:
+            if len(stack) == 1:
+                raise
+            results = itertools.chain.from_iterable(task([chunk]) for chunk in stack)
+        yield from results
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory():
+    """Make this process's C allocator keep what numpy frees, where it is
+    glibc's: arrays of up to 32 MB come from the heap, and the heap's free
+    top is not given back below 64 MB, so one stack's temporaries reuse the
+    last one's pages.  Else the top goes back whenever it passes the
+    allocator's trim threshold, which its history sets: a 1e5-state rank-2
+    verify_region faulted in 29k pages in its workers at 3 chunks a stack,
+    against 3.3k at one chunk, once a caller had read an 860 KB report, and
+    4.6k with this.  The peak stays.  Only a forked worker, which ends with
+    its sweep, calls this: a caller's allocator is left as it is."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # another C library: its defaults stay
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _serve(task, chunks, recv, conn):
     """The work of one forked worker of :func:`_chunk_results`: send ``(True,
-    task(chunk))`` for each of ``chunks`` in order, or ``(False, error)``
-    for the first that raises, and stop there."""
+    result)`` for each of ``chunks`` in order (:func:`_stack_results`), or
+    ``(False, error)`` for the first that raises, and stop there."""
     # the caller is then the pipe's only reader: should it die, the next
     # send fails and this worker ends, which frees the earlier workers' pipes
     recv.close()
+    _keep_freed_memory()
     try:
-        for chunk in chunks:
-            conn.send((True, task(chunk)))
+        for result in _stack_results(task, chunks):
+            conn.send((True, result))
     except BrokenPipeError:  # the caller has died; there is no one to tell
         return
     except Exception as exc:  # the caller raises it in its own process
@@ -227,26 +281,31 @@ def _serve(task, chunks, recv, conn):
 
 
 def _chunk_results(task, chunks):
-    """Yield ``task(chunk)`` for each of ``chunks``, in chunk order; a chunk
-    here is any independent item of work, a PPT sweep's span too.
+    """Yield the result of each of ``chunks``, in chunk order, where
+    ``task(stack)`` maps a stack, a list of up to ``STACK`` chunks, to the
+    list of its chunks' results.  A chunk here is any independent item of
+    work, ``(substream, size, ...)``: a chunk of draws or a span of a chunk.
 
-    With more than one chunk and more than one usable CPU, forked workers,
-    one per CPU up to one per chunk, compute them, worker ``k`` the chunks
-    ``k, k + workers, ...``; otherwise builtin ``map`` does, in this
-    process, as it does where ``fork`` does not exist and in a daemonic
-    process, which may not have children.  Forked workers inherit ``task``,
-    which may be a closure, and the loaded modules; spawned ones would
-    import numpy again for every sweep.  Their results are read in this
-    thread, one worker's pipe at a time in chunk order, as the caller asks
-    for them, so they are allocated where a serial run allocates them, and
-    a worker that runs ahead of the reader waits once its pipe is full.  The
-    workers start at the first result asked for, and are stopped and joined
-    once the last is read, an error is raised, or the caller closes the
-    generator; an error of a worker reaches the caller with its type and
-    message, and a worker that ends without sending its next result raises
-    ChildProcessError.
+    Forked workers, one per usable CPU up to one per full-size chunk (one
+    whose ``size`` is the largest), compute them when there are at least two
+    such chunks: worker ``k`` takes the chunks ``k, k + workers, ...`` and
+    runs them ``STACK`` at a time, so a short last chunk never has a fork to
+    itself.  Otherwise this process runs consecutive stacks, as it does
+    where ``fork`` does not exist and in a daemonic process, which may not
+    have children.  Forked workers inherit ``task``, which may be a closure,
+    and the loaded modules; spawned ones would import numpy again for every
+    sweep.  Each chunk's result is sent on its own and read in this thread,
+    one worker's pipe at a time in chunk order, as the caller asks for them,
+    so they are allocated where a serial run allocates them, and a worker
+    that runs ahead of the reader waits once its pipe is full.  The workers
+    start at the first result asked for, and are stopped and joined once the
+    last is read, an error is raised, or the caller closes the generator; an
+    error reaches the caller with its type and message in place of the
+    result of the chunk that raised it, on either path, and a worker that
+    ends without sending its next result raises ChildProcessError.
     """
-    workers = min(_usable_cpus(), len(chunks))
+    largest = max(chunk[1] for chunk in chunks)
+    workers = min(_usable_cpus(), sum(chunk[1] == largest for chunk in chunks))
     if workers > 1 and hasattr(os, "fork"):
         import multiprocessing
 
@@ -276,7 +335,7 @@ def _chunk_results(task, chunks):
                     proc.join()
                 for recv in conns:
                     recv.close()
-    yield from map(task, chunks)
+    yield from _stack_results(task, chunks)
 
 
 def _block(tol, states, gaps, extra_of):
@@ -325,22 +384,14 @@ def _spans(chunks, parts):
     ]
 
 
-def _sweep_chunk(work, tol, item):
-    """The :func:`_block` results of one item, a chunk ``(substream, size)``
-    or a span ``(substream, size, begin, length)``: ``work(rng, *rest)`` on the
-    item's substream yields its blocks of ``(states, {kind: gaps},
-    extra_of)``."""
-    seq, *rest = item
-    return [_block(tol, *block) for block in work(np.random.default_rng(seq), *rest)]
-
-
 def _sweep(op, seed, config, tol, work, items):
-    """The loop of every sampling sweep: ``work`` samples one of ``items``,
-    the chunks of :func:`_chunks` or their :func:`_spans`, and their blocks
+    """The loop of every sampling sweep: ``work(stack)`` samples a stack of
+    ``items``, the chunks of :func:`_chunks` or their :func:`_spans`, and
+    yields per item its blocks of ``(states, {kind: gaps}, extra_of)``, which
     reach :func:`_records` in item order as :func:`_chunk_results` yields
     them."""
     t0 = time.perf_counter()
-    results = _chunk_results(functools.partial(_sweep_chunk, work, tol), items)
+    results = _chunk_results(lambda stack: [[_block(tol, *block) for block in blocks] for blocks in work(stack)], items)
     return _records(op, seed, config, itertools.chain.from_iterable(results), t0)
 
 
@@ -378,29 +429,46 @@ def _bound_gaps(t):
 
 
 # A state sweep measures again every certified state whose screened gap comes
-# within this of min(tol, the chunk's top).  On the feasible region a gap moves
+# within this of min(tol, its chunk's top).  On the feasible region a gap moves
 # by at most 2 per unit of C, 1.5 per unit of nu and 1 per unit of n2, so by at
 # most 4.5 _SCREEN_BOUND from the certified screen; the cut needs twice that.
 _SCREEN_MARGIN = 9 * _SCREEN_BOUND
 
 
-def _state_chunk(rank, rng, size):
-    """``(rho, triple, certified)`` of ``size`` random states ``rho = G
-    G^dagger / Tr`` of ``rank``: every scatter chunk, and every sweep chunk
-    above rank 1.  The screen makes no eigensolve: ``nu`` and ``n2`` come
-    from :func:`_nu_n2_screen` and ``c = max(_uhlmann(G) / Tr, 0)``.  A
-    state is ``certified`` where ``c`` is finite and both
-    :func:`_uhlmann_bound` and the screen's bound are at most
+def _split(stack, *arrays):
+    """Each chunk's slice of ``arrays``, which hold the states of ``stack``
+    in its order: a list of one tuple of slices per chunk."""
+    ends = itertools.accumulate((size for _, size in stack), initial=0)
+    return [tuple(a[begin:end] for a in arrays) for begin, end in itertools.pairwise(ends)]
+
+
+def _factors(rank, stack):
+    """The factors ``G`` of the random states of ``rank`` of a stack of
+    chunks ``(substream, size)``, each chunk's drawn from its own substream,
+    in stack order."""
+    return np.concatenate([_ginibre(rank, np.random.default_rng(seq), size) for seq, size in stack])
+
+
+def _state_stack(rank, stack):
+    """``(rho, triple, certified)`` of the random states ``rho = G
+    G^dagger / Tr`` of a stack of chunks, ``G`` from :func:`_factors`: every
+    scatter stack, and every sweep stack above rank 1.  The screen makes no
+    eigensolve: ``nu`` and ``n2`` come from :func:`_nu_n2_screen` and ``c =
+    max(_uhlmann(G) / Tr, 0)``.  A state is ``certified`` where ``c`` is
+    finite and both :func:`_uhlmann_bound` and the screen's bound are at most
     ``_SCREEN_BOUND``; the triple holds measure_triple's bits for every
-    other state, written before it is returned.
+    other state, written before it is returned.  Every step acts on each
+    state alone, so a state gets the same bits in any stack.
     """
-    g = _ginibre(rank, rng, size)
+    g = _factors(rank, stack)
     rho = _gram_state(g)
-    nu, n2, bound = _nu_n2_screen(rho)
     c = np.maximum(_uhlmann(g) / np.square(np.abs(g)).sum(axis=(-2, -1)), 0.0)
-    certified = np.isfinite(c) & (np.maximum(_uhlmann_bound(g, c), bound) <= _SCREEN_BOUND)
+    c_bound = _uhlmann_bound(g, c)
+    del g  # before the screen, whose temporaries set the stack's peak
+    nu, n2, bound = _nu_n2_screen(rho)
+    certified = np.isfinite(c) & (np.maximum(c_bound, bound) <= _SCREEN_BOUND)
     t = MeasureTriple(c, nu, n2)
-    if not certified.all():  # most chunks are all certified; an empty call costs 2% of a sweep
+    if not certified.all():  # most stacks are all certified; an empty call costs 2% of a sweep
         for name, exact in vars(measure_triple(rho[~certified])).items():
             getattr(t, name)[~certified] = exact
     return rho, t, certified
@@ -409,35 +477,40 @@ def _state_chunk(rank, rng, size):
 def _state_sweep(op, gaps_of, n, rank, seed, tol):
     """Sweep of ``n`` random states of ``rank``, with gaps ``gaps_of(triple)``.
 
-    A chunk comes from :func:`_state_chunk`.  Its certified states whose
-    gap of any kind comes within ``_SCREEN_MARGIN`` of ``min(tol, top)``,
-    ``top`` the chunk's largest gap, are measured again with
-    :func:`measure_triple`.  That margin is twice the most a certified
-    screen moves a gap, so they include every hit and the top, which then
-    carry the reference bits, and a report is byte-identical to one that
-    measures every state.  A certified PPT state is not measured again:
-    ``gaps_of`` gives it the same gaps for any ``C >= 0`` (0 for the
-    ordering, none for the bounds).  At rank 1 every state is measured and
-    none is screened: the screen certifies pure states, but each has
-    ``C = nu = n2`` and so gaps of about 0, within ``_SCREEN_MARGIN`` of the
-    cut, and the margin would send every one to the reference anyway.
+    A stack of chunks comes from :func:`_state_stack`.  Its certified states
+    whose gap of any kind comes within ``_SCREEN_MARGIN`` of ``min(tol,
+    top)``, ``top`` the largest gap of the state's own chunk, are measured
+    again with :func:`measure_triple`, in one call for the stack.  That
+    margin is twice the most a certified screen moves a gap, so they include
+    every hit and each chunk's top, which then carry the reference bits, and
+    a report is byte-identical to one that measures every state, in any
+    stacking.  A certified PPT state is not measured again: ``gaps_of``
+    gives it the same gaps for any ``C >= 0`` (0 for the ordering, none for
+    the bounds).  At rank 1 every state is measured and none is screened:
+    the screen certifies pure states, but each has ``C = nu = n2`` and so
+    gaps of about 0, within ``_SCREEN_MARGIN`` of the cut, and the margin
+    would send every one to the reference anyway.
     """
     rank = _check_rank(rank)
     tol = _check_real("tol", tol)
 
-    def work(rng, size):
+    def work(stack):
         if rank == 1:
-            rho = _gram_state(_ginibre(rank, rng, size))
-            yield rho, gaps_of(measure_triple(rho)), lambda j: {}
-            return
-        rho, t, certified = _state_chunk(rank, rng, size)
-        gaps = gaps_of(t)
-        cut = min(tol, np.max(list(gaps.values()))) - _SCREEN_MARGIN
-        near = np.flatnonzero(certified & (t.nu != 0.0) & np.any([gap >= cut for gap in gaps.values()], axis=0))
-        exact = gaps_of(measure_triple(rho[near]))
-        for kind, gap in gaps.items():
-            gap[near] = exact[kind]
-        yield rho, gaps, lambda j: {}
+            rho = _gram_state(_factors(rank, stack))
+            gaps = gaps_of(measure_triple(rho))
+        else:
+            rho, t, certified = _state_stack(rank, stack)
+            gaps = gaps_of(t)
+            state_tops = np.max(list(gaps.values()), axis=0)
+            cuts = [min(tol, np.max(top)) - _SCREEN_MARGIN for (top,) in _split(stack, state_tops)]
+            cut = np.repeat(cuts, [size for _, size in stack])
+            near = np.flatnonzero(certified & (t.nu != 0.0) & np.any([gap >= cut for gap in gaps.values()], axis=0))
+            exact = gaps_of(measure_triple(rho[near]))
+            for kind, gap in gaps.items():
+                gap[near] = exact[kind]
+        kinds = list(gaps)
+        for states, *chunk_gaps in _split(stack, rho, *gaps.values()):
+            yield [(states, dict(zip(kinds, chunk_gaps)), lambda j: {})]
 
     return _sweep(op, seed, {"rank": rank, "tol": tol}, tol, work, _chunks(seed, n))
 
@@ -605,7 +678,7 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
     parts, block, _ = _stacking(channel_kind)
     width = 8 * rank + _CHANNEL_WIDTH[channel_kind]
 
-    def work(rng, size, begin, length):
+    def pairs(rng, size, begin, length):
         counts, on_a = _draw_structures(channel_kind, rng, size)
         rng.standard_normal((begin, width))  # the chunk's earlier rows, drawn only to move the stream past them
         for first in range(begin, begin + length, block):
@@ -613,6 +686,9 @@ def monotonicity_sweep(n_pairs, channel_kind="local", rank=2, seed=42, tol=1e-9)
             raw = rng.standard_normal((end - first, width))
             rho, kraus, pair_counts = _build_pairs(channel_kind, rank, counts[first:end], on_a[first:end], raw)
             yield rho, {"monotonicity": _gaps(rho, kraus)}, _channel_of(kraus, pair_counts)
+
+    def work(stack):
+        return (pairs(np.random.default_rng(seq), *rest) for seq, *rest in stack)
 
     config = {"channel_kind": channel_kind, "rank": rank, "tol": tol}
     return _sweep("monotonicity_sweep", seed, config, tol, work, _spans(_chunks(seed, n_pairs), parts))
@@ -740,14 +816,14 @@ _SCATTER = {
 }
 
 
-def _scatter_chunk(which, rank, chunk):
-    """The rows of figure ``which``'s scatter sheet for one chunk of random
-    states of ``rank``, as CSV text: a worker hands back text to write, and
-    its caller formats none of it.  A row holds its state's measures from
-    :func:`_state_chunk`: screened where certified, else measure_triple's."""
-    seq, size = chunk
-    _, t, _ = _state_chunk(rank, np.random.default_rng(seq), size)
-    return serialize.csv_rows(*_SCATTER[which][1](t))
+def _scatter_stack(which, rank, stack):
+    """The rows of figure ``which``'s scatter sheet for each chunk of a stack
+    of random states of ``rank``, as CSV text: a worker hands back text to
+    write, and its caller formats none of it.  A row holds its state's
+    measures from :func:`_state_stack`: screened where certified, else
+    measure_triple's."""
+    _, t, _ = _state_stack(rank, stack)
+    return [serialize.csv_rows(*columns) for columns in _split(stack, *_SCATTER[which][1](t))]
 
 
 def figure_data(which, n, rank=2, seed=42, out_dir="."):
@@ -765,7 +841,7 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
     of text, each written as it arrives, in chunk order, so that the sheet
     is never held whole; an error in a chunk leaves the sheet cut short
     there.  A row holds screened measures certified to within 1e-10 of
-    :func:`measure_triple`'s, or its bits (:func:`_scatter_chunk`).
+    :func:`measure_triple`'s, or its bits (:func:`_scatter_stack`).
     Returns the list of file paths written.
     """
     if which not in _SCATTER:
@@ -780,7 +856,7 @@ def figure_data(which, n, rank=2, seed=42, out_dir="."):
         serialize.write_csv(path, header, texts)
         paths.append(path)
 
-    task = functools.partial(_scatter_chunk, which, rank)
+    task = functools.partial(_scatter_stack, which, rank)
     emit(f"{which}_scatter.csv", _SCATTER[which][0], _chunk_results(task, chunks))
     rows = serialize.csv_rows
     grid = np.linspace(0.0, 1.0, 201)

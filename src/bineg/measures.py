@@ -145,9 +145,14 @@ def _nu_n2_screen(rho):
         k = np.argmax(np.abs(diag3 + c1 * diag2 + c2 * diag1 + c3), axis=-1)[..., None, None]
         col1 = np.take_along_axis(h, k, axis=-1)[..., 0]
         col2 = np.take_along_axis(h2, k, axis=-1)[..., 0]
+        # the stacks of matrices go once read, diagonals (views) and all: a
+        # state pass screens several chunks in one call
+        del h2, diag1, diag2, diag3
         v = (h @ col2[..., None])[..., 0] + c1 * col2 + c2 * col1 + c3 * (np.arange(4) == k[..., 0])
+        del col1, col2
         v = v / np.sqrt(np.square(np.abs(v)).sum(axis=-1))[..., None]
         hv = (h @ v[..., None])[..., 0]
+        del h
         theta = (np.conjugate(v) * hv).sum(axis=-1).real
         r = np.sqrt(np.square(np.abs(hv - theta[..., None] * v)).sum(axis=-1)) + s
         d2 = np.square(np.abs(theta - mean) + spread)
@@ -263,7 +268,7 @@ def concurrence(rho):
     These are the singular values of ``W^T (Y x Y) W`` for ``W = V
     diag(sqrt(w))`` from ``rho = V diag(w) V^dagger``; nothing is squared.
     Sampled states are screened without this ``eigh``: see
-    ``harness._state_chunk``.  Raises :class:`WrongDimension` unless the
+    ``harness._state_stack``.  Raises :class:`WrongDimension` unless the
     trailing shape is ``(4, 4)``.
     """
     rho = np.asarray(rho, dtype=complex)

@@ -8,6 +8,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -348,7 +349,7 @@ class TestStateSweepChunks:
 
         def screen(f):
             u = _uhlmann(f)
-            if len(u) == CHUNK:
+            if len(u) >= CHUNK:  # the stack that holds the first chunk
                 u[j] = bad
             return u
 
@@ -437,7 +438,7 @@ class TestStateSweepChunks:
 
         def screen(rho):
             nu, n2, bound = _nu_n2_screen(rho)
-            if len(nu) == CHUNK:
+            if len(nu) >= CHUNK:  # the stack that holds the first chunk
                 nu[j] = n2[j] = bound[j] = bad
             return nu, n2, bound
 
@@ -474,7 +475,7 @@ class TestStateSweepChunks:
 
         def bound(f, c):
             b = _uhlmann_bound(f, c)
-            if len(b) == CHUNK:
+            if len(b) >= CHUNK:  # the stack that holds the first chunk
                 b[j] = np.inf
             return b
 
@@ -529,7 +530,7 @@ def item_pids(monkeypatch):
     chunk_results, pids = harness._chunk_results, []
 
     def spy(task, items):
-        out = list(chunk_results(lambda item: (task(item), os.getpid()), items))
+        out = list(chunk_results(lambda stack: [(r, os.getpid()) for r in task(stack)], items))
         pids.append([pid for _, pid in out])
         return [result for result, _ in out]
 
@@ -540,22 +541,56 @@ def item_pids(monkeypatch):
 class TestChunkWorkers:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_mapping_is_chosen_by_cpus_and_chunks(self, monkeypatch, cpus):
+        # chunks (index, size): only two or more full-size ones fork
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-        for chunks in ([0], [0, 1, 2]):
-            results = harness._chunk_results(lambda chunk: (chunk, os.getpid()), chunks)
+        for sizes in ([5], [5, 5, 5], [5] * 7 + [2], [5, 2], [5, 2, 2]):
+            chunks = list(enumerate(sizes))
+            results = harness._chunk_results(lambda stack: [(chunk, os.getpid()) for chunk in stack], chunks)
             assert multiprocessing.active_children() == []  # none before the first read
             got = list(results)
             assert [chunk for chunk, _ in got] == chunks  # in chunk order
-            forked = cpus > 1 and len(chunks) > 1
+            forked = cpus > 1 and sizes.count(5) > 1
             assert all((pid != os.getpid()) == forked for _, pid in got)
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_worker_runs_its_strided_chunks_a_stack_at_a_time(self, monkeypatch, cpus):
+        # worker k takes the chunks k, k + workers, ... and runs them STACK
+        # at a time; one process runs consecutive stacks
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        chunks = [(i, 5) for i in range(3 * harness.STACK + 2)]
+        got = list(harness._chunk_results(lambda stack: [(chunk, stack, os.getpid()) for chunk in stack], chunks))
+        assert [chunk for chunk, _, _ in got] == chunks
+        for k in range(cpus):
+            mine = chunks[k::cpus]
+            assert [stack for _, stack, _ in got[k::cpus]] == [
+                mine[i - i % harness.STACK : i - i % harness.STACK + harness.STACK] for i in range(len(mine))
+            ]
+        assert len({pid for _, _, pid in got}) == cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_chunks_of_a_stack_that_raises_run_one_at_a_time(self, monkeypatch, cpus):
+        # an error comes in place of the result of the chunk that raised it,
+        # after the results of the chunks before it, as with stacks of one
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        chunks, got = [(i, 5) for i in range(4 * harness.STACK)], []
+
+        def task(stack):
+            if (2 * harness.STACK + 1, 5) in stack:
+                raise OutOfRange("spoiled chunk")
+            return [chunk for chunk, _ in stack]
+
+        with pytest.raises(OutOfRange, match="spoiled chunk"):
+            got.extend(harness._chunk_results(task, chunks))
+        assert got == list(range(2 * harness.STACK + 1))
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "sweep",
         [
-            lambda: verify_region(CHUNK + 6, seed=12, tol=-1.0),
-            lambda: verify_ordering(CHUNK + 6, seed=12, tol=-1.0),
-            lambda: monotonicity_sweep(CHUNK + 6, channel_kind="local", seed=12, tol=-1.0),
+            lambda: verify_region(2 * CHUNK + 6, seed=12, tol=-1.0),
+            lambda: verify_ordering(2 * CHUNK + 6, seed=12, tol=-1.0),
+            lambda: monotonicity_sweep(2 * CHUNK + 6, channel_kind="local", seed=12, tol=-1.0),
         ],
         ids=["verify_region", "verify_ordering", "monotonicity_local"],
     )
@@ -604,9 +639,20 @@ class TestChunkWorkers:
         forked(monkeypatch)
         pids = item_pids(monkeypatch)
         monotonicity_sweep(1000, channel_kind="one_way_locc", seed=12)
-        verify_ordering(CHUNK + 6, seed=12)
+        verify_ordering(2 * CHUNK + 6, seed=12)
         assert pids[0] == [os.getpid()]
-        assert len(pids[1]) == 2 and os.getpid() not in pids[1]
+        assert len(pids[1]) == 3 and os.getpid() not in pids[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n", [CHUNK + 6, 2 * CHUNK - 1])
+    def test_a_sweep_with_one_full_chunk_does_not_fork(self, monkeypatch, n):
+        # its short last chunk would be a worker's only work: a 1030-pair
+        # one-way LOCC sweep takes longer on two CPUs than on one
+        forked(monkeypatch)
+        pids = item_pids(monkeypatch)
+        monotonicity_sweep(n, channel_kind="one_way_locc", seed=12)
+        verify_ordering(n, seed=12)
+        assert pids == [[os.getpid()] * 2] * 2
         assert multiprocessing.active_children() == []
 
     def test_block_ships_only_the_states_over_tol_in_any_kind(self):
@@ -702,26 +748,28 @@ class TestChunkWorkers:
             "        raise KeyError('stop')\n"
             "    return bytes(1 << 20)\n"
             "try:\n"
-            "    list(harness._chunk_results(task, list(range(8))))\n"
+            "    list(harness._chunk_results(lambda stack: [task(c) for c, _ in stack], [(i, 1) for i in range(8)]))\n"
             "except KeyError as exc:\n"
             "    print(repr(exc), multiprocessing.active_children())\n"
         )
         assert out.strip() == "KeyError('stop') []"
 
     def test_worker_that_dies_is_an_error_not_a_hang(self):
+        # worker 1 dies in its stack of chunks 1, 3, ... before it sends chunk 1
         out = self.run_fresh(
+            "task = lambda stack: [os._exit(3) if c == 3 else c for c, _ in stack]\n"
             "try:\n"
-            "    print(list(harness._chunk_results(lambda chunk: os._exit(3) if chunk == 3 else chunk, list(range(6)))))\n"
+            "    print(list(harness._chunk_results(task, [(i, 1) for i in range(6)])))\n"
             "except ChildProcessError as exc:\n"
             "    print(exc, len(multiprocessing.active_children()))\n"
         )
-        assert out.strip() == "a worker ended before sending the result of chunk 3 0"
+        assert out.strip() == "a worker ended before sending the result of chunk 1 0"
 
     def test_closing_the_results_early_stops_the_workers(self):
         # a reader that stops early, as a figure sheet's failed write does,
         # must stop the workers, those blocked in a send included
         out = self.run_fresh(
-            "results = harness._chunk_results(lambda chunk: bytes(1 << 20), list(range(8)))\n"
+            "results = harness._chunk_results(lambda stack: [bytes(1 << 20)] * len(stack), [(i, 1) for i in range(8)])\n"
             "print(len(next(results)))\n"
             "results.close()\n"
             "print(multiprocessing.active_children())\n"
@@ -730,21 +778,23 @@ class TestChunkWorkers:
 
     def test_figure_worker_error_cuts_the_sheet_short(self, monkeypatch, tmp_path):
         # the scatter is written chunk by chunk as it arrives, so an error in
-        # the last chunk leaves the rows of the chunks before it
-        scatter = harness._scatter_chunk
+        # the last chunk leaves the rows of the chunks before it, the chunks
+        # of its own stack included
+        scatter = harness._scatter_stack
 
-        def spoiled(which, rank, chunk):
-            if chunk[1] < CHUNK:
+        def spoiled(which, rank, stack):
+            if any(size < CHUNK for _, size in stack):
                 raise OutOfRange("spoiled chunk")
-            return scatter(which, rank, chunk)
+            return scatter(which, rank, stack)
 
-        monkeypatch.setattr(harness, "_scatter_chunk", spoiled)
+        monkeypatch.setattr(harness, "_scatter_stack", spoiled)
+        n = (harness.STACK + 1) * CHUNK + 6
         for force in (forked, serial):
             force(monkeypatch)
             with pytest.raises(OutOfRange, match="spoiled chunk"):
-                figure_data("fig1", CHUNK + 6, seed=3, out_dir=str(tmp_path))
+                figure_data("fig1", n, seed=3, out_dir=str(tmp_path))
             assert multiprocessing.active_children() == []
-            assert len((tmp_path / "fig1_scatter.csv").read_text().splitlines()) == CHUNK + 1
+            assert len((tmp_path / "fig1_scatter.csv").read_text().splitlines()) == n - 6 + 1
 
     def test_daemonic_process_runs_serially(self, monkeypatch):
         # a daemonic process may not have children, so its sweeps do not fork
@@ -753,14 +803,36 @@ class TestChunkWorkers:
         queue = context.Queue()
 
         def child():
-            queue.put(dumps(verify_ordering(CHUNK + 6, seed=12, tol=-1.0).to_json_dict()))
+            queue.put(dumps(verify_ordering(2 * CHUNK + 6, seed=12, tol=-1.0).to_json_dict()))
 
         proc = context.Process(target=child, daemon=True)
         proc.start()
         got = queue.get(timeout=60)
         proc.join(timeout=60)
         assert not proc.is_alive() and proc.exitcode == 0
-        assert got.splitlines() == dumps(verify_ordering(CHUNK + 6, seed=12, tol=-1.0).to_json_dict()).splitlines()
+        assert got.splitlines() == dumps(verify_ordering(2 * CHUNK + 6, seed=12, tol=-1.0).to_json_dict()).splitlines()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_a_worker_keeps_its_freed_memory(self, keep):
+        # 16 MB of arrays, freed and allocated again: glibc returns them to
+        # the system and faults them in again, unless a worker's setting
+        # keeps them, as it keeps a stack's temporaries for the next stack
+        code = (
+            "import resource, numpy as np\n"
+            "from bineg import harness\n"
+            f"if {keep}:\n"
+            "    harness._keep_freed_memory()\n"
+            "def cycle():\n"
+            "    arrays = [np.ones(1 << 18) for _ in range(8)]\n"  # under numpy's 4 MB huge-page advice
+            "cycle(); cycle()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "cycle()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+        faults = int(proc.stdout)
+        assert faults < 500 if keep else faults > 2000  # 4096 pages of 4 KB
 
     def test_import_loads_no_process_machinery(self):
         code = (
@@ -1415,8 +1487,8 @@ class TestReportSerialization:
             # the reference kernel runs in every chunk, on the states the
             # screen does not certify and on those near a hit or the top,
             # and the screen on all of them
-            (measures, "_negative_branch", lambda: verify_region(CHUNK + 6, seed=8)),
-            (harness, "_nu_n2_screen", lambda: verify_region(CHUNK + 6, seed=8)),
+            (measures, "_negative_branch", lambda: verify_region(2 * CHUNK + 6, seed=8)),
+            (harness, "_nu_n2_screen", lambda: verify_region(2 * CHUNK + 6, seed=8)),
             (harness, "_gaps", lambda: counterexample_search(restarts=1, steps=0, seed=8)),
         ],
         ids=["closed_forms", "state_sweep", "state_screen", "search"],
@@ -1669,6 +1741,40 @@ class TestScreenedScatter:
             sheets.append(open(path, "rb").read())
             assert multiprocessing.active_children() == []
         assert sheets[0] == sheets[1]
+
+
+class TestStackedPass:
+    """A state pass measures ``STACK`` chunks at once, each drawn from its
+    own substream and cut at its own top, so no report or sheet depends on
+    the stacking, forked or in one process."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_bytes_do_not_depend_on_the_stack(self, monkeypatch, tmp_path, rank):
+        # 3 chunks and one of 5 states; the first chunk holds the states the
+        # screen leaves to the reference at ranks 1, 2 and 4
+        seed, left = TestScreenedScatter.LEFT[rank]
+        g, rho = scatter_states(rank, seed, CHUNK)
+        assert np.flatnonzero(certified_bounds(g, rho)[0] == 0.0).tolist() == left
+        n, outputs = 3 * CHUNK + 5, {}
+        for stack, force in itertools.product((1, 2, 3), (forked, serial)):
+            monkeypatch.setattr(harness, "STACK", stack)
+            force(monkeypatch)
+            pids = item_pids(monkeypatch)
+            got = [
+                dumps(sweep(n, rank=rank, seed=seed, tol=tol).to_json_dict())
+                for sweep in (verify_region, verify_ordering)
+                for tol in (1e-9, 3e-4)
+            ]
+            out = tmp_path / f"{stack}-{force.__name__}"
+            got += [open(path, "rb").read() for path in figure_data("fig3", n, rank=rank, seed=seed, out_dir=str(out))]
+            assert all((os.getpid() in p) == (force is serial) for p in pids)
+            assert multiprocessing.active_children() == []
+            outputs[stack, force.__name__] = got
+            monkeypatch.undo()
+        want = outputs[1, "serial"]
+        assert all(got == want for got in outputs.values())
+        # the rank-2 region reports hold 17 and 11 findings
+        assert [json.loads(report)["n_violations"] for report in want[:2]] == ([17, 11] if rank == 2 else [0, 0])
 
 
 class TestFigureData:

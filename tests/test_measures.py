@@ -8,6 +8,7 @@ with the 40-digit mpmath oracle of ``mp_oracle.py`` on adversarial families.
 """
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -283,6 +284,68 @@ class TestClosedFormPqr:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             closed_form_pqr(-0.1, 0.5, 0.5)
+
+
+class TestEq7Certificate:
+    """The dual certificate behind eq7 (ROADMAP item 20), checked at 50
+    digits.  With ``v = cos t |00> + sin t |11>``, ``w = -sin t |00> + cos t
+    |11>``, ``kappa = sin 2t`` and ``r = cos 2t``, ``H = v v^T + alpha (v
+    w^T + w v^T)`` has ``tr(rho H^G) = -lam`` for any state whose ``rho^G``
+    has the eigenpair ``(-lam, v)``, so ``rho >= 0`` gives ``-lam >=
+    lambda_min(H^G)``.  At ``alpha* = -(1 - r + kappa) / (2 (kappa + r))``
+    that least eigenvalue is ``-(1 - r) / (2 (kappa + r))``, which bounds
+    ``N = 2 lam`` by ``N* = (1 - r) / (kappa + r)``."""
+
+    @staticmethod
+    def grid():
+        """400 values of ``t`` in ``(0, pi/4]``, at the working precision."""
+        return [mpmath.pi / 4 * k / 400 for k in range(1, 401)]
+
+    @staticmethod
+    def curve(t):
+        kappa, r = mpmath.sin(2 * t), mpmath.cos(2 * t)
+        return kappa, r, (1 - r) / (kappa + r)
+
+    def test_the_least_eigenvalue_at_alpha_star(self):
+        with mpmath.workdps(50):
+            worst = 0
+            for t in self.grid():
+                kappa, r, n_star = self.curve(t)
+                alpha = -(1 - r + kappa) / (2 * (kappa + r))
+                v = mpmath.matrix([mpmath.cos(t), 0, 0, mpmath.sin(t)])
+                w = mpmath.matrix([-mpmath.sin(t), 0, 0, mpmath.cos(t)])
+                h = v * v.T + alpha * (v * w.T + w * v.T)
+                # the partial transpose on B: entry ((a, b), (a', b')) from ((a, b'), (a', b))
+                hg = mpmath.matrix(4, 4)
+                for (a, b, a2, b2) in itertools.product(range(2), repeat=4):
+                    hg[2 * a + b, 2 * a2 + b2] = h[2 * a + b2, 2 * a2 + b]
+                eigs = sorted(mpmath.eigsy(hg, eigvals_only=True))
+                # the four eigenvalues of the X matrix H^G, then the least of them
+                want = sorted([
+                    mpmath.cos(t) ** 2 - alpha * kappa,
+                    mpmath.sin(t) ** 2 + alpha * kappa,
+                    kappa / 2 + alpha * r,
+                    -(kappa / 2 + alpha * r),
+                ])
+                worst = max(worst, max(abs(x - y) for x, y in zip(eigs, want)))
+                worst = max(worst, abs(eigs[0] + n_star / 2))
+            assert worst < mpmath.mpf(10) ** -45
+
+    def test_n_star_is_eq7s_curve_and_increases(self):
+        with mpmath.workdps(50):
+            n_stars = []
+            for t in self.grid():
+                kappa, r, n_star = self.curve(t)
+                # c_of_nu's formula: 2 N* (N* + 1) is the square of kappa / (kappa + r) + N*
+                c = mpmath.sqrt(2 * n_star * (n_star + 1)) - n_star
+                assert abs(c - kappa / (kappa + r)) < mpmath.mpf(10) ** -45
+                assert abs(c / (1 + n_star - c) - kappa) < mpmath.mpf(10) ** -45
+                n_stars.append(n_star)
+            assert all(b > a for a, b in itertools.pairwise(n_stars))
+            assert abs(n_stars[-1] - 1) < mpmath.mpf(10) ** -45  # kappa = 1: N* = 1
+            curves = [self.curve(t) for t in self.grid()]
+        kappa, r, n_star = (np.array([float(x) for x in col]) for col in zip(*curves))
+        assert np.max(np.abs(c_of_nu(n_star) - kappa / (kappa + r))) <= 4 * np.finfo(float).eps
 
 
 class TestMemsBounds:
